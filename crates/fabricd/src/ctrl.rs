@@ -392,23 +392,11 @@ impl ControlPlane {
             .st
             .admit_retryable(now, q.job, q.shape, q.attempt, last)
         {
-            Admission::Admitted { setup } => {
+            Admission::Admitted { setup, circuits } => {
                 self.metrics.bump("jobs.admitted");
                 self.metrics
                     .record_wait(now.saturating_since(q.arrival).as_secs_f64());
-                // Admission just journaled Admit + Program + Reconfigure;
-                // the Program record carries the circuit count.
-                if let Some(crate::journal::JournalEntry::Program { circuits, .. }) = self
-                    .st
-                    .journal()
-                    .records()
-                    .iter()
-                    .rev()
-                    .map(|r| &r.entry)
-                    .find(|e| matches!(e, crate::journal::JournalEntry::Program { .. }))
-                {
-                    self.metrics.add("circuits.programmed", *circuits as u64);
-                }
+                self.metrics.add("circuits.programmed", circuits as u64);
                 self.schedule(now + setup + q.duration, CtrlEvent::Depart(q.job));
                 true
             }

@@ -17,6 +17,7 @@
 //! monotonic sequence numbers. [`Journal::to_json`] dumps the whole log as
 //! hand-rolled JSON (the workspace is offline and carries no serde).
 
+use desim::fnv::Fnv;
 use desim::SimTime;
 use topo::{Coord3, Shape3};
 
@@ -348,7 +349,14 @@ impl Record {
 /// [`len`](Journal::len) therefore report identical values before and
 /// after compaction — truncation is a storage optimization, never an
 /// observable history rewrite.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A private hash cursor `(sealed_seq, sealed_fnv)` holds the fold over
+/// the header and every record below `sealed_seq`
+/// (`base_seq <= sealed_seq <= next_seq`). [`seal`](Journal::seal)
+/// advances it to the end of the journal, so [`hash`](Journal::hash) only
+/// folds records appended since the last seal. The cursor is pure
+/// bookkeeping: it never changes a hash and is ignored by equality.
+#[derive(Debug, Clone)]
 pub struct Journal {
     header: JournalHeader,
     records: Vec<Record>,
@@ -359,17 +367,20 @@ pub struct Journal {
     /// compacted-away record, i.e. the hash fold up to (but excluding)
     /// record `base_seq`.
     base_fnv: u64,
+    /// First record not yet folded into `sealed_fnv`.
+    sealed_seq: u64,
+    /// The hash fold up to (but excluding) record `sealed_seq`.
+    sealed_fnv: u64,
 }
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+impl PartialEq for Journal {
+    /// Equal history, however often either journal was sealed.
+    fn eq(&self, other: &Self) -> bool {
+        self.header == other.header
+            && self.records == other.records
+            && self.base_seq == other.base_seq
+            && self.base_fnv == other.base_fnv
+    }
 }
 
 /// The header's canonical line (the first hash-fold contribution).
@@ -380,16 +391,23 @@ fn canon_header(h: &JournalHeader) -> String {
     )
 }
 
+/// Continue the hash fold at `fnv` over `records`: a newline, then each
+/// record's canonical line.
+fn fold<'a>(fnv: u64, records: impl IntoIterator<Item = &'a Record>) -> u64 {
+    let mut h = Fnv::from_state(fnv);
+    for r in records {
+        h.write_bytes(b"\n").write_bytes(r.canon().as_bytes());
+    }
+    h.finish()
+}
+
 impl Journal {
     /// An empty journal for a run described by `header`.
     pub fn new(header: JournalHeader) -> Self {
-        let base_fnv = fnv1a(FNV_OFFSET, canon_header(&header).as_bytes());
-        Journal {
-            header,
-            records: Vec::new(),
-            base_seq: 0,
-            base_fnv,
-        }
+        let base_fnv = Fnv::new()
+            .write_bytes(canon_header(&header).as_bytes())
+            .finish();
+        Self::with_base(header, 0, base_fnv)
     }
 
     /// A journal resuming at sequence `base_seq` with the hash fold of the
@@ -404,6 +422,8 @@ impl Journal {
             records: Vec::new(),
             base_seq,
             base_fnv,
+            sealed_seq: base_seq,
+            sealed_fnv: base_fnv,
         }
     }
 
@@ -455,6 +475,11 @@ impl Journal {
         self.len() == 0
     }
 
+    /// Retained records from sequence `seq` on (`seq >= base_seq`).
+    fn records_from(&self, seq: u64) -> impl Iterator<Item = &Record> {
+        self.records.iter().skip((seq - self.base_seq) as usize)
+    }
+
     /// Drop every retained record with `seq < watermark`, folding its hash
     /// contribution into the base so [`hash`](Self::hash) and
     /// [`len`](Self::len) are unchanged. Downward-only and audited: the
@@ -462,6 +487,10 @@ impl Journal {
     /// record (which becomes the first retained record), because records
     /// above a snapshot are still needed for delta replay and must never be
     /// eaten. Returns the number of records dropped.
+    ///
+    /// The new base fold starts from the hash cursor when the watermark is
+    /// at or above it — free when compacting right after a capture sealed
+    /// the journal — and from the old base otherwise.
     pub fn compact_to(&mut self, watermark: u64) -> Result<usize, String> {
         if watermark < self.base_seq {
             return Err(format!(
@@ -487,25 +516,36 @@ impl Journal {
                 ));
             }
         }
-        for r in self.records.iter().take(keep_from) {
-            self.base_fnv = fnv1a(self.base_fnv, b"\n");
-            self.base_fnv = fnv1a(self.base_fnv, r.canon().as_bytes());
-        }
+        let (from_seq, from_fnv) = if watermark >= self.sealed_seq {
+            (self.sealed_seq, self.sealed_fnv)
+        } else {
+            (self.base_seq, self.base_fnv)
+        };
+        let span = (watermark - from_seq) as usize;
+        self.base_fnv = fold(from_fnv, self.records_from(from_seq).take(span));
         self.records.drain(..keep_from);
         self.base_seq = watermark;
+        if self.sealed_seq < watermark {
+            self.sealed_seq = watermark;
+            self.sealed_fnv = self.base_fnv;
+        }
         Ok(keep_from)
     }
 
     /// 64-bit FNV-1a over the canonical encoding of the header and every
     /// record (compacted-away ones included, via the folded base state).
-    /// Two runs are decision-identical iff their hashes agree.
+    /// Two runs are decision-identical iff their hashes agree. Folds only
+    /// the records appended since the last [`seal`](Self::seal).
     pub fn hash(&self) -> u64 {
-        let mut h = self.base_fnv;
-        for r in &self.records {
-            h = fnv1a(h, b"\n");
-            h = fnv1a(h, r.canon().as_bytes());
-        }
-        h
+        fold(self.sealed_fnv, self.records_from(self.sealed_seq))
+    }
+
+    /// [`hash`](Self::hash), advancing the hash cursor to the end of the
+    /// journal so the next `hash` or `seal` folds only newer records.
+    pub fn seal(&mut self) -> u64 {
+        self.sealed_fnv = self.hash();
+        self.sealed_seq = self.next_seq();
+        self.sealed_fnv
     }
 
     /// Dump the journal as JSON (hand-rolled; the workspace has no serde).

@@ -74,6 +74,8 @@ pub enum Admission {
     Admitted {
         /// MZI settling time before the tenant's rings can run.
         setup: SimDuration,
+        /// Circuits established (the journaled `Program` record's count).
+        circuits: usize,
     },
     /// No slice of the requested shape is free; the caller may queue.
     NoSpace,
@@ -223,7 +225,7 @@ impl FabricState {
     /// byte-identical hashes with the uninterrupted run.
     pub fn capture_snapshot(&mut self, at: SimTime) -> FabricSnapshot {
         let seq = self.journal.next_seq();
-        let base_fnv = self.journal.hash();
+        let base_fnv = self.journal.seal();
         let mut w = SnapWriter::new();
         self.write_state(&mut w);
         let fingerprint = w.fingerprint();
@@ -607,6 +609,7 @@ impl FabricState {
         let plan = ring_plan(&self.rack.cluster, &slice, self.lanes);
         match program_planned(&mut self.rack.fabric, &plan, &mut self.plans) {
             Ok(handles) => {
+                let circuits = handles.len();
                 self.journal.push(
                     now,
                     JournalEntry::Admit {
@@ -619,7 +622,7 @@ impl FabricState {
                     now,
                     JournalEntry::Program {
                         job,
-                        circuits: handles.len(),
+                        circuits,
                         batches: plan.batches.len(),
                         cross: plan.cross.len(),
                     },
@@ -641,6 +644,7 @@ impl FabricState {
                 );
                 Admission::Admitted {
                     setup: SimDuration::from_secs_f64(RECONFIG_LATENCY_S),
+                    circuits,
                 }
             }
             Err(failure) => {
@@ -1242,7 +1246,7 @@ mod tests {
         let mut st = FabricState::new(1, 2, 0);
         let t0 = SimTime::ZERO;
         match st.admit(t0, 0, Shape3::new(2, 2, 1)) {
-            Admission::Admitted { setup } => {
+            Admission::Admitted { setup, .. } => {
                 assert!((setup.as_micros_f64() - 3.7).abs() < 1e-9);
             }
             other => panic!("expected admission, got {other:?}"),

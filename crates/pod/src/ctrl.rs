@@ -391,7 +391,7 @@ impl PodRun {
             config: self.cfg,
             header: *self.journal.header(),
             journal_next_seq: self.journal.next_seq(),
-            journal_fnv: self.journal.hash(),
+            journal_fnv: self.journal.seal(),
             deleg_state: self.deleg.state(),
             delegations: self.delegations,
             next_job: self.next_job,

@@ -427,20 +427,9 @@ impl ShardDomain {
     /// plane, so the journal append order stays worker-count invariant.
     pub fn admit_leg(&mut self, at: SimTime, leg: u32, shape: Shape3) -> Option<Coord3> {
         match self.st.admit(at, leg, shape) {
-            Admission::Admitted { .. } => {
+            Admission::Admitted { circuits, .. } => {
                 self.metrics.bump("stitch.legs");
-                let programmed = self
-                    .st
-                    .journal()
-                    .records()
-                    .iter()
-                    .rev()
-                    .find_map(|r| match &r.entry {
-                        JournalEntry::Program { circuits, .. } => Some(*circuits as u64),
-                        _ => None,
-                    })
-                    .unwrap_or(0);
-                self.metrics.add("circuits.programmed", programmed);
+                self.metrics.add("circuits.programmed", circuits as u64);
                 self.st
                     .journal()
                     .records()
@@ -486,22 +475,11 @@ impl ShardDomain {
     /// point of view (started, denied, or rejected as infeasible).
     fn try_start(&mut self, now: SimTime, q: Queued) -> bool {
         match self.st.admit(now, q.job, q.shape) {
-            Admission::Admitted { setup } => {
+            Admission::Admitted { setup, circuits } => {
                 self.metrics.bump("jobs.admitted");
                 self.metrics
                     .record_wait(now.saturating_since(q.arrival).as_secs_f64());
-                let programmed = self
-                    .st
-                    .journal()
-                    .records()
-                    .iter()
-                    .rev()
-                    .find_map(|r| match &r.entry {
-                        JournalEntry::Program { circuits, .. } => Some(*circuits as u64),
-                        _ => None,
-                    })
-                    .unwrap_or(0);
-                self.metrics.add("circuits.programmed", programmed);
+                self.metrics.add("circuits.programmed", circuits as u64);
                 self.schedule(now + setup + q.duration, LocalEvent::Depart(q.job));
                 true
             }

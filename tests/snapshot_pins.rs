@@ -1,0 +1,95 @@
+//! Snapshot-path pins that plain `cargo test` checks: the committed ctrl
+//! bench scenario must reproduce `BENCH_ctrl.json`'s fingerprint and
+//! journal hash exactly, compaction must not move either, and a pod run
+//! resumed from a mid-run snapshot must land on the uninterrupted run.
+//! Any drift in journal hashing or snapshot capture fails here.
+
+use desim::SimDuration;
+use fabricd::{
+    report::bench_config, run_campaign, run_ctrl_bench, CampaignOptions, CtrlBenchReport,
+};
+use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot};
+use workloads::ArrivalParams;
+
+fn committed_ctrl() -> CtrlBenchReport {
+    match CtrlBenchReport::parse(include_str!("../BENCH_ctrl.json")) {
+        Ok(r) => r,
+        Err(e) => panic!("BENCH_ctrl.json does not parse: {e}"),
+    }
+}
+
+#[test]
+fn ctrl_bench_reproduces_the_committed_pins() {
+    let (cfg, every) = bench_config();
+    let run = run_ctrl_bench(&cfg, every).expect("ctrl bench runs");
+    let pinned = committed_ctrl();
+    assert_eq!(run.fingerprint, pinned.fingerprint, "state fingerprint");
+    assert_eq!(run.journal_hash, pinned.journal_hash, "journal hash");
+    assert_eq!(run.snapshots, pinned.snapshots, "snapshot count");
+    assert_eq!(
+        run.journal_records, pinned.journal_records,
+        "journal records"
+    );
+}
+
+#[test]
+fn compacted_ctrl_campaign_ends_on_the_committed_pins() {
+    let (cfg, every) = bench_config();
+    let opts = CampaignOptions {
+        snapshot_every: Some(every),
+        compact: true,
+        crash_after_events: None,
+    };
+    let out = run_campaign(&cfg, &opts).expect("compacted campaign runs");
+    let pinned = committed_ctrl();
+    assert!(out.state.journal().base_seq() > 0, "compaction happened");
+    assert_eq!(
+        format!("{:#018x}", out.state.fingerprint()),
+        pinned.fingerprint
+    );
+    assert_eq!(
+        format!("{:#018x}", out.state.journal().hash()),
+        pinned.journal_hash
+    );
+    assert_eq!(out.state.journal().len() as u64, pinned.journal_records);
+}
+
+#[test]
+fn pod_resumed_from_a_mid_run_snapshot_matches_the_uninterrupted_run() {
+    let cfg = PodConfig {
+        chips: 256,
+        seed: 7,
+        jobs: 20,
+        failures: 2,
+        epoch: SimDuration::from_secs(300),
+        queue_timeout: SimDuration::from_secs(900),
+        arrivals: ArrivalParams {
+            mean_interarrival: SimDuration::from_secs(30),
+            mean_duration: SimDuration::from_secs(600),
+            ..ArrivalParams::default()
+        },
+        ..PodConfig::default()
+    };
+    for compact in [false, true] {
+        let opts = PodOptions {
+            snapshot_every: 2,
+            compact,
+            crash_after_epochs: None,
+        };
+        let full = run_pod_with(&cfg, 2, &opts).expect("uninterrupted run");
+        assert!(full.snapshots.len() >= 2, "the run spans several captures");
+        let mid = full
+            .snapshots
+            .get(full.snapshots.len() / 2)
+            .expect("the run captured snapshots");
+        let snap = PodSnapshot::parse(&mid.to_text()).expect("snapshot text round trips");
+        let resumed = resume_pod(&snap, 1, &opts).expect("resumed run");
+        assert_eq!(resumed.fingerprint, full.fingerprint, "compact={compact}");
+        assert_eq!(
+            resumed.journal.hash(),
+            full.journal.hash(),
+            "compact={compact}"
+        );
+        assert_eq!(resumed.journal.len(), full.journal.len());
+    }
+}
