@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use desim::SimDuration;
-use phy::link_budget::{LinkBudget, LinkReport};
+use phy::link_budget::{LinkModel, LinkReport};
 use phy::loss::{LossBudget, LossElement};
 use phy::thermal::RECONFIG_LATENCY_S;
 use phy::units::Gbps;
@@ -491,15 +491,15 @@ impl Fabric {
         // debug builds).
         let link = if let CrossMode::Stamp(plan) = &mode {
             debug_assert_eq!(
-                crate::wafer::report_bits(&plan.link),
-                crate::wafer::report_bits(
-                    &LinkBudget::lightpath_default(self.cross_budget(src, dst, &fibers)).evaluate()
-                ),
+                plan.link.to_bits(),
+                LinkModel::lightpath_default()
+                    .evaluate(&self.cross_budget(src, dst, &fibers))
+                    .to_bits(),
                 "stamped cross link report diverged from a fresh evaluation"
             );
             plan.link
         } else {
-            LinkBudget::lightpath_default(self.cross_budget(src, dst, &fibers)).evaluate()
+            LinkModel::lightpath_default().evaluate(&self.cross_budget(src, dst, &fibers))
         };
         if !link.closes() {
             return Err(CircuitError::BudgetFailed {
@@ -1156,5 +1156,132 @@ mod tests {
         }
         let res = f.establish_cross((WaferId(0), t(1, 1)), (WaferId(2), t(1, 1)), 2);
         assert!(res.is_ok(), "pass-through ignores accelerator failures");
+    }
+}
+
+#[cfg(test)]
+#[path = "../../phy/tests/support/budget_oracle.rs"]
+mod budget_oracle;
+
+/// Fresh intra-wafer and cross-wafer budgets against the per-call oracle,
+/// on randomly fabricated and pre-loaded wafers: every report field must
+/// match bit for bit, admitted or refused.
+#[cfg(test)]
+mod oracle_tests {
+    use super::budget_oracle::OracleBudget;
+    use super::*;
+    use proptest::prelude::*;
+
+    fn tile(i: u8) -> TileCoord {
+        TileCoord::new(i / 8, i % 8)
+    }
+
+    fn route(src: TileCoord, dst: TileCoord, xy: bool) -> Path {
+        if xy {
+            Path::xy(src, dst)
+        } else {
+            Path::yx(src, dst)
+        }
+    }
+
+    fn oracle(path: LossBudget) -> [u64; 5] {
+        OracleBudget::lightpath_default(path).evaluate().to_bits()
+    }
+
+    fn config(fab_seed: u64, crosstalk_per_cochannel_db: f64) -> WaferConfig {
+        WaferConfig {
+            fab_seed,
+            crosstalk_per_cochannel_db,
+            ..WaferConfig::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn wafer_budgets_match_the_oracle(
+            fab_seed in any::<u64>(),
+            crosstalk in 0.0f64..2.0,
+            load in prop::collection::vec((0u8..32, 0u8..32, 1usize..=4, any::<bool>()), 0..40),
+            probes in prop::collection::vec((0u8..32, 0u8..32, any::<bool>()), 1..24),
+        ) {
+            let mut w = Wafer::new(config(fab_seed, crosstalk));
+            for (a, b, lanes, xy) in load {
+                if a == b {
+                    continue;
+                }
+                let path = route(tile(a), tile(b), xy);
+                let want = oracle(w.path_loss_budget(&path));
+                match w.establish(CircuitRequest::new(tile(a), tile(b), lanes).via(path)) {
+                    Ok(rep) => prop_assert_eq!(rep.link.to_bits(), want),
+                    Err(CircuitError::BudgetFailed { margin_db }) => {
+                        prop_assert_eq!(margin_db.to_bits(), want[2]);
+                    }
+                    Err(_) => {}
+                }
+            }
+            for (a, b, xy) in probes {
+                if a == b {
+                    continue;
+                }
+                let path = route(tile(a), tile(b), xy);
+                prop_assert_eq!(
+                    w.link_budget(&path).to_bits(),
+                    oracle(w.path_loss_budget(&path))
+                );
+            }
+        }
+
+        #[test]
+        fn cross_budgets_match_the_oracle(
+            fab_seed in any::<u64>(),
+            crosstalk in 0.0f64..2.0,
+            fiber_m in 0.5f64..50.0,
+            requests in prop::collection::vec(
+                (0usize..3, 0u8..32, 0usize..3, 0u8..32, 1usize..=4),
+                1..24,
+            ),
+        ) {
+            // A triangle of wafers, so circuits take one or two fiber hops
+            // as the direct bundles fill.
+            let mut f = Fabric::new(3, config(fab_seed, crosstalk));
+            for (a, b) in [((0, 7), (0, 0)), ((3, 7), (3, 0))] {
+                for (wa, wb) in [(0, 1), (1, 2)] {
+                    f.attach_fiber(FiberLink {
+                        a: (WaferId(wa), TileCoord::new(a.0, a.1)),
+                        b: (WaferId(wb), TileCoord::new(b.0, b.1)),
+                        capacity: 2,
+                        length_m: fiber_m,
+                    });
+                }
+            }
+            f.attach_fiber(FiberLink {
+                a: (WaferId(2), TileCoord::new(1, 7)),
+                b: (WaferId(0), TileCoord::new(1, 0)),
+                capacity: 1,
+                length_m: fiber_m,
+            });
+            for (wa, a, wb, b, lanes) in requests {
+                if wa == wb {
+                    continue;
+                }
+                let (src, dst) = ((WaferId(wa), tile(a)), (WaferId(wb), tile(b)));
+                let want = f
+                    .fiber_route(src.0, dst.0, true)
+                    .map(|fibers| oracle(f.cross_budget(src, dst, &fibers)));
+                match f.establish_cross_captured(src, dst, lanes) {
+                    Ok((id, _, plan)) => {
+                        prop_assert_eq!(Some(plan.link.to_bits()), want);
+                        let stored = f.cross_circuit(id).map(|c| c.link.to_bits());
+                        prop_assert_eq!(stored, want);
+                    }
+                    Err(CircuitError::BudgetFailed { margin_db }) => {
+                        prop_assert_eq!(Some(margin_db.to_bits()), want.map(|w| w[2]));
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use desim::{SimDuration, SimRng};
-use phy::link_budget::LinkBudget;
+use phy::link_budget::LinkModel;
 use phy::loss::{LossBudget, LossElement};
 use phy::thermal::RECONFIG_LATENCY_S;
 use phy::units::Gbps;
@@ -230,7 +230,7 @@ impl Wafer {
 
     /// Evaluate the link budget a circuit on `path` would see.
     pub fn link_budget(&self, path: &Path) -> phy::link_budget::LinkReport {
-        LinkBudget::lightpath_default(self.path_loss_budget(path)).evaluate()
+        LinkModel::lightpath_default().evaluate(&self.path_loss_budget(path))
     }
 
     /// Choose the default route for a request: XY, falling back to YX when
@@ -256,7 +256,8 @@ impl Wafer {
 
     /// Establish with a link report captured from an earlier evaluation of
     /// the *same* path under the *same* crosstalk loads — the plan-library
-    /// stamp path, which skips the dominant link-budget recomputation.
+    /// stamp path, which skips rebuilding the path's loss budget and the
+    /// BER evaluation at its received power.
     ///
     /// Contract: `link` must equal `self.link_budget(path)` bit-for-bit at
     /// the moment of the call; callers guarantee this by only stamping when
@@ -339,8 +340,8 @@ impl Wafer {
         let link = match prebudgeted {
             Some(given) => {
                 debug_assert_eq!(
-                    report_bits(&given),
-                    report_bits(&self.link_budget(&path)),
+                    given.to_bits(),
+                    self.link_budget(&path).to_bits(),
                     "prebudgeted link report diverged from a fresh evaluation"
                 );
                 given
@@ -601,18 +602,6 @@ impl Wafer {
         }
         Ok(())
     }
-}
-
-/// Bitwise image of a link report, for exact (not epsilon) comparison in
-/// the prebudgeted-establish contract check.
-pub(crate) fn report_bits(r: &phy::link_budget::LinkReport) -> [u64; 5] {
-    [
-        r.received.0.to_bits(),
-        r.sensitivity.0.to_bits(),
-        r.margin.0.to_bits(),
-        r.ber.to_bits(),
-        r.rate.0.to_bits(),
-    ]
 }
 
 /// The set of rx lanes a teardown should release: the *highest* `k` lanes

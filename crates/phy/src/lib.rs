@@ -38,7 +38,7 @@ pub mod wdm;
 
 pub use devices::{Laser, MrrModulator, Photodetector};
 pub use drift::{recal_tradeoff, DriftModel, RecalPoint};
-pub use link_budget::{LinkBudget, LinkInfeasible, LinkReport, DEFAULT_TARGET_BER};
+pub use link_budget::{LinkInfeasible, LinkModel, LinkReport, DEFAULT_TARGET_BER};
 pub use loss::{LossBudget, LossElement, CROSSING_LOSS_DB};
 pub use math::{ber_from_q, erfc, fit_exponential_rise, fit_settling_tau, q_from_ber, ExpFit};
 pub use modulation::{Channel, Format};

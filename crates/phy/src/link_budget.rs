@@ -5,6 +5,14 @@
 //! sensitivity of [`crate::devices`]. The circuit layer (`lightpath` crate)
 //! admits a circuit only when its budget closes with positive margin — this
 //! is how §3's loss measurements gate §4's routing opportunities.
+//!
+//! The budget splits into two parts. Everything that depends only on the
+//! transceiver pair — the launch power after the modulator's penalty and
+//! the receiver sensitivity (two nested bisections) — is derived once when
+//! a [`LinkModel`] is built. Each circuit then pays only for its own loss
+//! sum and one BER evaluation at the received power.
+
+use std::sync::OnceLock;
 
 use crate::devices::{Laser, MrrModulator, Photodetector};
 use crate::loss::LossBudget;
@@ -14,19 +22,18 @@ use crate::units::{Db, Dbm, Gbps};
 /// of short-reach links).
 pub const DEFAULT_TARGET_BER: f64 = 1e-12;
 
-/// Inputs to a link-budget evaluation.
+/// A transceiver pair that circuit budgets close against, reduced to what
+/// a per-circuit evaluation reads: the line rate, the receive detector,
+/// and the two path-independent terms derived once at construction.
 #[derive(Debug, Clone)]
-pub struct LinkBudget {
-    /// Source laser.
-    pub laser: Laser,
-    /// Transmit modulator.
-    pub modulator: MrrModulator,
-    /// Receive detector.
-    pub detector: Photodetector,
-    /// Itemized path loss.
-    pub path: LossBudget,
-    /// Target BER for admission.
-    pub target_ber: f64,
+pub struct LinkModel {
+    /// The modulator's line rate.
+    rate: Gbps,
+    detector: Photodetector,
+    /// `laser.power + modulator.tx_penalty()`.
+    launch: Dbm,
+    /// `detector.sensitivity(target_ber, rate)`.
+    sensitivity: Dbm,
 }
 
 /// Outcome of evaluating a link budget.
@@ -88,52 +95,67 @@ impl LinkReport {
             })
         }
     }
+
+    /// Bitwise image of all five fields, for exact (not epsilon)
+    /// comparison of two reports.
+    pub fn to_bits(&self) -> [u64; 5] {
+        [
+            self.received.0.to_bits(),
+            self.sensitivity.0.to_bits(),
+            self.margin.0.to_bits(),
+            self.ber.to_bits(),
+            self.rate.0.to_bits(),
+        ]
+    }
 }
 
-impl LinkBudget {
-    /// A budget with LIGHTPATH-default devices over the given path.
-    pub fn lightpath_default(path: LossBudget) -> Self {
-        LinkBudget {
-            laser: Laser::new(1310.0, 12.0),
-            modulator: MrrModulator::default(),
-            detector: Photodetector::default(),
-            path,
-            target_ber: DEFAULT_TARGET_BER,
+impl LinkModel {
+    /// Build a model, deriving the launch power and the receiver
+    /// sensitivity at `target_ber` and the modulator's line rate.
+    pub fn new(
+        laser: Laser,
+        modulator: MrrModulator,
+        detector: Photodetector,
+        target_ber: f64,
+    ) -> Self {
+        LinkModel {
+            rate: modulator.rate,
+            detector,
+            launch: laser.power + modulator.tx_penalty(),
+            sensitivity: detector.sensitivity(target_ber, modulator.rate),
         }
     }
 
-    /// Evaluate the budget, returning `Ok(report)` only when it closes at
-    /// the target BER — the `Result`-shaped entry point for admission paths.
-    pub fn evaluate_feasible(&self) -> Result<LinkReport, LinkInfeasible> {
-        let report = self.evaluate();
-        report.require_closure(self.target_ber)?;
-        Ok(report)
+    /// The LIGHTPATH-default transceiver pair, built once per process and
+    /// shared by every caller.
+    pub fn lightpath_default() -> &'static LinkModel {
+        static DEFAULT: OnceLock<LinkModel> = OnceLock::new();
+        DEFAULT.get_or_init(|| {
+            LinkModel::new(
+                Laser::new(1310.0, 12.0),
+                MrrModulator::default(),
+                Photodetector::default(),
+                DEFAULT_TARGET_BER,
+            )
+        })
     }
 
-    /// Evaluate the budget at the modulator's line rate.
-    pub fn evaluate(&self) -> LinkReport {
-        let rate = self.modulator.rate;
-        let received = self.laser.power + self.modulator.tx_penalty() + self.path.total();
-        let sensitivity = self.detector.sensitivity(self.target_ber, rate);
-        let margin = received - sensitivity;
-        let ber = self.detector.ber(received.to_mw(), rate);
+    /// Evaluate a circuit over `path` at the modulator's line rate.
+    pub fn evaluate(&self, path: &LossBudget) -> LinkReport {
+        let received = self.launch + path.total();
         LinkReport {
             received,
-            sensitivity,
-            margin,
-            ber,
-            rate,
+            sensitivity: self.sensitivity,
+            margin: received - self.sensitivity,
+            ber: self.detector.ber(received.to_mw(), self.rate),
+            rate: self.rate,
         }
     }
 
-    /// The maximum tolerable path loss (dB, positive) for this budget to
+    /// The maximum tolerable path loss (dB, positive) for a budget to
     /// close — the figure of merit for "how far can a circuit route".
     pub fn loss_headroom_db(&self) -> f64 {
-        let launch = self.laser.power + self.modulator.tx_penalty();
-        let sensitivity = self
-            .detector
-            .sensitivity(self.target_ber, self.modulator.rate);
-        (launch - sensitivity).0
+        (self.launch - self.sensitivity).0
     }
 }
 
@@ -142,8 +164,9 @@ mod tests {
     use super::*;
     use crate::loss::LossElement;
 
-    fn budget_with_loss(db: f64) -> LinkBudget {
-        LinkBudget::lightpath_default(LossBudget::new().with(LossElement::Other { loss_db: db }))
+    fn report_with_loss(db: f64) -> LinkReport {
+        LinkModel::lightpath_default()
+            .evaluate(&LossBudget::new().with(LossElement::Other { loss_db: db }))
     }
 
     #[test]
@@ -159,7 +182,7 @@ mod tests {
             .with(LossElement::Crossing)
             .with(LossElement::MziStage { loss_db: 0.15 })
             .with(LossElement::MziStage { loss_db: 0.15 });
-        let report = LinkBudget::lightpath_default(path).evaluate();
+        let report = LinkModel::lightpath_default().evaluate(&path);
         assert!(report.closes(), "margin {}", report.margin);
         assert!(report.margin.0 > 3.0, "short path should have >3 dB margin");
         assert!(report.ber < 1e-12);
@@ -169,7 +192,7 @@ mod tests {
     fn margin_decreases_monotonically_with_loss() {
         let mut prev = f64::INFINITY;
         for loss in [0.0, 5.0, 10.0, 15.0, 20.0] {
-            let m = budget_with_loss(loss).evaluate().margin.0;
+            let m = report_with_loss(loss).margin.0;
             assert!(m < prev, "margin must fall as loss grows");
             prev = m;
         }
@@ -177,28 +200,31 @@ mod tests {
 
     #[test]
     fn excessive_loss_fails_to_close() {
-        let report = budget_with_loss(60.0).evaluate();
+        let report = report_with_loss(60.0);
         assert!(!report.closes());
         assert!(report.ber > 1e-12);
     }
 
     #[test]
     fn headroom_is_the_break_even_loss() {
-        let b = budget_with_loss(0.0);
-        let headroom = b.loss_headroom_db();
+        let headroom = LinkModel::lightpath_default().loss_headroom_db();
         assert!(headroom > 0.0);
         // A path at exactly the headroom has ~zero margin.
-        let at_limit = budget_with_loss(headroom).evaluate();
+        let at_limit = report_with_loss(headroom);
         assert!(at_limit.margin.abs() < 1e-6, "margin {}", at_limit.margin);
         // 1 dB under closes; 1 dB over fails.
-        assert!(budget_with_loss(headroom - 1.0).evaluate().closes());
-        assert!(!budget_with_loss(headroom + 1.0).evaluate().closes());
+        assert!(report_with_loss(headroom - 1.0).closes());
+        assert!(!report_with_loss(headroom + 1.0).closes());
     }
 
     #[test]
-    fn evaluate_feasible_is_result_shaped() {
-        assert!(budget_with_loss(1.0).evaluate_feasible().is_ok());
-        let err = budget_with_loss(60.0).evaluate_feasible().unwrap_err();
+    fn require_closure_is_result_shaped() {
+        assert!(report_with_loss(1.0)
+            .require_closure(DEFAULT_TARGET_BER)
+            .is_ok());
+        let err = report_with_loss(60.0)
+            .require_closure(DEFAULT_TARGET_BER)
+            .unwrap_err();
         assert!(err.margin_db < 0.0);
         assert!(err.ber > err.target_ber);
         assert!(err.to_string().contains("does not close"));
@@ -206,7 +232,14 @@ mod tests {
 
     #[test]
     fn report_rate_matches_modulator() {
-        let r = budget_with_loss(1.0).evaluate();
+        let r = report_with_loss(1.0);
         assert_eq!(r.rate.0, 224.0);
+    }
+
+    #[test]
+    fn default_model_is_built_once() {
+        let a = LinkModel::lightpath_default();
+        let b = LinkModel::lightpath_default();
+        assert!(std::ptr::eq(a, b), "one shared instance per process");
     }
 }

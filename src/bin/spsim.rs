@@ -703,7 +703,7 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
 /// `spsim routebench` — the routing micro-benchmark. `--stamped` gates the
 /// fresh run against the committed `BENCH_route.json` (exact fingerprints,
 /// rate floors, and the release-build requirement that warm plan-library
-/// stamping beats scratch programming by ≥10×), exiting nonzero on any
+/// stamping beats scratch programming by ≥1.3×), exiting nonzero on any
 /// violated gate — the CI `plan-smoke` entry point.
 fn cmd_routebench(args: &Args) -> Result<(), String> {
     let searches: u64 = args.get("searches", route_bench::DEFAULT_SEARCHES)?;
@@ -842,7 +842,7 @@ USAGE:
   spsim routebench [--searches 200000] [--batches 2000] [--write-baseline BENCH_route.json]
                    [--stamped [--baseline BENCH_route.json]]
                    (--stamped gates the run against the committed baseline, incl. the
-                    >=10x stamped-vs-scratch speedup in release builds)
+                    >=1.3x stamped-vs-scratch speedup in release builds)
   spsim detlint    [--paths crates/route,rwa.rs] [--check-file some.rs] [--json true] [--root .]
 ";
 

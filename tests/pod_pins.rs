@@ -1,0 +1,81 @@
+//! Pod bench pins that plain `cargo test` checks: the `spsim pod --smoke`
+//! scenario must reproduce `BENCH_pod.json` and the stitch-policy placement
+//! scenario must reproduce `BENCH_placement.json`, fingerprint and journal
+//! hash exactly.
+//!
+//! Those two runs take no snapshots, so a link budget that drifts without
+//! crossing zero margin changes neither pin. Each scenario therefore also
+//! runs with a snapshot at every epoch barrier: the captured shard state
+//! text carries every circuit's link-report bits, and its `Snapshot`
+//! journal records fold them into the journal hash pinned below.
+
+use pod::{run_pod_with, PodBenchReport, PodConfig, PodOptions, PolicyKind};
+
+fn committed(name: &str, text: &str) -> PodBenchReport {
+    match PodBenchReport::parse(text) {
+        Ok(r) => r,
+        Err(e) => panic!("{name} does not parse: {e}"),
+    }
+}
+
+fn assert_reproduces(cfg: &PodConfig, pinned: &PodBenchReport, snapshot_pins: (u64, u64)) {
+    let run = run_pod_with(cfg, pinned.shards as usize, &PodOptions::default())
+        .expect("pod scenario runs");
+    let fresh = PodBenchReport::from_outcome(&run, cfg.jobs);
+    assert_eq!(fresh.fingerprint, pinned.fingerprint, "state fingerprint");
+    assert_eq!(fresh.journal_hash, pinned.journal_hash, "journal hash");
+    assert_eq!(
+        fresh.journal_records, pinned.journal_records,
+        "journal records"
+    );
+    assert_eq!(fresh.events, pinned.events, "events");
+    assert_eq!(fresh.policy, pinned.policy, "policy");
+
+    let every_epoch = PodOptions {
+        snapshot_every: 1,
+        ..PodOptions::default()
+    };
+    let snapped = run_pod_with(cfg, pinned.shards as usize, &every_epoch)
+        .expect("snapshotting pod scenario runs");
+    assert!(!snapped.snapshots.is_empty(), "the run captured snapshots");
+    assert_eq!(
+        (snapped.fingerprint, snapped.journal.hash()),
+        snapshot_pins,
+        "snapshotting run (fingerprint, journal hash)"
+    );
+}
+
+/// `spsim pod --smoke`: the full pod, two epoch windows, greedy policy.
+#[test]
+fn pod_smoke_reproduces_the_committed_pins() {
+    let cfg = PodConfig {
+        chips: 4096,
+        max_epochs: 2,
+        ..PodConfig::default()
+    };
+    assert_reproduces(
+        &cfg,
+        &committed("BENCH_pod.json", include_str!("../BENCH_pod.json")),
+        (0x5ffe_0d8c_a039_d414, 0xa925_bb77_e9ee_247e),
+    );
+}
+
+/// `spsim pod --chips 512 --jobs 96 --failures 2 --policy stitch`.
+#[test]
+fn stitch_placement_reproduces_the_committed_pins() {
+    let cfg = PodConfig {
+        chips: 512,
+        jobs: 96,
+        failures: 2,
+        policy: PolicyKind::Stitch,
+        ..PodConfig::default()
+    };
+    assert_reproduces(
+        &cfg,
+        &committed(
+            "BENCH_placement.json",
+            include_str!("../BENCH_placement.json"),
+        ),
+        (0x47ae_a8a6_3f23_bedd, 0x6291_fced_d187_a335),
+    );
+}
