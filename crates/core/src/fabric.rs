@@ -266,57 +266,68 @@ impl Fabric {
 
     /// BFS for the shortest wafer-level path; when `respect_capacity` only
     /// links with a free fiber count. Among parallel links between the same
-    /// wafers the least-loaded is chosen. Returns the fiber link indices in
-    /// hop order.
+    /// wafers the one with the most free fibers is chosen, the lowest link
+    /// index on ties; neighbours are visited in ascending wafer id. Returns
+    /// the fiber link indices in hop order.
+    ///
+    /// Each popped wafer costs one pass over the bundles, and the search
+    /// returns as soon as `to` is discovered: its `prev` entry is final at
+    /// discovery, so the path is the one a return-at-pop BFS builds.
     fn fiber_route(
         &self,
         from: WaferId,
         to: WaferId,
         respect_capacity: bool,
     ) -> Option<Vec<usize>> {
-        // Best link per ordered wafer pair.
-        let mut best: BTreeMap<(WaferId, WaferId), usize> = BTreeMap::new();
-        for (i, f) in self.fibers.iter().enumerate() {
-            if respect_capacity && f.free() == 0 {
-                continue;
-            }
-            for (a, b) in [(f.link.a.0, f.link.b.0), (f.link.b.0, f.link.a.0)] {
-                let e = best.entry((a, b)).or_insert(i);
-                if self.fibers[*e].free() < f.free() {
-                    *e = i;
-                }
-            }
-        }
-        let mut prev: BTreeMap<WaferId, (WaferId, usize)> = BTreeMap::new();
+        let n = self.wafers.len();
+        // `prev[b]`: the wafer `b` was discovered from and the link taken.
+        let mut prev: Vec<Option<(WaferId, usize)>> = vec![None; n];
+        // `best[b]`: the chosen link from the popped wafer to undiscovered
+        // neighbour `b`, with its free fibers.
+        let mut best: Vec<Option<(usize, u32)>> = vec![None; n];
         let mut q = VecDeque::new();
         q.push_back(from);
-        while let Some(w) = q.pop_front() {
-            if w == to {
-                let mut path = Vec::new();
-                let mut cur = to;
-                while cur != from {
-                    let (p, link) = prev[&cur];
-                    path.push(link);
-                    cur = p;
+        'search: while let Some(w) = q.pop_front() {
+            for (i, f) in self.fibers.iter().enumerate() {
+                let free = f.free();
+                if respect_capacity && free == 0 {
+                    continue;
                 }
-                path.reverse();
-                return Some(path);
+                let b = if f.link.a.0 == w {
+                    f.link.b.0
+                } else if f.link.b.0 == w {
+                    f.link.a.0
+                } else {
+                    continue;
+                };
+                if b == from || prev.get(b.0).is_some_and(Option::is_some) {
+                    continue;
+                }
+                if let Some(slot) = best.get_mut(b.0) {
+                    if slot.is_none_or(|(_, most)| most < free) {
+                        *slot = Some((i, free));
+                    }
+                }
             }
-            // Deterministic neighbour order: ascending wafer id.
-            let mut neighbours: Vec<(WaferId, usize)> = best
-                .iter()
-                .filter(|((a, _), _)| *a == w)
-                .map(|((_, b), &i)| (*b, i))
-                .collect();
-            neighbours.sort_by_key(|&(b, _)| b);
-            for (b, i) in neighbours {
-                if b != from && !prev.contains_key(&b) {
-                    prev.insert(b, (w, i));
-                    q.push_back(b);
+            for (b, (slot, p)) in best.iter_mut().zip(prev.iter_mut()).enumerate() {
+                let Some((i, _)) = slot.take() else { continue };
+                *p = Some((w, i));
+                if b == to.0 {
+                    break 'search;
                 }
+                q.push_back(WaferId(b));
             }
         }
-        None
+        // Walk back from `to`; an undiscovered `to` means no path.
+        let mut path = Vec::new();
+        let mut cur = to;
+        while cur != from {
+            let (p, link) = prev.get(cur.0).copied().flatten()?;
+            path.push(link);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
     }
 
     /// End-to-end loss budget of a prospective multi-hop circuit.
@@ -354,8 +365,9 @@ impl Fabric {
     }
 
     /// Establish a circuit between tiles on *different* wafers, routing
-    /// over as many fiber hops as needed (shortest wafer path, least-loaded
-    /// bundles). Atomic: on error nothing is committed.
+    /// over as many fiber hops as needed (shortest wafer path; between two
+    /// wafers, the bundle with the most free fibers, lowest link index on
+    /// ties). Atomic: on error nothing is committed.
     pub fn establish_cross(
         &mut self,
         src: (WaferId, TileCoord),
@@ -1165,12 +1177,69 @@ mod budget_oracle;
 
 /// Fresh intra-wafer and cross-wafer budgets against the per-call oracle,
 /// on randomly fabricated and pre-loaded wafers: every report field must
-/// match bit for bit, admitted or refused.
+/// match bit for bit, admitted or refused. Fiber routes against a
+/// whole-plant reference BFS, on random fiber plants.
 #[cfg(test)]
 mod oracle_tests {
     use super::budget_oracle::OracleBudget;
     use super::*;
     use proptest::prelude::*;
+
+    impl Fabric {
+        /// Reference fiber route: the best bundle per ordered wafer pair,
+        /// rebuilt over the whole plant on every call, then a BFS that
+        /// returns when it pops `to`.
+        fn fiber_route_oracle(
+            &self,
+            from: WaferId,
+            to: WaferId,
+            respect_capacity: bool,
+        ) -> Option<Vec<usize>> {
+            // Best link per ordered wafer pair.
+            let mut best: BTreeMap<(WaferId, WaferId), usize> = BTreeMap::new();
+            for (i, f) in self.fibers.iter().enumerate() {
+                if respect_capacity && f.free() == 0 {
+                    continue;
+                }
+                for (a, b) in [(f.link.a.0, f.link.b.0), (f.link.b.0, f.link.a.0)] {
+                    let e = best.entry((a, b)).or_insert(i);
+                    if self.fibers[*e].free() < f.free() {
+                        *e = i;
+                    }
+                }
+            }
+            let mut prev: BTreeMap<WaferId, (WaferId, usize)> = BTreeMap::new();
+            let mut q = VecDeque::new();
+            q.push_back(from);
+            while let Some(w) = q.pop_front() {
+                if w == to {
+                    let mut path = Vec::new();
+                    let mut cur = to;
+                    while cur != from {
+                        let (p, link) = prev[&cur];
+                        path.push(link);
+                        cur = p;
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                // Deterministic neighbour order: ascending wafer id.
+                let mut neighbours: Vec<(WaferId, usize)> = best
+                    .iter()
+                    .filter(|((a, _), _)| *a == w)
+                    .map(|((_, b), &i)| (*b, i))
+                    .collect();
+                neighbours.sort_by_key(|&(b, _)| b);
+                for (b, i) in neighbours {
+                    if b != from && !prev.contains_key(&b) {
+                        prev.insert(b, (w, i));
+                        q.push_back(b);
+                    }
+                }
+            }
+            None
+        }
+    }
 
     fn tile(i: u8) -> TileCoord {
         TileCoord::new(i / 8, i % 8)
@@ -1280,6 +1349,53 @@ mod oracle_tests {
                         prop_assert_eq!(Some(margin_db.to_bits()), want.map(|w| w[2]));
                     }
                     Err(_) => {}
+                }
+            }
+        }
+
+        /// Random plants of 2–12 wafers: parallel bundles (in either
+        /// orientation), capacities 1–4, missing pairs, and random usage
+        /// including saturated bundles. Every ordered wafer pair, with and
+        /// without the capacity filter, must route exactly as the oracle.
+        #[test]
+        fn fiber_routes_match_the_oracle(
+            wafers in 2usize..=12,
+            bundles in prop::collection::vec(
+                (0usize..12, 0usize..12, 1u32..=4, 0u32..=5, 0u8..3),
+                0..40,
+            ),
+        ) {
+            let mut f = Fabric::new(wafers, WaferConfig::default());
+            let mut last = None;
+            for (a, b, capacity, used, parallel) in bundles {
+                let (a, b) = match last {
+                    Some((pa, pb)) if parallel == 0 => (pb, pa),
+                    _ => (a % wafers, b % wafers),
+                };
+                if a == b {
+                    continue;
+                }
+                let i = f.attach_fiber(FiberLink {
+                    a: (WaferId(a), tile(0)),
+                    b: (WaferId(b), tile(9)),
+                    capacity,
+                    length_m: 2.0,
+                });
+                f.fibers[i].used = used.min(capacity);
+                last = Some((a, b));
+            }
+            for from in (0..wafers).map(WaferId) {
+                for to in (0..wafers).map(WaferId) {
+                    for respect_capacity in [true, false] {
+                        prop_assert_eq!(
+                            f.fiber_route(from, to, respect_capacity),
+                            f.fiber_route_oracle(from, to, respect_capacity),
+                            "route {:?} -> {:?}, respect_capacity {}",
+                            from,
+                            to,
+                            respect_capacity
+                        );
+                    }
                 }
             }
         }

@@ -9,8 +9,8 @@
 //!
 //! * **Naive** — dedicate a fresh bundle slot per circuit by always using
 //!   the first link that joins the wafers (fills one bundle, then fails).
-//! * **Pooled** — the fabric's least-loaded-link selection (the default in
-//!   [`Fabric::establish_cross`]) spreads circuits across every parallel
+//! * **Pooled** — the fabric's most-free-fibers link selection (the default
+//!   in [`Fabric::establish_cross`]) spreads circuits across every parallel
 //!   bundle, covering strictly more repairs with the same fiber plant.
 
 use lightpath::{CircuitError, CrossCircuitId, Fabric, TileCoord, WaferId};
@@ -41,7 +41,7 @@ pub struct FiberPlan {
     pub first_error: Option<CircuitError>,
 }
 
-/// Satisfy demands using the fabric's least-loaded link selection
+/// Satisfy demands using the fabric's most-free-fibers link selection
 /// (the fiber-frugal policy). Partial success is reported, not rolled back
 /// — a repair that lands still helps.
 pub fn plan_pooled(fabric: &mut Fabric, demands: &[CrossDemand]) -> FiberPlan {
