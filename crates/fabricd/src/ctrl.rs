@@ -1,30 +1,30 @@
-//! The control plane's event loop: Poisson job arrivals from
-//! [`workloads`], FIFO admission with a queue timeout, departures, failure
-//! injections, and periodic metric sampling.
+//! The control-plane campaign: Poisson job arrivals from [`workloads`],
+//! failure injections, and periodic metric sampling, seeded as events into
+//! one [`Admitter`] — the admission engine that owns FIFO admission, the
+//! queue timeout, retries, and the `(time, seq)` event order.
 //!
-//! The loop is *data-driven*: every pending event lives in an ordered
-//! `BTreeMap` keyed by `(time, insertion seq)` — exactly the pop order of
-//! [`desim::Engine`], FIFO among same-instant ties — rather than in opaque
-//! scheduled closures. That makes the whole campaign a value: it can be
-//! captured mid-flight into a [`CtrlSnapshot`] (fabric state, admission
-//! queue, pending events, metrics), written to disk, and resumed after a
-//! crash with bit-identical decisions, journal hashes, and metrics.
+//! This module keeps what is specific to a campaign: its config, the
+//! event seeding, the snapshot-cadence / compaction / crash loop around
+//! the engine's drain loop, and the [`CtrlSnapshot`] artifact framing.
+//! Because every pending event is data, the whole campaign is a value: it
+//! can be captured mid-flight, written to disk, and resumed after a crash
+//! with bit-identical decisions, journal hashes, and metrics.
 //!
 //! Three entry points:
 //! - [`run_scenario`]: the classic snapshot-free run; same config ⇒ same
-//!   journal hash, byte for byte (unchanged from the closure-based loop).
-//! - [`run_campaign`]: the same loop with periodic state snapshots every
-//!   [`CampaignOptions::snapshot_every`], optional journal compaction at
-//!   each snapshot watermark, and an optional simulated crash.
+//!   journal hash, byte for byte.
+//! - [`run_campaign`]: the same drain loop with periodic state snapshots
+//!   every [`CampaignOptions::snapshot_every`], optional journal
+//!   compaction at each snapshot watermark, and an optional simulated
+//!   crash.
 //! - [`resume_campaign`]: restore a [`CtrlSnapshot`] and drive the rest of
 //!   the campaign; the finished run is indistinguishable from one that
 //!   never crashed.
 
+use crate::admit::{Admitter, AdmitterSnapshot, Event, Queued};
 use crate::metrics::Metrics;
-use crate::snapshot::FabricSnapshot;
-use crate::state::{Admission, FabricState};
+use crate::state::FabricState;
 use desim::{SimDuration, SimTime, SnapReader, SnapWriter};
-use std::collections::{BTreeMap, VecDeque};
 use topo::Shape3;
 use workloads::{generate, ArrivalParams, JobRequest};
 
@@ -123,377 +123,126 @@ pub struct CampaignOutcome {
     pub events_executed: u64,
 }
 
-/// A job waiting for capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Queued {
-    job: u32,
-    shape: Shape3,
-    duration: SimDuration,
-    arrival: SimTime,
-    /// Zero-based programming attempt; bumped on each `Reject`.
-    attempt: u32,
-}
+/// Build the fabric and an engine over it, then seed arrivals, failures,
+/// and gauge samples — in that insertion order, so event keys, and
+/// therefore journal hashes, never move.
+fn fresh(cfg: &CtrlConfig) -> Admitter {
+    let mut engine = Admitter::new(
+        FabricState::new(cfg.racks, cfg.lanes, cfg.seed),
+        cfg.queue_timeout,
+        cfg.program_retries,
+        cfg.retry_backoff,
+    );
+    let trace: Vec<JobRequest> = generate(cfg.jobs, &cfg.arrivals, cfg.seed);
+    // An infeasible probe shape: one chip wider than the torus itself in X,
+    // so placement is structurally impossible (typed NoSpace, never a
+    // panic). Used by the fault campaign (`infeasible_every > 0`).
+    let [tx, ty, tz] = engine.state().rack().cluster.occupancy().shape().dims;
+    let infeasible = Shape3::new(tx + 1, ty, tz);
 
-/// One pending control-plane event. The payload carries everything the
-/// handler needs, so the whole future of the campaign is serializable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CtrlEvent {
-    /// A job arrives from the workload trace.
-    Arrive(Queued),
-    /// A rejected job's backoff expired.
-    Retry(Queued),
-    /// A queued job's admission deadline passed.
-    Timeout(u32),
-    /// An admitted job's duration elapsed.
-    Depart(u32),
-    /// Inject one chip failure.
-    Fail,
-    /// Sample the fabric gauges into the metrics time-series.
-    Sample,
-}
-
-/// The event-loop model: state + metrics + the admission queue + every
-/// pending event. Pure data — no closures — so a campaign can stop and
-/// resume anywhere.
-struct ControlPlane {
-    st: FabricState,
-    metrics: Metrics,
-    queue: VecDeque<Queued>,
-    timeout: SimDuration,
-    /// Extra programming attempts after a rejection.
-    retries: u32,
-    /// Base retry backoff (doubles per attempt, capped at 2⁶×).
-    backoff: SimDuration,
-    /// Pending events in execution order: `(instant, insertion seq)` keys
-    /// reproduce [`desim::Engine`]'s pop order exactly (earliest first,
-    /// FIFO among same-instant ties).
-    events: BTreeMap<(SimTime, u64), CtrlEvent>,
-    /// Monotonic insertion counter for the event-key tie-break.
-    next_event_seq: u64,
-}
-
-impl ControlPlane {
-    /// A fresh campaign: build the fabric and seed arrivals, failures, and
-    /// gauge samples in the same insertion order the closure-based loop
-    /// used, so event keys — and therefore journal hashes — are unchanged.
-    fn fresh(cfg: &CtrlConfig) -> Self {
-        let mut model = ControlPlane {
-            st: FabricState::new(cfg.racks, cfg.lanes, cfg.seed),
-            metrics: Metrics::new(),
-            queue: VecDeque::new(),
-            timeout: cfg.queue_timeout,
-            retries: cfg.program_retries,
-            backoff: cfg.retry_backoff,
-            events: BTreeMap::new(),
-            next_event_seq: 0,
+    for (i, req) in trace.iter().enumerate() {
+        let shape = if cfg.infeasible_every > 0 && (i + 1) % cfg.infeasible_every == 0 {
+            infeasible
+        } else {
+            req.shape
         };
-        model.seed_events(cfg);
-        model
-    }
-
-    /// Rebuild the mid-campaign model a [`CtrlSnapshot`] captured.
-    fn from_snapshot(snap: &CtrlSnapshot) -> Result<Self, String> {
-        let st = snap.fabric.restore().map_err(|e| e.to_string())?;
-        let mut r = SnapReader::new(&snap.metrics);
-        let metrics = Metrics::read_snap(&mut r)?;
-        r.done()?;
-        let mut events = BTreeMap::new();
-        for (t, s, ev) in &snap.events {
-            if *s >= snap.next_event_seq {
-                return Err(format!(
-                    "ctrl snapshot: event seq {s} is not below the insertion counter {}",
-                    snap.next_event_seq
-                ));
-            }
-            if events.insert((*t, *s), ev.clone()).is_some() {
-                return Err(format!(
-                    "ctrl snapshot: duplicate event key ({}, {s})",
-                    t.as_ps()
-                ));
-            }
-        }
-        Ok(ControlPlane {
-            st,
-            metrics,
-            queue: snap.queue.iter().copied().collect(),
-            timeout: snap.timeout,
-            retries: snap.retries,
-            backoff: snap.backoff,
-            events,
-            next_event_seq: snap.next_event_seq,
-        })
-    }
-
-    /// Schedule `ev` at `at`; FIFO among same-instant events.
-    fn schedule(&mut self, at: SimTime, ev: CtrlEvent) {
-        let seq = self.next_event_seq;
-        self.next_event_seq += 1;
-        self.events.insert((at, seq), ev);
-    }
-
-    /// Seed the workload trace, failure injections, and gauge samples.
-    fn seed_events(&mut self, cfg: &CtrlConfig) {
-        let trace: Vec<JobRequest> = generate(cfg.jobs, &cfg.arrivals, cfg.seed);
-        // An infeasible probe shape: one chip wider than the torus itself
-        // in X, so placement is structurally impossible (typed NoSpace,
-        // never a panic). Used by the fault campaign (`infeasible_every >
-        // 0`).
-        let [tx, ty, tz] = self.st.rack().cluster.occupancy().shape().dims;
-        let infeasible = Shape3::new(tx + 1, ty, tz);
-
-        for (i, req) in trace.iter().enumerate() {
-            let shape = if cfg.infeasible_every > 0 && (i + 1) % cfg.infeasible_every == 0 {
-                infeasible
-            } else {
-                req.shape
-            };
-            let q = Queued {
-                job: i as u32,
-                shape,
-                duration: req.duration,
-                arrival: req.arrival,
-                attempt: 0,
-            };
-            self.schedule(req.arrival, CtrlEvent::Arrive(q));
-        }
-
-        // Failures anchor at the median arrival so tenants are live, 30 s
-        // apart.
-        let anchor = trace
-            .get(trace.len() / 2)
-            .map(|r| r.arrival)
-            .unwrap_or(SimTime::ZERO);
-        for k in 0..cfg.failures {
-            let at = anchor + SimDuration::from_secs(30) * (k as u64 + 1);
-            self.schedule(at, CtrlEvent::Fail);
-        }
-
-        // Gauge samples across the estimated horizon.
-        let est = trace
-            .iter()
-            .map(|r| r.arrival + r.duration)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            + cfg.queue_timeout;
-        if cfg.samples > 0 {
-            let step = est.since_origin() / cfg.samples as u64;
-            for s in 1..=cfg.samples {
-                self.schedule(SimTime::ZERO + step * s as u64, CtrlEvent::Sample);
-            }
-        }
-    }
-
-    /// Execute one event at its scheduled instant.
-    fn execute(&mut self, now: SimTime, ev: CtrlEvent) {
-        match ev {
-            CtrlEvent::Arrive(q) => self.on_arrival(now, q),
-            CtrlEvent::Retry(q) => self.on_retry(now, q),
-            CtrlEvent::Timeout(job) => self.on_timeout(now, job),
-            CtrlEvent::Depart(job) => self.on_depart(now, job),
-            CtrlEvent::Fail => self.on_failure(now),
-            CtrlEvent::Sample => self.metrics.sample(now, &self.st),
-        }
-    }
-
-    /// Drain every event; returns the instant the last one executed at.
-    fn drive_to_quiescence(&mut self) -> SimTime {
-        let mut horizon = SimTime::ZERO;
-        while let Some(((t, _), ev)) = self.events.pop_first() {
-            horizon = t;
-            self.execute(t, ev);
-        }
-        horizon
-    }
-
-    /// Capture the whole campaign — fabric (which journals a `Snapshot`
-    /// record), admission queue, pending events, metrics — at instant
-    /// `at`.
-    fn capture(&mut self, at: SimTime) -> CtrlSnapshot {
-        let fabric = self.st.capture_snapshot(at);
-        let mut w = SnapWriter::new();
-        self.metrics.write_snap(&mut w);
-        CtrlSnapshot {
-            fabric,
-            timeout: self.timeout,
-            retries: self.retries,
-            backoff: self.backoff,
-            next_event_seq: self.next_event_seq,
-            queue: self.queue.iter().copied().collect(),
-            events: self
-                .events
-                .iter()
-                .map(|(&(t, s), ev)| (t, s, ev.clone()))
-                .collect(),
-            metrics: w.finish(),
-        }
-    }
-
-    /// The campaign loop: snapshots on cadence, optional compaction,
-    /// optional simulated crash. `start` is the resume instant (`ZERO` for
-    /// a fresh run); snapshot boundaries land at `start + k×every`, so a
-    /// resumed run captures at exactly the instants the uninterrupted run
-    /// would have.
-    fn drive_campaign(
-        mut self,
-        start: SimTime,
-        opts: &CampaignOptions,
-    ) -> Result<CampaignOutcome, String> {
-        let every = opts.snapshot_every.filter(|d| d.as_ps() > 0);
-        let mut next_snap = every.map(|d| start + d);
-        let mut snapshots = Vec::new();
-        let mut horizon = start;
-        let mut executed = 0u64;
-        let mut crashed = false;
-        while let Some((&key, _)) = self.events.iter().next() {
-            let (t, _) = key;
-            // Snapshot boundaries due at or before the next event fire
-            // first, so the capture sees every record below it and none
-            // above — the watermark invariant CTL406/CTL407 audit.
-            if let (Some(d), Some(mut ns)) = (every, next_snap) {
-                while ns <= t {
-                    let snap = self.capture(ns);
-                    if opts.compact {
-                        self.st.compact_journal(snap.fabric.seq)?;
-                    }
-                    snapshots.push(snap);
-                    ns += d;
-                }
-                next_snap = Some(ns);
-            }
-            if let Some(limit) = opts.crash_after_events {
-                if executed >= limit {
-                    crashed = true;
-                    break;
-                }
-            }
-            let Some(ev) = self.events.remove(&key) else {
-                break;
-            };
-            horizon = t;
-            self.execute(t, ev);
-            executed += 1;
-        }
-        Ok(CampaignOutcome {
-            state: self.st,
-            metrics: self.metrics,
-            horizon,
-            snapshots,
-            crashed,
-            events_executed: executed,
-        })
-    }
-
-    /// Admit now if a slice fits and programs; true when the job started
-    /// (or was consumed by a programming denial or a scheduled retry,
-    /// which also resolve it from the queue's point of view).
-    fn try_start(&mut self, now: SimTime, q: Queued) -> bool {
-        let last = q.attempt >= self.retries;
-        match self
-            .st
-            .admit_retryable(now, q.job, q.shape, q.attempt, last)
-        {
-            Admission::Admitted { setup, circuits } => {
-                self.metrics.bump("jobs.admitted");
-                self.metrics
-                    .record_wait(now.saturating_since(q.arrival).as_secs_f64());
-                self.metrics.add("circuits.programmed", circuits as u64);
-                self.schedule(now + setup + q.duration, CtrlEvent::Depart(q.job));
-                true
-            }
-            Admission::NoSpace => false,
-            Admission::ProgramDenied { error } => {
-                self.metrics.bump("jobs.denied.program");
-                self.metrics.bump_rejection(error.root_code());
-                true
-            }
-            Admission::Infeasible { error } => {
-                // The shape can never fit: journaled as an immediate
-                // Reject + zero-circuit Rollback, never queued or retried.
-                self.metrics.bump("jobs.rejected.infeasible");
-                self.metrics.bump_rejection(error.root_code());
-                true
-            }
-            Admission::ProgramRejected { error } => {
-                // The slice was rolled back and a Reject + Rollback pair
-                // journaled; re-attempt after bounded exponential backoff.
-                self.metrics.bump("jobs.rejected.program");
-                self.metrics.bump_rejection(error.root_code());
-                let delay = self.backoff * (1u64 << q.attempt.min(6));
-                let retry = Queued {
-                    attempt: q.attempt + 1,
-                    ..q
-                };
-                self.schedule(now + delay, CtrlEvent::Retry(retry));
-                true
-            }
-        }
-    }
-
-    /// A rejected job's backoff expired: try again, or queue (with a fresh
-    /// timeout) if the fabric has no space now.
-    fn on_retry(&mut self, now: SimTime, q: Queued) {
-        self.metrics.bump("jobs.retried");
-        if !self.try_start(now, q) {
-            self.metrics.bump("jobs.queued");
-            self.queue.push_back(q);
-            self.schedule(now + self.timeout, CtrlEvent::Timeout(q.job));
-        }
-    }
-
-    fn on_arrival(&mut self, now: SimTime, q: Queued) {
-        self.metrics.bump("jobs.arrived");
-        if !self.try_start(now, q) {
-            self.metrics.bump("jobs.queued");
-            self.queue.push_back(q);
-            self.schedule(now + self.timeout, CtrlEvent::Timeout(q.job));
-        }
-    }
-
-    fn on_timeout(&mut self, now: SimTime, job: u32) {
-        if let Some(pos) = self.queue.iter().position(|q| q.job == job) {
-            if let Some(q) = self.queue.remove(pos) {
-                self.st.deny_timeout(now, q.job, q.shape);
-                self.metrics.bump("jobs.denied.timeout");
-            }
-        }
-    }
-
-    fn on_depart(&mut self, now: SimTime, job: u32) {
-        self.st.evict(now, job);
-        self.metrics.bump("jobs.departed");
-        // Freed capacity: retry queued jobs FIFO until one fails to fit.
-        while let Some(&head) = self.queue.front() {
-            if self.try_start(now, head) {
-                self.queue.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn on_failure(&mut self, now: SimTime) {
-        self.metrics.bump("failures.injected");
-        let (spliced, ok, failed) = match self.st.inject_failure(now) {
-            Some(rec) => (
-                rec.spliced as u64,
-                rec.repair.is_some() as u64,
-                rec.repair_error.is_some() as u64,
-            ),
-            None => (0, 0, 0),
+        let q = Queued {
+            job: i as u32,
+            shape,
+            duration: req.duration,
+            arrival: req.arrival,
+            attempt: 0,
         };
-        self.metrics.add("circuits.spliced", spliced);
-        self.metrics.add("repairs.ok", ok);
-        self.metrics.add("repairs.failed", failed);
+        engine.schedule(req.arrival, Event::Arrive(q));
     }
+
+    // Failures anchor at the median arrival so tenants are live, 30 s
+    // apart.
+    let anchor = trace
+        .get(trace.len() / 2)
+        .map(|r| r.arrival)
+        .unwrap_or(SimTime::ZERO);
+    for k in 0..cfg.failures {
+        let at = anchor + SimDuration::from_secs(30) * (k as u64 + 1);
+        engine.schedule(at, Event::Fail);
+    }
+
+    // Gauge samples across the estimated horizon.
+    let est = trace
+        .iter()
+        .map(|r| r.arrival + r.duration)
+        .max()
+        .unwrap_or(SimTime::ZERO)
+        + cfg.queue_timeout;
+    if cfg.samples > 0 {
+        let step = est.since_origin() / cfg.samples as u64;
+        for s in 1..=cfg.samples {
+            engine.schedule(SimTime::ZERO + step * s as u64, Event::Sample);
+        }
+    }
+    engine
+}
+
+/// The campaign loop: snapshots on cadence, optional compaction, optional
+/// simulated crash. `start` is the resume instant (`ZERO` for a fresh
+/// run); snapshot boundaries land at `start + k×every`, so a resumed run
+/// captures at exactly the instants the uninterrupted run would have.
+fn drive_campaign(
+    mut engine: Admitter,
+    start: SimTime,
+    opts: &CampaignOptions,
+) -> Result<CampaignOutcome, String> {
+    let every = opts.snapshot_every.filter(|d| d.as_ps() > 0);
+    let mut next_snap = every.map(|d| start + d);
+    let limit = opts.crash_after_events;
+    let mut snapshots = Vec::new();
+    let mut executed = 0u64;
+    let mut crashed = false;
+    loop {
+        let budget = limit.map_or(u64::MAX, |l| l.saturating_sub(executed));
+        executed += engine.run_until(next_snap, budget);
+        let Some(t) = engine.next_event_at() else {
+            break;
+        };
+        // Snapshot boundaries due at or before the next event fire first,
+        // so the capture sees every record below it and none above — the
+        // watermark invariant CTL406/CTL407 audit.
+        if let (Some(d), Some(ns)) = (every, next_snap.as_mut()) {
+            while *ns <= t {
+                let snap = engine.capture(*ns);
+                if opts.compact {
+                    engine.state_mut().compact_journal(snap.fabric.seq)?;
+                }
+                snapshots.push(snap);
+                *ns += d;
+            }
+        }
+        if limit.is_some_and(|l| executed >= l) {
+            crashed = true;
+            break;
+        }
+    }
+    let horizon = engine.now();
+    let (state, metrics) = engine.into_parts();
+    Ok(CampaignOutcome {
+        state,
+        metrics,
+        horizon,
+        snapshots,
+        crashed,
+        events_executed: executed,
+    })
 }
 
 /// Run a full control-plane scenario to quiescence.
 pub fn run_scenario(cfg: &CtrlConfig) -> CtrlOutcome {
-    let mut model = ControlPlane::fresh(cfg);
-    let horizon = model.drive_to_quiescence();
+    let mut engine = fresh(cfg);
+    engine.run_until(None, u64::MAX);
+    let horizon = engine.now();
+    let (state, metrics) = engine.into_parts();
     CtrlOutcome {
-        state: model.st,
-        metrics: model.metrics,
+        state,
+        metrics,
         horizon,
     }
 }
@@ -501,7 +250,7 @@ pub fn run_scenario(cfg: &CtrlConfig) -> CtrlOutcome {
 /// Run a campaign with periodic snapshots, optional journal compaction,
 /// and an optional simulated crash (see [`CampaignOptions`]).
 pub fn run_campaign(cfg: &CtrlConfig, opts: &CampaignOptions) -> Result<CampaignOutcome, String> {
-    ControlPlane::fresh(cfg).drive_campaign(SimTime::ZERO, opts)
+    drive_campaign(fresh(cfg), SimTime::ZERO, opts)
 }
 
 /// Restore a mid-campaign snapshot and drive the rest of the campaign.
@@ -514,64 +263,19 @@ pub fn resume_campaign(
     snap: &CtrlSnapshot,
     opts: &CampaignOptions,
 ) -> Result<CampaignOutcome, String> {
-    let model = ControlPlane::from_snapshot(snap)?;
-    model.drive_campaign(snap.fabric.at, opts)
+    drive_campaign(Admitter::restore(snap)?, snap.fabric.at, opts)
 }
 
 /// Artifact format tag; bump on any incompatible layout change.
 const CTRL_MAGIC: &str = "spsim-ctrl-snapshot v1";
 
-/// A whole campaign captured mid-flight: the fabric snapshot (state +
-/// journal resume point), retry policy, admission queue, pending events,
-/// and metrics. [`resume_campaign`] turns it back into a running loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CtrlSnapshot {
-    /// The fabric-state snapshot, including the journal resume point.
-    pub fabric: FabricSnapshot,
-    /// Admission-queue timeout policy at capture.
-    pub timeout: SimDuration,
-    /// Extra programming attempts after a rejection.
-    pub retries: u32,
-    /// Base retry backoff.
-    pub backoff: SimDuration,
-    /// The event-key insertion counter at capture.
-    pub next_event_seq: u64,
-    queue: Vec<Queued>,
-    events: Vec<(SimTime, u64, CtrlEvent)>,
-    metrics: String,
-}
-
-/// Encode a queue entry's fields.
-fn write_queued(w: &mut SnapWriter, q: &Queued) {
-    w.u64("job", q.job as u64);
-    let [qx, qy, qz] = q.shape.dims;
-    w.u64("qx", qx as u64);
-    w.u64("qy", qy as u64);
-    w.u64("qz", qz as u64);
-    w.u64("duration_ps", q.duration.as_ps());
-    w.u64("arrival_ps", q.arrival.as_ps());
-    w.u64("attempt", q.attempt as u64);
-}
-
-/// Decode a queue entry's fields.
-fn read_queued(r: &mut SnapReader<'_>) -> Result<Queued, String> {
-    let job = u32::try_from(r.u64("job")?)
-        .map_err(|_| "ctrl snapshot: job id exceeds u32".to_string())?;
-    let qx = r.u64("qx")? as usize;
-    let qy = r.u64("qy")? as usize;
-    let qz = r.u64("qz")? as usize;
-    let duration = SimDuration::from_ps(r.u64("duration_ps")?);
-    let arrival = SimTime::from_ps(r.u64("arrival_ps")?);
-    let attempt = u32::try_from(r.u64("attempt")?)
-        .map_err(|_| "ctrl snapshot: attempt exceeds u32".to_string())?;
-    Ok(Queued {
-        job,
-        shape: Shape3::new(qx, qy, qz),
-        duration,
-        arrival,
-        attempt,
-    })
-}
+/// A whole campaign captured mid-flight. Arrivals, failures and samples
+/// are all pre-seeded events, so the campaign is exactly its admission
+/// engine: fabric snapshot (state + journal resume point), retry policy,
+/// admission queue, pending events, and metrics. [`resume_campaign`]
+/// turns it back into a running loop; this module adds only the
+/// `[campaign]` artifact framing.
+pub type CtrlSnapshot = AdmitterSnapshot;
 
 impl CtrlSnapshot {
     /// Serialize as a self-describing text artifact. The first line names
@@ -580,41 +284,7 @@ impl CtrlSnapshot {
     pub fn to_text(&self) -> String {
         let mut w = SnapWriter::new();
         w.section("campaign");
-        w.u64("timeout_ps", self.timeout.as_ps());
-        w.u64("retries", self.retries as u64);
-        w.u64("backoff_ps", self.backoff.as_ps());
-        w.u64("event_seq", self.next_event_seq);
-        w.u64("queue", self.queue.len() as u64);
-        for q in &self.queue {
-            write_queued(&mut w, q);
-        }
-        w.u64("events", self.events.len() as u64);
-        for (t, s, ev) in &self.events {
-            w.u64("at", t.as_ps());
-            w.u64("seq", *s);
-            match ev {
-                CtrlEvent::Arrive(q) => {
-                    w.u64("kind", 0);
-                    write_queued(&mut w, q);
-                }
-                CtrlEvent::Retry(q) => {
-                    w.u64("kind", 1);
-                    write_queued(&mut w, q);
-                }
-                CtrlEvent::Timeout(job) => {
-                    w.u64("kind", 2);
-                    w.u64("job", *job as u64);
-                }
-                CtrlEvent::Depart(job) => {
-                    w.u64("kind", 3);
-                    w.u64("job", *job as u64);
-                }
-                CtrlEvent::Fail => w.u64("kind", 4),
-                CtrlEvent::Sample => w.u64("kind", 5),
-            }
-        }
-        w.str("metrics", &self.metrics);
-        w.str("fabric", &self.fabric.to_text());
+        self.write_snap(&mut w);
         let body = w.finish();
         let fnv = desim::snap::fingerprint(&body);
         format!("{CTRL_MAGIC} fnv={fnv:016x}\n{body}")
@@ -641,49 +311,9 @@ impl CtrlSnapshot {
         }
         let mut r = SnapReader::new(body);
         r.section("campaign")?;
-        let timeout = SimDuration::from_ps(r.u64("timeout_ps")?);
-        let retries = u32::try_from(r.u64("retries")?)
-            .map_err(|_| "ctrl snapshot: retries exceeds u32".to_string())?;
-        let backoff = SimDuration::from_ps(r.u64("backoff_ps")?);
-        let next_event_seq = r.u64("event_seq")?;
-        let nq = r.u64("queue")? as usize;
-        let mut queue = Vec::with_capacity(nq);
-        for _ in 0..nq {
-            queue.push(read_queued(&mut r)?);
-        }
-        let ne = r.u64("events")? as usize;
-        let mut events = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            let at = SimTime::from_ps(r.u64("at")?);
-            let seq = r.u64("seq")?;
-            let job = |r: &mut SnapReader<'_>| -> Result<u32, String> {
-                u32::try_from(r.u64("job")?)
-                    .map_err(|_| "ctrl snapshot: job id exceeds u32".to_string())
-            };
-            let ev = match r.u64("kind")? {
-                0 => CtrlEvent::Arrive(read_queued(&mut r)?),
-                1 => CtrlEvent::Retry(read_queued(&mut r)?),
-                2 => CtrlEvent::Timeout(job(&mut r)?),
-                3 => CtrlEvent::Depart(job(&mut r)?),
-                4 => CtrlEvent::Fail,
-                5 => CtrlEvent::Sample,
-                k => return Err(format!("ctrl snapshot: unknown event kind {k}")),
-            };
-            events.push((at, seq, ev));
-        }
-        let metrics = r.str("metrics")?;
-        let fabric = FabricSnapshot::parse(&r.str("fabric")?)?;
+        let snap = AdmitterSnapshot::read_snap(&mut r)?;
         r.done()?;
-        Ok(CtrlSnapshot {
-            fabric,
-            timeout,
-            retries,
-            backoff,
-            next_event_seq,
-            queue,
-            events,
-            metrics,
-        })
+        Ok(snap)
     }
 }
 

@@ -189,6 +189,12 @@ pub enum JournalEntry {
     },
 }
 
+/// High bit of every stitch-leg slice id. Leg ids live in this namespace
+/// (`LEG_ID_BIT | job << 4 | leg_index`) so they can never collide with
+/// trace job ids in the journal or the occupancy map; a departing leg is
+/// counted as `stitch.legs.departed`, never as `jobs.departed`.
+pub const LEG_ID_BIT: u32 = 0x8000_0000;
+
 /// One leg of a [`JournalEntry::MultiGroupAdmit`], in pod coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StitchLegRecord {

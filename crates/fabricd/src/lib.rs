@@ -6,9 +6,11 @@
 //! spliced out with a 1-server blast radius. This crate is the daemon that
 //! exercises those claims end to end:
 //!
-//! - **Admission** ([`state`], [`ctrl`]): Poisson job arrivals from
-//!   [`workloads`] are placed with the best-fit slice allocator and queued
-//!   (with timeout) when the fabric is full.
+//! - **Admission** ([`admit`], [`state`], [`ctrl`]): Poisson job arrivals
+//!   from [`workloads`] are placed with the best-fit slice allocator and
+//!   queued (with timeout) when the fabric is full. One engine,
+//!   [`admit::Admitter`], runs this for the campaign loop and for every
+//!   pod shard.
 //! - **Circuit programming** ([`plan`]): an admitted slice's ring
 //!   collective becomes per-wafer atomic edge-disjoint batches plus
 //!   cross-wafer fiber circuits, committed all-or-nothing.
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admit;
 pub mod ctrl;
 pub mod journal;
 pub mod metrics;
@@ -36,11 +39,14 @@ pub mod report;
 pub mod snapshot;
 pub mod state;
 
+pub use admit::{Admitter, AdmitterSnapshot};
 pub use ctrl::{
     resume_campaign, run_campaign, run_scenario, CampaignOptions, CampaignOutcome, CtrlConfig,
     CtrlOutcome, CtrlSnapshot,
 };
-pub use journal::{DenyReason, Journal, JournalEntry, JournalHeader, Record, StitchLegRecord};
+pub use journal::{
+    DenyReason, Journal, JournalEntry, JournalHeader, Record, StitchLegRecord, LEG_ID_BIT,
+};
 pub use metrics::{Metrics, RouteTelemetry};
 pub use plan::{
     program, program_counted, program_planned, program_with, ring_plan, CircuitPlan,

@@ -266,10 +266,12 @@ pub fn compare_ctrl_baseline(current: &CtrlBenchReport, baseline: &CtrlBenchRepo
 }
 
 // ------------------------------------------------- tiny JSON extraction --
-// Index-free (slice-by-get): fabricd is pinned at zero detlint findings.
+// The workspace's one reader for the flat `BENCH_*.json` reports (fabricd,
+// pod and sweep all parse through it). Index-free (slice-by-get): fabricd
+// and pod are pinned at zero detlint findings.
 
 /// The raw text after `"key":`, up to the value's end (`,`, `}` or EOL).
-fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
+pub fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
     let needle = format!("\"{key}\"");
     let at = text
         .find(&needle)
@@ -284,7 +286,8 @@ fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
     Ok(rest.get(..end).unwrap_or(rest).trim())
 }
 
-fn json_str(text: &str, key: &str) -> Result<String, String> {
+/// The string value of `"key"` (quotes stripped, no unescaping).
+pub fn json_str(text: &str, key: &str) -> Result<String, String> {
     let raw = json_raw(text, key)?;
     raw.strip_prefix('"')
         .and_then(|s| s.strip_suffix('"'))
@@ -292,13 +295,15 @@ fn json_str(text: &str, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("\"{key}\" is not a string: {raw}"))
 }
 
-fn json_u64(text: &str, key: &str) -> Result<u64, String> {
+/// The `u64` value of `"key"`.
+pub fn json_u64(text: &str, key: &str) -> Result<u64, String> {
     let raw = json_raw(text, key)?;
     raw.parse()
         .map_err(|_| format!("\"{key}\" is not a u64: {raw}"))
 }
 
-fn json_f64(text: &str, key: &str) -> Result<f64, String> {
+/// The `f64` value of `"key"`.
+pub fn json_f64(text: &str, key: &str) -> Result<f64, String> {
     let raw = json_raw(text, key)?;
     raw.parse()
         .map_err(|_| format!("\"{key}\" is not an f64: {raw}"))

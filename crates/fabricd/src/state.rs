@@ -76,6 +76,8 @@ pub enum Admission {
         setup: SimDuration,
         /// Circuits established (the journaled `Program` record's count).
         circuits: usize,
+        /// Origin of the granted slice (the journaled `Admit` record's).
+        origin: Coord3,
     },
     /// No slice of the requested shape is free; the caller may queue.
     NoSpace,
@@ -645,6 +647,7 @@ impl FabricState {
                 Admission::Admitted {
                     setup: SimDuration::from_secs_f64(RECONFIG_LATENCY_S),
                     circuits,
+                    origin: slice.origin,
                 }
             }
             Err(failure) => {

@@ -381,7 +381,7 @@ impl PodRun {
                     .push(rec.at, remap_entry(&partition, g, rec.entry));
             }
             if compact {
-                dom.compact(ds.fabric.seq)?;
+                dom.compact(ds.engine.fabric.seq)?;
             }
             doms.push(ds);
         }
@@ -702,7 +702,7 @@ impl PodRun {
         let Some(ports_per_face) = band::stitch_ports(face, unit) else {
             return Ok(false);
         };
-        let leg_id = |i: usize| crate::policy::LEG_ID_BIT | ((job_idx as u32) << 4) | (i as u32);
+        let leg_id = |i: usize| fabricd::LEG_ID_BIT | ((job_idx as u32) << 4) | (i as u32);
 
         let mut admitted: Vec<StitchLegRecord> = Vec::with_capacity(legs.len());
         for (i, leg) in legs.iter().enumerate() {
@@ -847,7 +847,7 @@ pub fn resume_pod(
 }
 
 /// First line of the pod snapshot artifact.
-const POD_SNAP_MAGIC: &str = "spsim-pod-snapshot v1";
+const POD_SNAP_MAGIC: &str = "spsim-pod-snapshot v2";
 
 /// A consistent capture of a whole pod run at an epoch barrier: one
 /// [`ShardSnapshot`] per rack-group domain plus the pod-level control

@@ -26,11 +26,6 @@
 
 use topo::{Dim, Shape3};
 
-/// High bit of every stitch-leg slice id. Leg ids live in this
-/// namespace (`LEG_ID_BIT | job << 4 | leg_index`) so they can never
-/// collide with trace job ids in the journal or the occupancy map.
-pub const LEG_ID_BIT: u32 = 0x8000_0000;
-
 /// Which placement policy the pod control plane delegates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {

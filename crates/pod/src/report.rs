@@ -1,14 +1,15 @@
 //! `BENCH_pod.json`: the committed pod benchmark baseline.
 //!
 //! Same contract as the sweep baseline: the workspace has no serde, so
-//! the report is a flat hand-rolled JSON object plus a tolerant extractor
-//! that reads back exactly what [`PodBenchReport::to_json`] writes.
+//! the report is a flat hand-rolled JSON object read back through
+//! fabricd's field reader ([`fabricd::report::json_str`] and friends).
 //! `cargo xtask lint` re-runs the pod smoke configuration and gates on
 //! it — **fingerprint, journal hash, and every count match exactly**
 //! (determinism), and **events/sec may not regress below
 //! [`MIN_PERF_RATIO`] × baseline**.
 
 use crate::ctrl::PodOutcome;
+use fabricd::report::{json_f64, json_str, json_u64};
 
 /// Throughput may not drop below this fraction of the baseline.
 pub const MIN_PERF_RATIO: f64 = 0.1;
@@ -246,46 +247,6 @@ pub fn compare_baseline(current: &PodBenchReport, baseline: &PodBenchReport) -> 
         ));
     }
     failures
-}
-
-// ------------------------------------------------- tiny JSON extraction --
-// Index-free (slice-by-get) variant of the sweep extractor: this crate is
-// pinned at zero detlint findings, including PAN003.
-
-/// The raw text after `"key":`, up to the value's end (`,`, `}` or EOL).
-fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let needle = format!("\"{key}\"");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("missing key \"{key}\""))?;
-    let rest = text.get(at + needle.len()..).unwrap_or_default();
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("no ':' after \"{key}\""))?
-        .trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Ok(rest.get(..end).unwrap_or(rest).trim())
-}
-
-fn json_str(text: &str, key: &str) -> Result<String, String> {
-    let raw = json_raw(text, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("\"{key}\" is not a string: {raw}"))
-}
-
-fn json_u64(text: &str, key: &str) -> Result<u64, String> {
-    let raw = json_raw(text, key)?;
-    raw.parse()
-        .map_err(|_| format!("\"{key}\" is not a u64: {raw}"))
-}
-
-fn json_f64(text: &str, key: &str) -> Result<f64, String> {
-    let raw = json_raw(text, key)?;
-    raw.parse()
-        .map_err(|_| format!("\"{key}\" is not an f64: {raw}"))
 }
 
 #[cfg(test)]

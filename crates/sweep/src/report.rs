@@ -1,8 +1,8 @@
 //! JSON reports and the committed perf baseline.
 //!
 //! The workspace has no serde (offline build), so the report format is a
-//! flat, hand-rolled JSON object plus a tolerant extractor that reads back
-//! exactly what [`BenchReport::to_json`] writes. `BENCH_sweep.json` at the
+//! flat, hand-rolled JSON object read back through fabricd's field reader
+//! ([`fabricd::report::json_str`] and friends). `BENCH_sweep.json` at the
 //! repository root is the committed baseline; `cargo xtask lint` re-runs
 //! the smoke grid and gates on it: **fingerprint, scenario count, and event
 //! count match exactly** (determinism), and **events/sec may not regress
@@ -10,6 +10,7 @@
 //! doesn't flake, but an order-of-magnitude slowdown fails).
 
 use crate::run::SweepOutcome;
+use fabricd::report::{json_f64, json_str, json_u64};
 
 /// Throughput may not drop below this fraction of the baseline.
 pub const MIN_PERF_RATIO: f64 = 0.1;
@@ -126,44 +127,6 @@ pub fn compare_baseline(current: &BenchReport, baseline: &BenchReport) -> Vec<St
         ));
     }
     failures
-}
-
-// ------------------------------------------------- tiny JSON extraction --
-
-/// The raw text after `"key":`, up to the value's end (`,`, `}` or EOL).
-fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let needle = format!("\"{key}\"");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("missing key \"{key}\""))?;
-    let rest = &text[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("no ':' after \"{key}\""))?
-        .trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
-}
-
-pub(crate) fn json_str(text: &str, key: &str) -> Result<String, String> {
-    let raw = json_raw(text, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("\"{key}\" is not a string: {raw}"))
-}
-
-pub(crate) fn json_u64(text: &str, key: &str) -> Result<u64, String> {
-    let raw = json_raw(text, key)?;
-    raw.parse()
-        .map_err(|_| format!("\"{key}\" is not a u64: {raw}"))
-}
-
-pub(crate) fn json_f64(text: &str, key: &str) -> Result<f64, String> {
-    let raw = json_raw(text, key)?;
-    raw.parse()
-        .map_err(|_| format!("\"{key}\" is not an f64: {raw}"))
 }
 
 /// Serialize the full per-scenario report (for `--json` artifacts).

@@ -28,8 +28,9 @@
 //! the rate floor.
 
 use crate::fingerprint::Fnv;
-use crate::report::{json_f64, json_str, json_u64, MIN_PERF_RATIO};
+use crate::report::MIN_PERF_RATIO;
 use desim::SimRng;
+use fabricd::report::{json_f64, json_str, json_u64};
 use fabricd::{program_planned, program_with, ring_plan, PlanEngine};
 use lightpath::{CircuitRequest, TileCoord, Wafer, WaferConfig};
 use resilience::PhotonicRack;

@@ -571,7 +571,8 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
     // `--restart-from` resumes a crashed campaign from its snapshot
     // artifact; there is no 1-shard reference to compare against (the
     // resume IS the other half of the equivalence, asserted in tests and
-    // by the `ctrl-restart-smoke` CI job against the uninterrupted run).
+    // by the `ctrl-restart-smoke` CI job's pod step, which greps the
+    // uninterrupted run's fingerprint and journal hash in this output).
     if let Some(path) = args.0.get("restart-from") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let snap = PodSnapshot::parse(&text)?;

@@ -8,7 +8,12 @@
 //! runs with a snapshot at every epoch barrier: the captured shard state
 //! text carries every circuit's link-report bits, and its `Snapshot`
 //! journal records fold them into the journal hash pinned below.
+//!
+//! Counters sit outside every fingerprint, so each scenario also pins an
+//! FNV of its merged metrics text: a departing stitch leg counted under
+//! `jobs.departed` instead of `stitch.legs.departed` fails here.
 
+use desim::SnapWriter;
 use pod::{run_pod_with, PodBenchReport, PodConfig, PodOptions, PolicyKind};
 
 fn committed(name: &str, text: &str) -> PodBenchReport {
@@ -18,9 +23,22 @@ fn committed(name: &str, text: &str) -> PodBenchReport {
     }
 }
 
-fn assert_reproduces(cfg: &PodConfig, pinned: &PodBenchReport, snapshot_pins: (u64, u64)) {
+fn assert_reproduces(
+    cfg: &PodConfig,
+    pinned: &PodBenchReport,
+    snapshot_pins: (u64, u64),
+    metrics_pin: u64,
+) {
     let run = run_pod_with(cfg, pinned.shards as usize, &PodOptions::default())
         .expect("pod scenario runs");
+    let mut metrics = SnapWriter::new();
+    run.metrics.write_snap(&mut metrics);
+    assert_eq!(
+        metrics.fingerprint(),
+        metrics_pin,
+        "merged metrics text FNV; the run's metrics:\n{}",
+        run.metrics.summary()
+    );
     let fresh = PodBenchReport::from_outcome(&run, cfg.jobs);
     assert_eq!(fresh.fingerprint, pinned.fingerprint, "state fingerprint");
     assert_eq!(fresh.journal_hash, pinned.journal_hash, "journal hash");
@@ -57,6 +75,7 @@ fn pod_smoke_reproduces_the_committed_pins() {
         &cfg,
         &committed("BENCH_pod.json", include_str!("../BENCH_pod.json")),
         (0x5ffe_0d8c_a039_d414, 0xa925_bb77_e9ee_247e),
+        0xf5e6_c7a6_078b_f561,
     );
 }
 
@@ -77,5 +96,6 @@ fn stitch_placement_reproduces_the_committed_pins() {
             include_str!("../BENCH_placement.json"),
         ),
         (0x47ae_a8a6_3f23_bedd, 0x6291_fced_d187_a335),
+        0x8fc3_c47b_0daa_4474,
     );
 }

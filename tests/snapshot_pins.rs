@@ -1,8 +1,10 @@
 //! Snapshot-path pins that plain `cargo test` checks: the committed ctrl
 //! bench scenario must reproduce `BENCH_ctrl.json`'s fingerprint and
-//! journal hash exactly, compaction must not move either, and a pod run
-//! resumed from a mid-run snapshot must land on the uninterrupted run.
-//! Any drift in journal hashing or snapshot capture fails here.
+//! journal hash exactly, and compaction must not move either; its last
+//! snapshot must reproduce `golden/ctrl_snapshot.txt` byte for byte; and
+//! a pod run resumed from a mid-run snapshot must land on the
+//! uninterrupted run. Any drift in journal hashing, snapshot capture, or
+//! the admission engine's queue and event codec fails here.
 
 use desim::SimDuration;
 use fabricd::{
@@ -29,6 +31,26 @@ fn ctrl_bench_reproduces_the_committed_pins() {
     assert_eq!(
         run.journal_records, pinned.journal_records,
         "journal records"
+    );
+}
+
+/// The event kind codes, the `(time, seq)` keys and the whole `[campaign]`
+/// block live in these bytes.
+#[test]
+fn ctrl_bench_last_snapshot_is_the_golden_artifact() {
+    let (cfg, every) = bench_config();
+    let opts = CampaignOptions {
+        snapshot_every: Some(every),
+        ..CampaignOptions::default()
+    };
+    let out = run_campaign(&cfg, &opts).expect("snapshotting campaign runs");
+    let last = out
+        .snapshots
+        .last()
+        .expect("the campaign captured snapshots");
+    assert!(
+        last.to_text() == include_str!("../golden/ctrl_snapshot.txt"),
+        "the last snapshot drifted from golden/ctrl_snapshot.txt"
     );
 }
 

@@ -1,0 +1,183 @@
+//! Restored queues are refused, never resumed and never a panic. Each case
+//! edits one field of a real snapshot artifact's body and recomputes the
+//! header FNV, so the structural checks of the admission engine's codec
+//! and restore — not the integrity fingerprint — must catch it. Both
+//! artifact kinds carry the same engine block: the ctrl campaign's
+//! `[campaign]` section and every `[shard]` section of a pod snapshot.
+
+use fabricd::{report::bench_config, resume_campaign, run_campaign, CampaignOptions, CtrlSnapshot};
+use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot, PolicyKind};
+
+/// Apply `edit` to the artifact body and re-seal the header FNV.
+fn reseal(text: &str, edit: impl Fn(&[&str]) -> Vec<String>) -> String {
+    let (head, body) = text.split_once('\n').expect("artifact has a header line");
+    let (magic, _) = head.split_once(" fnv=").expect("header carries an fnv");
+    let lines: Vec<&str> = body.lines().collect();
+    let mut edited = edit(&lines).join("\n");
+    if body.ends_with('\n') {
+        edited.push('\n');
+    }
+    assert_ne!(edited, body, "the edit must change the body");
+    let fnv = desim::snap::fingerprint(&edited);
+    format!("{magic} fnv={fnv:016x}\n{edited}")
+}
+
+fn value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.strip_prefix(key)?.strip_prefix('=')
+}
+
+/// Index of the first `key=` line at or after `from`.
+fn find(lines: &[&str], from: usize, key: &str) -> usize {
+    (from..lines.len())
+        .find(|&i| value(lines[i], key).is_some())
+        .unwrap_or_else(|| panic!("no {key}= line after line {from}"))
+}
+
+/// Start of the first engine block whose `events=` count is at least
+/// `min_events` (the line index of its `event_seq=`).
+fn block_with_events(lines: &[&str], min_events: u64) -> usize {
+    let mut at = 0;
+    loop {
+        let seq = find(lines, at, "event_seq");
+        let events = find(lines, seq, "events");
+        let n: u64 = value(lines[events], "events").unwrap().parse().unwrap();
+        if n >= min_events {
+            return seq;
+        }
+        at = events + 1;
+    }
+}
+
+fn owned(lines: &[&str]) -> Vec<String> {
+    lines.iter().map(|l| l.to_string()).collect()
+}
+
+/// An event seq at the insertion counter.
+fn seq_at_counter(lines: &[&str]) -> Vec<String> {
+    let block = block_with_events(lines, 1);
+    let counter = value(lines[block], "event_seq").unwrap();
+    let seq = find(lines, block, "seq");
+    let mut out = owned(lines);
+    out[seq] = format!("seq={counter}");
+    out
+}
+
+/// The second pending event given the first one's `(at, seq)` key.
+fn duplicate_key(lines: &[&str]) -> Vec<String> {
+    let block = block_with_events(lines, 2);
+    let (at1, seq1) = (find(lines, block, "at"), find(lines, block, "seq"));
+    let (at2, seq2) = (find(lines, seq1 + 1, "at"), find(lines, seq1 + 1, "seq"));
+    let mut out = owned(lines);
+    out[at2] = lines[at1].to_string();
+    out[seq2] = lines[seq1].to_string();
+    out
+}
+
+/// An event kind no engine ever wrote.
+fn unknown_kind(lines: &[&str]) -> Vec<String> {
+    let kind = find(lines, block_with_events(lines, 1), "kind");
+    let mut out = owned(lines);
+    out[kind] = "kind=9".to_string();
+    out
+}
+
+/// A queue count one larger than the entries that follow.
+fn queue_overcount(lines: &[&str]) -> Vec<String> {
+    let queue = find(lines, 0, "queue");
+    let n: u64 = value(lines[queue], "queue").unwrap().parse().unwrap();
+    let mut out = owned(lines);
+    out[queue] = format!("queue={}", n + 1);
+    out
+}
+
+type Edit = fn(&[&str]) -> Vec<String>;
+
+const CASES: [(&str, Edit, &str); 4] = [
+    (
+        "seq >= event_seq",
+        seq_at_counter,
+        "not below the insertion counter",
+    ),
+    ("duplicate (at, seq)", duplicate_key, "duplicate event key"),
+    ("unknown kind", unknown_kind, "unknown event kind 9"),
+    ("queue overcount", queue_overcount, "expected key job"),
+];
+
+#[test]
+fn ctrl_resume_refuses_corrupt_queues_and_events() {
+    let (cfg, every) = bench_config();
+    let opts = CampaignOptions {
+        snapshot_every: Some(every),
+        ..CampaignOptions::default()
+    };
+    let out = run_campaign(&cfg, &opts).expect("campaign runs");
+    let mid = out
+        .snapshots
+        .get(out.snapshots.len() / 2)
+        .expect("the campaign captured snapshots");
+    let text = mid.to_text();
+    let clean = CtrlSnapshot::parse(&text).and_then(|s| resume_campaign(&s, &opts));
+    assert!(clean.is_ok(), "the unedited artifact resumes");
+    for (name, edit, want) in CASES {
+        let bad = reseal(&text, edit);
+        match CtrlSnapshot::parse(&bad).and_then(|s| resume_campaign(&s, &opts)) {
+            Ok(_) => panic!("{name}: a corrupt ctrl snapshot resumed"),
+            Err(e) => assert!(e.contains(want), "{name}: unexpected refusal {e:?}"),
+        }
+    }
+}
+
+/// A mid-run capture of `spsim pod --chips 512 --jobs 96 --failures 2
+/// --policy stitch --snapshot-every 2` with a job queued in some shard.
+fn pod_snapshot() -> (String, PodOptions) {
+    let cfg = PodConfig {
+        chips: 512,
+        jobs: 96,
+        failures: 2,
+        policy: PolicyKind::Stitch,
+        ..PodConfig::default()
+    };
+    let opts = PodOptions {
+        snapshot_every: 2,
+        ..PodOptions::default()
+    };
+    let run = run_pod_with(&cfg, 1, &opts).expect("pod run");
+    let text = run
+        .snapshots
+        .iter()
+        .map(PodSnapshot::to_text)
+        .find(|t| t.lines().any(|l| l.starts_with("queue=") && l != "queue=0"))
+        .expect("some capture has a queued job");
+    (text, opts)
+}
+
+#[test]
+fn pod_resume_refuses_corrupt_shard_queues_and_events() {
+    let (text, opts) = pod_snapshot();
+    let clean = PodSnapshot::parse(&text).and_then(|s| resume_pod(&s, 1, &opts));
+    assert!(clean.is_ok(), "the unedited artifact resumes");
+    for (name, edit, want) in CASES {
+        let bad = reseal(&text, edit);
+        match PodSnapshot::parse(&bad).and_then(|s| resume_pod(&s, 1, &opts)) {
+            Ok(_) => panic!("{name}: a corrupt pod snapshot resumed"),
+            Err(e) => assert!(e.contains(want), "{name}: unexpected refusal {e:?}"),
+        }
+    }
+}
+
+/// The v2 shard layout reuses the v1 field names with new kind codes, so
+/// only the format tag tells a v1 reader's artifact from a v2 one.
+#[test]
+fn pod_artifact_relabelled_v1_is_refused() {
+    let (text, _) = pod_snapshot();
+    let (head, body) = text.split_once('\n').expect("artifact has a header line");
+    assert!(head.starts_with("spsim-pod-snapshot v2 fnv="), "{head}");
+    let relabelled = format!(
+        "spsim-pod-snapshot v1 fnv={:016x}\n{body}",
+        desim::snap::fingerprint(body)
+    );
+    match PodSnapshot::parse(&relabelled) {
+        Ok(_) => panic!("a v1-tagged artifact parsed as v2"),
+        Err(e) => assert!(e.contains("spsim-pod-snapshot v2"), "{e}"),
+    }
+}
