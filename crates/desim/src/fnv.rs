@@ -118,6 +118,13 @@ mod tests {
     }
 
     #[test]
+    fn str_framing_disambiguates() {
+        let ab_c = Fnv::new().write_str("ab").write_str("c").finish();
+        let a_bc = Fnv::new().write_str("a").write_str("bc").finish();
+        assert_ne!(ab_c, a_bc);
+    }
+
+    #[test]
     fn combine_is_order_sensitive() {
         assert_ne!(combine(&[1, 2]), combine(&[2, 1]));
         assert_eq!(combine(&[1, 2]), combine(&[1, 2]));
@@ -133,5 +140,12 @@ mod tests {
         }
         assert_eq!(derive_seed(7, 3), derive_seed(7, 3));
         assert_ne!(derive_seed(7, 3), derive_seed(8, 3));
+    }
+
+    #[test]
+    fn derive_seed_is_pinned() {
+        // Every committed sweep and pod fingerprint rests on these streams.
+        assert_eq!(derive_seed(0, 0), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(derive_seed(7, 3), 0xb4a0_472e_5780_69ae);
     }
 }

@@ -114,7 +114,7 @@ impl Rule {
             }
             Rule::Det003 => {
                 "derive the seed from the scenario's SplitMix64 stream \
-                             (sweep::derive_seed) instead"
+                             (desim::fnv::derive_seed) instead"
             }
             Rule::Det004 => "wrap the key in desim::ord::OrdF64, or compare f64::to_bits",
             Rule::Pan001 => "return a typed lightpath::fault::FabricError instead",

@@ -1,27 +1,137 @@
-//! `BENCH_ctrl.json`: the committed control-plane benchmark baseline.
+//! The committed `BENCH_*.json` baselines: one codec and one gate for all
+//! five, plus the control-plane bench that writes `BENCH_ctrl.json`.
 //!
-//! Same contract as `BENCH_pod.json`: no serde in the workspace, so the
-//! report is a flat hand-rolled JSON object plus a tolerant extractor
-//! that reads back exactly what [`CtrlBenchReport::to_json`] writes.
-//! `cargo xtask lint` re-runs the ctrl smoke campaign and gates on it:
+//! The workspace has no serde (offline build). Each bench report instead
+//! implements [`BenchFields`]: a static table of `(key, gate)` rows in JSON
+//! order, and its values in the same order. From that one declaration:
 //!
-//! * **determinism, exact** — state fingerprint, journal hash, logical
-//!   record count, snapshot count, and the tail-replay record count all
-//!   match the baseline bit for bit;
-//! * **delta replay is O(tail)** — the records folded by
-//!   [`replay_from`](crate::replay_from) are structurally fewer than a
-//!   full replay's (asserted at bench time, pinned in the baseline);
-//! * **throughput floor** — admissions/sec may not regress below
-//!   [`MIN_CTRL_PERF_RATIO`] × baseline, and tail-replay latency may not
-//!   exceed baseline / [`MIN_CTRL_PERF_RATIO`].
+//! * [`BenchFields::to_json`] writes the report as a flat JSON object;
+//! * [`compare`] reads a fresh text and a committed one through
+//!   [`json_raw`] and applies each row's [`Gate`];
+//! * `cargo xtask lint` re-runs each workload through `spsim` and gates
+//!   it with [`compare`], and the tier-1 pins check the
+//!   [`Exact`](Gate::Exact) rows (debug builds on any host cannot compare
+//!   rates).
+//!
+//! `BENCH_ctrl.json` ([`CtrlBenchReport`]) gates the control plane: the
+//! state fingerprint, journal hash, record, snapshot and admission counts,
+//! and the records a delta replay folds (the O(tail) claim, asserted at
+//! bench time by [`run_ctrl_bench`]) match exactly; admissions/sec has a
+//! floor and tail-replay latency a ceiling.
 
 use crate::ctrl::{run_campaign, CampaignOptions, CtrlConfig};
 use crate::state::{replay, replay_from};
 use desim::SimDuration;
+use std::fmt;
+use Gate::{Ceiling, Exact, Floor, Info};
+use Value::{Str, F64, U64};
 
-/// Throughput may not drop below this fraction of the baseline (and
-/// tail-replay latency may not exceed `baseline / ratio`).
-pub const MIN_CTRL_PERF_RATIO: f64 = 0.1;
+/// A rate may not drop below this fraction of its baseline, and a latency
+/// may not exceed its baseline divided by it: loose enough that host noise
+/// does not flake, tight enough that an order-of-magnitude slowdown fails.
+pub const MIN_PERF_RATIO: f64 = 0.1;
+
+/// How [`compare`] checks one field of a fresh report against its
+/// committed baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Deterministic output: the JSON tokens must be identical.
+    Exact,
+    /// A rate: fails below [`MIN_PERF_RATIO`] × baseline.
+    Floor,
+    /// A latency: fails above baseline / [`MIN_PERF_RATIO`]; skipped when
+    /// the baseline is 0.
+    Ceiling,
+    /// Recorded for context: must be present, never compared.
+    Info,
+}
+
+/// One row of a bench report's table: its JSON key and its gate.
+pub type Field = (&'static str, Gate);
+
+/// One field value, written as its JSON token.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
+    /// A count.
+    U64(u64),
+    /// A measurement, in Rust's shortest round-trip form.
+    F64(f64),
+    /// A name or a hex digest, quoted (never escaped: no value needs it).
+    Str(&'a str),
+}
+
+impl fmt::Display for Value<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            U64(v) => write!(f, "{v}"),
+            F64(v) => write!(f, "{v}"),
+            Str(s) => write!(f, "\"{s}\""),
+        }
+    }
+}
+
+/// A bench report's format and gates, declared once.
+pub trait BenchFields {
+    /// Every field in JSON order, with its gate.
+    const FIELDS: &'static [Field];
+
+    /// The field values, in [`FIELDS`](Self::FIELDS) order.
+    fn values(&self) -> Vec<Value<'_>>;
+
+    /// The committed JSON form: one `"key": value` line per field, in
+    /// table order.
+    fn to_json(&self) -> String {
+        let lines: Vec<String> = Self::FIELDS
+            .iter()
+            .zip(self.values())
+            .map(|((key, _), value)| format!("  \"{key}\": {value}"))
+            .collect();
+        format!("{{\n{}\n}}\n", lines.join(",\n"))
+    }
+}
+
+/// Compare a fresh report's text against its committed baseline, row by
+/// row. Returns one message per violated row, tagged with the row's gate
+/// and naming its key; empty means the baseline holds. A key missing from
+/// either text violates its row whatever the gate.
+pub fn compare(fields: &[Field], current: &str, baseline: &str) -> Vec<(Gate, String)> {
+    let mut failures = Vec::new();
+    for &(key, gate) in fields {
+        let violation = match (json_raw(current, key), json_raw(baseline, key)) {
+            (Err(e), _) => Some(format!("current report: {e}")),
+            (_, Err(e)) => Some(format!("baseline: {e}")),
+            (Ok(cur), Ok(base)) => check_row(key, gate, cur, base),
+        };
+        failures.extend(violation.map(|message| (gate, message)));
+    }
+    failures
+}
+
+/// One row's verdict on two present JSON tokens.
+fn check_row(key: &str, gate: Gate, cur: &str, base: &str) -> Option<String> {
+    if gate == Info || (gate == Exact && cur == base) {
+        return None;
+    }
+    if gate == Exact {
+        return Some(format!("{key} {cur} != baseline {base}"));
+    }
+    let (Ok(c), Ok(b)) = (cur.parse::<f64>(), base.parse::<f64>()) else {
+        return Some(format!("{key} is not a number: {cur} (baseline {base})"));
+    };
+    if gate == Floor && c < b * MIN_PERF_RATIO {
+        return Some(format!(
+            "{key} {c:.3} is below {:.3} ({MIN_PERF_RATIO}x of baseline {b:.3})",
+            b * MIN_PERF_RATIO
+        ));
+    }
+    if gate == Ceiling && b > 0.0 && c > b / MIN_PERF_RATIO {
+        return Some(format!(
+            "{key} {c:.3} exceeds {:.3} (baseline {b:.3} / {MIN_PERF_RATIO})",
+            b / MIN_PERF_RATIO
+        ));
+    }
+    None
+}
 
 /// The committed-baseline bench configuration. `cargo xtask lint` and
 /// `spsim ctrl --campaign --write-baseline` must drive the *same*
@@ -69,6 +179,42 @@ pub struct CtrlBenchReport {
     pub replay_full_ms: f64,
     /// Wall-clock milliseconds of the delta replay — the gated latency.
     pub replay_tail_ms: f64,
+}
+
+impl BenchFields for CtrlBenchReport {
+    const FIELDS: &'static [Field] = &[
+        ("jobs", Exact),
+        ("snapshot_every_s", Exact),
+        ("snapshots", Exact),
+        ("fingerprint", Exact),
+        ("journal_hash", Exact),
+        ("journal_records", Exact),
+        ("admissions", Exact),
+        ("wall_s", Info),
+        ("admissions_per_sec", Floor),
+        ("replay_full_records", Exact),
+        ("replay_tail_records", Exact),
+        ("replay_full_ms", Info),
+        ("replay_tail_ms", Ceiling),
+    ];
+
+    fn values(&self) -> Vec<Value<'_>> {
+        vec![
+            U64(self.jobs),
+            U64(self.snapshot_every_s),
+            U64(self.snapshots),
+            Str(&self.fingerprint),
+            Str(&self.journal_hash),
+            U64(self.journal_records),
+            U64(self.admissions),
+            F64(self.wall_s),
+            F64(self.admissions_per_sec),
+            U64(self.replay_full_records),
+            U64(self.replay_tail_records),
+            F64(self.replay_full_ms),
+            F64(self.replay_tail_ms),
+        ]
+    }
 }
 
 /// Run the ctrl benchmark: drive a snapshotted campaign, then time a
@@ -150,125 +296,10 @@ pub fn run_ctrl_bench(
     })
 }
 
-impl CtrlBenchReport {
-    /// Serialize to the committed JSON form (stable key order). Floats use
-    /// Rust's shortest round-trip form so `parse(to_json(r)) == r`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"jobs\": {},\n  \"snapshot_every_s\": {},\n  \"snapshots\": {},\n  \
-             \"fingerprint\": \"{}\",\n  \"journal_hash\": \"{}\",\n  \
-             \"journal_records\": {},\n  \"admissions\": {},\n  \"wall_s\": {},\n  \
-             \"admissions_per_sec\": {},\n  \"replay_full_records\": {},\n  \
-             \"replay_tail_records\": {},\n  \"replay_full_ms\": {},\n  \
-             \"replay_tail_ms\": {}\n}}\n",
-            self.jobs,
-            self.snapshot_every_s,
-            self.snapshots,
-            self.fingerprint,
-            self.journal_hash,
-            self.journal_records,
-            self.admissions,
-            self.wall_s,
-            self.admissions_per_sec,
-            self.replay_full_records,
-            self.replay_tail_records,
-            self.replay_full_ms,
-            self.replay_tail_ms,
-        )
-    }
-
-    /// Parse the JSON form produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<CtrlBenchReport, String> {
-        Ok(CtrlBenchReport {
-            jobs: json_u64(text, "jobs")?,
-            snapshot_every_s: json_u64(text, "snapshot_every_s")?,
-            snapshots: json_u64(text, "snapshots")?,
-            fingerprint: json_str(text, "fingerprint")?,
-            journal_hash: json_str(text, "journal_hash")?,
-            journal_records: json_u64(text, "journal_records")?,
-            admissions: json_u64(text, "admissions")?,
-            wall_s: json_f64(text, "wall_s")?,
-            admissions_per_sec: json_f64(text, "admissions_per_sec")?,
-            replay_full_records: json_u64(text, "replay_full_records")?,
-            replay_tail_records: json_u64(text, "replay_tail_records")?,
-            replay_full_ms: json_f64(text, "replay_full_ms")?,
-            replay_tail_ms: json_f64(text, "replay_tail_ms")?,
-        })
-    }
-}
-
-/// Compare a fresh run against the committed baseline. Returns one
-/// message per violated gate; empty means the baseline holds. `wall_s`
-/// and the replay wall-clock figures of the *baseline run* are recorded
-/// for context; latency is gated with the same headroom ratio as
-/// throughput.
-pub fn compare_ctrl_baseline(current: &CtrlBenchReport, baseline: &CtrlBenchReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, cur, base) in [
-        ("jobs", current.jobs, baseline.jobs),
-        (
-            "snapshot_every_s",
-            current.snapshot_every_s,
-            baseline.snapshot_every_s,
-        ),
-        ("snapshots", current.snapshots, baseline.snapshots),
-        (
-            "journal_records",
-            current.journal_records,
-            baseline.journal_records,
-        ),
-        ("admissions", current.admissions, baseline.admissions),
-        (
-            "replay_full_records",
-            current.replay_full_records,
-            baseline.replay_full_records,
-        ),
-        (
-            "replay_tail_records",
-            current.replay_tail_records,
-            baseline.replay_tail_records,
-        ),
-    ] {
-        if cur != base {
-            failures.push(format!("{name} {cur} != baseline {base}"));
-        }
-    }
-    if current.fingerprint != baseline.fingerprint {
-        failures.push(format!(
-            "fingerprint {} != baseline {} — a control-plane output changed; if intended, \
-             regenerate with `spsim ctrl --campaign --write-baseline BENCH_ctrl.json`",
-            current.fingerprint, baseline.fingerprint
-        ));
-    }
-    if current.journal_hash != baseline.journal_hash {
-        failures.push(format!(
-            "journal hash {} != baseline {}",
-            current.journal_hash, baseline.journal_hash
-        ));
-    }
-    let floor = baseline.admissions_per_sec * MIN_CTRL_PERF_RATIO;
-    if current.admissions_per_sec < floor {
-        failures.push(format!(
-            "throughput {:.0} admissions/s is below {:.0} ({}x of baseline {:.0})",
-            current.admissions_per_sec, floor, MIN_CTRL_PERF_RATIO, baseline.admissions_per_sec
-        ));
-    }
-    if baseline.replay_tail_ms > 0.0 {
-        let ceiling = baseline.replay_tail_ms / MIN_CTRL_PERF_RATIO;
-        if current.replay_tail_ms > ceiling {
-            failures.push(format!(
-                "delta-replay latency {:.3} ms exceeds {:.3} ms (baseline {:.3} ms / {})",
-                current.replay_tail_ms, ceiling, baseline.replay_tail_ms, MIN_CTRL_PERF_RATIO
-            ));
-        }
-    }
-    failures
-}
-
 // ------------------------------------------------- tiny JSON extraction --
-// The workspace's one reader for the flat `BENCH_*.json` reports (fabricd,
-// pod and sweep all parse through it). Index-free (slice-by-get): fabricd
-// and pod are pinned at zero detlint findings.
+// The workspace's one reader for the flat `BENCH_*.json` reports: every
+// baseline is compared through it. Index-free (slice-by-get): fabricd and
+// pod are pinned at zero detlint findings.
 
 /// The raw text after `"key":`, up to the value's end (`,`, `}` or EOL).
 pub fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
@@ -331,26 +362,94 @@ mod tests {
         }
     }
 
+    fn failures(current: &CtrlBenchReport, baseline: &CtrlBenchReport) -> Vec<(Gate, String)> {
+        compare(
+            CtrlBenchReport::FIELDS,
+            &current.to_json(),
+            &baseline.to_json(),
+        )
+    }
+
     #[test]
-    fn json_round_trips() {
-        let r = report();
-        let parsed = match CtrlBenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse failed: {e}"),
+    fn every_row_keeps_its_gate() {
+        let rows = |gate| {
+            CtrlBenchReport::FIELDS
+                .iter()
+                .filter(move |(_, g)| *g == gate)
+                .map(|(key, _)| *key)
+                .collect::<Vec<_>>()
         };
-        assert_eq!(parsed, r);
+        assert_eq!(rows(Gate::Exact).len(), 9);
+        assert_eq!(rows(Gate::Floor), ["admissions_per_sec"]);
+        assert_eq!(rows(Gate::Ceiling), ["replay_tail_ms"]);
+        assert_eq!(rows(Gate::Info), ["wall_s", "replay_full_ms"]);
     }
 
     #[test]
-    fn parse_rejects_missing_keys() {
-        assert!(CtrlBenchReport::parse("{}").is_err());
-        assert!(CtrlBenchReport::parse("{\"jobs\": 48}").is_err());
+    fn to_json_writes_the_committed_layout() {
+        assert_eq!(
+            report().to_json(),
+            "{\n  \"jobs\": 48,\n  \"snapshot_every_s\": 600,\n  \"snapshots\": 9,\n  \
+             \"fingerprint\": \"0x00000000deadbeef\",\n  \"journal_hash\": \"0x00000000cafef00d\",\n  \
+             \"journal_records\": 321,\n  \"admissions\": 44,\n  \"wall_s\": 0.25,\n  \
+             \"admissions_per_sec\": 176,\n  \"replay_full_records\": 321,\n  \
+             \"replay_tail_records\": 17,\n  \"replay_full_ms\": 4,\n  \
+             \"replay_tail_ms\": 0.5\n}\n"
+        );
     }
 
     #[test]
-    fn identical_reports_pass_the_gate() {
-        let r = report();
-        assert!(compare_ctrl_baseline(&r, &r).is_empty());
+    fn every_key_is_read_and_a_missing_one_is_named() {
+        let text = report().to_json();
+        assert!(compare(CtrlBenchReport::FIELDS, &text, &text).is_empty());
+        for &(key, gate) in CtrlBenchReport::FIELDS {
+            let needle = format!("\"{key}\"");
+            let without: String = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with(&needle))
+                .collect::<Vec<_>>()
+                .join("\n");
+            for (cur, base, side) in [(&without, &text, "current"), (&text, &without, "baseline")] {
+                let found = compare(CtrlBenchReport::FIELDS, cur, base);
+                assert_eq!(found.len(), 1, "{key} missing from {side}: {found:?}");
+                assert_eq!(found[0].0, gate);
+                assert!(found[0].1.contains(&needle), "{found:?} names {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_rows_compare_tokens_and_info_rows_are_never_compared() {
+        let fields = [("a", Exact), ("b", Info)];
+        let base = "{\n  \"a\": \"x\",\n  \"b\": 1\n}\n";
+        assert!(compare(&fields, "{\"a\": \"x\", \"b\": 99}", base).is_empty());
+        let found = compare(&fields, "{\"a\": \"y\", \"b\": 1}", base);
+        assert_eq!(
+            found,
+            vec![(Exact, "a \"y\" != baseline \"x\"".to_string())]
+        );
+        // 1.0 and 1 are the same number but not the same token.
+        assert_eq!(compare(&[("b", Exact)], "{\"b\": 1.0}", base).len(), 1);
+    }
+
+    #[test]
+    fn rate_rows_hold_their_ratio_and_a_zero_ceiling_is_skipped() {
+        let fields = [("rate", Floor), ("lat", Ceiling)];
+        let base = "{\"rate\": 100, \"lat\": 2}";
+        assert!(compare(&fields, "{\"rate\": 11, \"lat\": 19}", base).is_empty());
+        let found = compare(&fields, "{\"rate\": 9.9, \"lat\": 20.1}", base);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert_eq!((found[0].0, found[1].0), (Floor, Ceiling));
+        assert!(found[0].1.starts_with("rate ") && found[1].1.starts_with("lat "));
+        assert!(compare(
+            &fields,
+            "{\"rate\": 100, \"lat\": 5}",
+            "{\"rate\": 100, \"lat\": 0}"
+        )
+        .is_empty());
+        let bad = compare(&fields, "{\"rate\": fast, \"lat\": 2}", base);
+        assert_eq!(bad.len(), 1);
+        assert!(bad[0].1.contains("not a number"), "{bad:?}");
     }
 
     #[test]
@@ -360,8 +459,9 @@ mod tests {
         current.fingerprint = "0x0000000000000001".into();
         current.journal_hash = "0x0000000000000002".into();
         current.replay_tail_records = 18;
-        let failures = compare_ctrl_baseline(&current, &baseline);
-        assert_eq!(failures.len(), 3, "{failures:?}");
+        let found = failures(&current, &baseline);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found.iter().all(|(gate, _)| *gate == Exact));
     }
 
     #[test]
@@ -370,16 +470,17 @@ mod tests {
         let mut slow = report();
         slow.admissions_per_sec = baseline.admissions_per_sec * 0.05;
         slow.replay_tail_ms = baseline.replay_tail_ms * 20.0;
-        assert_eq!(compare_ctrl_baseline(&slow, &baseline).len(), 2);
+        assert_eq!(failures(&slow, &baseline).len(), 2);
         let mut noisy = report();
         noisy.admissions_per_sec = baseline.admissions_per_sec * 0.5;
         noisy.replay_tail_ms = baseline.replay_tail_ms * 2.0;
         noisy.wall_s = baseline.wall_s * 3.0;
-        assert!(compare_ctrl_baseline(&noisy, &baseline).is_empty());
+        noisy.replay_full_ms = baseline.replay_full_ms * 30.0;
+        assert!(failures(&noisy, &baseline).is_empty());
     }
 
     #[test]
-    fn bench_runs_and_its_report_round_trips() {
+    fn bench_runs_and_its_report_matches_itself() {
         let cfg = CtrlConfig {
             jobs: 12,
             ..CtrlConfig::default()
@@ -390,10 +491,6 @@ mod tests {
         };
         assert!(r.snapshots > 0);
         assert!(r.replay_tail_records < r.replay_full_records, "O(tail)");
-        let parsed = match CtrlBenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse failed: {e}"),
-        };
-        assert_eq!(parsed, r);
+        assert!(failures(&r, &r).is_empty());
     }
 }

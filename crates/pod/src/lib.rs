@@ -31,8 +31,10 @@
 //!   append-only FNV journal whose hash — combined with per-shard
 //!   fingerprints in group index order — is the run fingerprint
 //!   `spsim pod` asserts is identical for 1 worker and N workers.
-//! - **Benchmark report** ([`report`]): the `BENCH_pod.json` format gated
-//!   by `cargo xtask lint` (fingerprint exact, events/sec floor).
+//! - **Benchmark report** ([`report`]): the table of the `BENCH_pod.json`
+//!   and `BENCH_placement.json` format, gated by `cargo xtask lint`
+//!   through [`fabricd::report::compare`] (fingerprint exact, events/sec
+//!   floor).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,5 +51,5 @@ pub use policy::{
     CapacityView, CrossGroupStitch, FragAwareScored, GreedyBestFit, PlacementDecision,
     PlacementPolicy, PolicyKind, StitchLeg,
 };
-pub use report::{compare_baseline, PodBenchReport, MIN_PERF_RATIO};
+pub use report::{check_stitched, PodBenchReport};
 pub use shard::{PodEvent, ShardDomain, ShardSnapshot};

@@ -1,18 +1,18 @@
-//! `BENCH_pod.json`: the committed pod benchmark baseline.
+//! `BENCH_pod.json` and `BENCH_placement.json`: the committed pod
+//! benchmark baselines, one format for both.
 //!
-//! Same contract as the sweep baseline: the workspace has no serde, so
-//! the report is a flat hand-rolled JSON object read back through
-//! fabricd's field reader ([`fabricd::report::json_str`] and friends).
-//! `cargo xtask lint` re-runs the pod smoke configuration and gates on
-//! it — **fingerprint, journal hash, and every count match exactly**
-//! (determinism), and **events/sec may not regress below
-//! [`MIN_PERF_RATIO`] × baseline**.
+//! The table below declares every field once, with its gate, and
+//! [`fabricd::report`] writes and compares it. `cargo xtask lint` re-runs
+//! the pod smoke and the stitch placement scenario and gates on them: the
+//! fingerprint, journal hash, policy and every count match exactly
+//! (determinism), and events/sec may not regress below
+//! [`MIN_PERF_RATIO`](fabricd::report::MIN_PERF_RATIO) × baseline. The
+//! placement gate adds [`check_stitched`].
 
 use crate::ctrl::PodOutcome;
-use fabricd::report::{json_f64, json_str, json_u64};
-
-/// Throughput may not drop below this fraction of the baseline.
-pub const MIN_PERF_RATIO: f64 = 0.1;
+use fabricd::report::Gate::{Exact, Floor, Info};
+use fabricd::report::Value::{self, Str, F64, U64};
+use fabricd::report::{json_u64, BenchFields, Field};
 
 /// The pod benchmark summary that is serialized, committed, and gated on.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,164 +94,78 @@ impl PodBenchReport {
             stitch_rollbacks: out.metrics.counter("stitch.rollbacks"),
         }
     }
+}
 
-    /// Serialize to the committed JSON form (stable key order). Floats use
-    /// Rust's shortest round-trip form so `parse(to_json(r)) == r`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"chips\": {},\n  \"groups\": {},\n  \"shards\": {},\n  \
-             \"epochs\": {},\n  \"jobs\": {},\n  \"fingerprint\": \"{}\",\n  \
-             \"journal_hash\": \"{}\",\n  \"journal_records\": {},\n  \
-             \"events\": {},\n  \"wall_s\": {},\n  \"events_per_sec\": {},\n  \
-             \"plan_hits\": {},\n  \"plan_misses\": {},\n  \"plan_fallbacks\": {},\n  \
-             \"plan_evictions\": {},\n  \"plan_stamped_circuits\": {},\n  \
-             \"cross_hits\": {},\n  \"cross_misses\": {},\n  \"cross_fallbacks\": {},\n  \
-             \"policy\": \"{}\",\n  \"stitch_admits\": {},\n  \"stitch_legs\": {},\n  \
-             \"stitch_rollbacks\": {}\n}}\n",
-            self.chips,
-            self.groups,
-            self.shards,
-            self.epochs,
-            self.jobs,
-            self.fingerprint,
-            self.journal_hash,
-            self.journal_records,
-            self.events,
-            self.wall_s,
-            self.events_per_sec,
-            self.plan_hits,
-            self.plan_misses,
-            self.plan_fallbacks,
-            self.plan_evictions,
-            self.plan_stamped_circuits,
-            self.cross_hits,
-            self.cross_misses,
-            self.cross_fallbacks,
-            self.policy,
-            self.stitch_admits,
-            self.stitch_legs,
-            self.stitch_rollbacks,
-        )
-    }
+impl BenchFields for PodBenchReport {
+    const FIELDS: &'static [Field] = &[
+        ("chips", Exact),
+        ("groups", Exact),
+        ("shards", Info),
+        ("epochs", Exact),
+        ("jobs", Exact),
+        ("fingerprint", Exact),
+        ("journal_hash", Exact),
+        ("journal_records", Exact),
+        ("events", Exact),
+        ("wall_s", Info),
+        ("events_per_sec", Floor),
+        ("plan_hits", Exact),
+        ("plan_misses", Exact),
+        ("plan_fallbacks", Exact),
+        ("plan_evictions", Exact),
+        ("plan_stamped_circuits", Exact),
+        ("cross_hits", Exact),
+        ("cross_misses", Exact),
+        ("cross_fallbacks", Exact),
+        ("policy", Exact),
+        ("stitch_admits", Exact),
+        ("stitch_legs", Exact),
+        ("stitch_rollbacks", Exact),
+    ];
 
-    /// Parse the JSON form produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<PodBenchReport, String> {
-        Ok(PodBenchReport {
-            chips: json_u64(text, "chips")?,
-            groups: json_u64(text, "groups")?,
-            shards: json_u64(text, "shards")?,
-            epochs: json_u64(text, "epochs")?,
-            jobs: json_u64(text, "jobs")?,
-            fingerprint: json_str(text, "fingerprint")?,
-            journal_hash: json_str(text, "journal_hash")?,
-            journal_records: json_u64(text, "journal_records")?,
-            events: json_u64(text, "events")?,
-            wall_s: json_f64(text, "wall_s")?,
-            events_per_sec: json_f64(text, "events_per_sec")?,
-            plan_hits: json_u64(text, "plan_hits")?,
-            plan_misses: json_u64(text, "plan_misses")?,
-            plan_fallbacks: json_u64(text, "plan_fallbacks")?,
-            plan_evictions: json_u64(text, "plan_evictions")?,
-            plan_stamped_circuits: json_u64(text, "plan_stamped_circuits")?,
-            cross_hits: json_u64(text, "cross_hits")?,
-            cross_misses: json_u64(text, "cross_misses")?,
-            cross_fallbacks: json_u64(text, "cross_fallbacks")?,
-            policy: json_str(text, "policy")?,
-            stitch_admits: json_u64(text, "stitch_admits")?,
-            stitch_legs: json_u64(text, "stitch_legs")?,
-            stitch_rollbacks: json_u64(text, "stitch_rollbacks")?,
-        })
+    fn values(&self) -> Vec<Value<'_>> {
+        vec![
+            U64(self.chips),
+            U64(self.groups),
+            U64(self.shards),
+            U64(self.epochs),
+            U64(self.jobs),
+            Str(&self.fingerprint),
+            Str(&self.journal_hash),
+            U64(self.journal_records),
+            U64(self.events),
+            F64(self.wall_s),
+            F64(self.events_per_sec),
+            U64(self.plan_hits),
+            U64(self.plan_misses),
+            U64(self.plan_fallbacks),
+            U64(self.plan_evictions),
+            U64(self.plan_stamped_circuits),
+            U64(self.cross_hits),
+            U64(self.cross_misses),
+            U64(self.cross_fallbacks),
+            Str(&self.policy),
+            U64(self.stitch_admits),
+            U64(self.stitch_legs),
+            U64(self.stitch_rollbacks),
+        ]
     }
 }
 
-/// Compare a fresh run against the committed baseline. Returns one
-/// message per violated gate; empty means the baseline holds. `shards`
-/// and `wall_s` are informational and not compared.
-pub fn compare_baseline(current: &PodBenchReport, baseline: &PodBenchReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, cur, base) in [
-        ("chips", current.chips, baseline.chips),
-        ("groups", current.groups, baseline.groups),
-        ("epochs", current.epochs, baseline.epochs),
-        ("jobs", current.jobs, baseline.jobs),
-        (
-            "journal_records",
-            current.journal_records,
-            baseline.journal_records,
-        ),
-        ("events", current.events, baseline.events),
-        ("plan_hits", current.plan_hits, baseline.plan_hits),
-        ("plan_misses", current.plan_misses, baseline.plan_misses),
-        (
-            "plan_fallbacks",
-            current.plan_fallbacks,
-            baseline.plan_fallbacks,
-        ),
-        (
-            "plan_evictions",
-            current.plan_evictions,
-            baseline.plan_evictions,
-        ),
-        (
-            "plan_stamped_circuits",
-            current.plan_stamped_circuits,
-            baseline.plan_stamped_circuits,
-        ),
-        ("cross_hits", current.cross_hits, baseline.cross_hits),
-        ("cross_misses", current.cross_misses, baseline.cross_misses),
-        (
-            "cross_fallbacks",
-            current.cross_fallbacks,
-            baseline.cross_fallbacks,
-        ),
-        (
-            "stitch_admits",
-            current.stitch_admits,
-            baseline.stitch_admits,
-        ),
-        ("stitch_legs", current.stitch_legs, baseline.stitch_legs),
-        (
-            "stitch_rollbacks",
-            current.stitch_rollbacks,
-            baseline.stitch_rollbacks,
-        ),
-    ] {
-        if cur != base {
-            failures.push(format!("{name} {cur} != baseline {base}"));
-        }
+/// The placement gate's structural claim, beyond its per-field rows: the
+/// stitch policy admitted at least one cross-group job. A stitch policy
+/// that silently stops stitching fails even if it stays deterministic.
+pub fn check_stitched(current: &str) -> Result<(), String> {
+    if json_u64(current, "stitch_admits")? == 0 {
+        return Err("the stitch policy admitted no cross-group job".into());
     }
-    if current.policy != baseline.policy {
-        failures.push(format!(
-            "policy {:?} != baseline {:?}",
-            current.policy, baseline.policy
-        ));
-    }
-    if current.fingerprint != baseline.fingerprint {
-        failures.push(format!(
-            "fingerprint {} != baseline {} — a pod simulation output changed; if intended, \
-             regenerate with `spsim pod --smoke --write-baseline BENCH_pod.json`",
-            current.fingerprint, baseline.fingerprint
-        ));
-    }
-    if current.journal_hash != baseline.journal_hash {
-        failures.push(format!(
-            "journal hash {} != baseline {}",
-            current.journal_hash, baseline.journal_hash
-        ));
-    }
-    let floor = baseline.events_per_sec * MIN_PERF_RATIO;
-    if current.events_per_sec < floor {
-        failures.push(format!(
-            "throughput {:.0} events/s is below {:.0} ({}x of baseline {:.0})",
-            current.events_per_sec, floor, MIN_PERF_RATIO, baseline.events_per_sec
-        ));
-    }
-    failures
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabricd::report::{compare, Gate};
 
     fn report() -> PodBenchReport {
         PodBenchReport {
@@ -281,26 +195,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trips() {
-        let r = report();
-        let parsed = match PodBenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse failed: {e}"),
-        };
-        assert_eq!(parsed, r);
+    fn failures(current: &PodBenchReport, baseline: &PodBenchReport) -> Vec<(Gate, String)> {
+        compare(
+            PodBenchReport::FIELDS,
+            &current.to_json(),
+            &baseline.to_json(),
+        )
     }
 
     #[test]
-    fn parse_rejects_missing_keys() {
-        assert!(PodBenchReport::parse("{}").is_err());
-        assert!(PodBenchReport::parse("{\"chips\": 4096}").is_err());
+    fn every_row_keeps_its_gate() {
+        let rows = |gate| {
+            PodBenchReport::FIELDS
+                .iter()
+                .filter(move |(_, g)| *g == gate)
+                .map(|(key, _)| *key)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(Gate::Exact).len(), 20);
+        assert_eq!(rows(Gate::Floor), ["events_per_sec"]);
+        assert!(rows(Gate::Ceiling).is_empty());
+        assert_eq!(rows(Gate::Info), ["shards", "wall_s"]);
+    }
+
+    #[test]
+    fn to_json_writes_the_committed_layout() {
+        assert_eq!(
+            report().to_json(),
+            "{\n  \"chips\": 4096,\n  \"groups\": 16,\n  \"shards\": 4,\n  \"epochs\": 2,\n  \
+             \"jobs\": 256,\n  \"fingerprint\": \"0x00000000deadbeef\",\n  \
+             \"journal_hash\": \"0x00000000cafef00d\",\n  \"journal_records\": 321,\n  \
+             \"events\": 12345,\n  \"wall_s\": 0.25,\n  \"events_per_sec\": 49380,\n  \
+             \"plan_hits\": 40,\n  \"plan_misses\": 12,\n  \"plan_fallbacks\": 3,\n  \
+             \"plan_evictions\": 0,\n  \"plan_stamped_circuits\": 120,\n  \
+             \"cross_hits\": 18,\n  \"cross_misses\": 6,\n  \"cross_fallbacks\": 1,\n  \
+             \"policy\": \"greedy\",\n  \"stitch_admits\": 0,\n  \"stitch_legs\": 0,\n  \
+             \"stitch_rollbacks\": 0\n}\n"
+        );
     }
 
     #[test]
     fn identical_reports_pass_the_gate() {
         let r = report();
-        assert!(compare_baseline(&r, &r).is_empty());
+        assert!(failures(&r, &r).is_empty());
     }
 
     #[test]
@@ -309,8 +246,7 @@ mod tests {
         let mut current = report();
         current.fingerprint = "0x0000000000000001".into();
         current.journal_hash = "0x0000000000000002".into();
-        let failures = compare_baseline(&current, &baseline);
-        assert_eq!(failures.len(), 2);
+        assert_eq!(failures(&current, &baseline).len(), 2);
     }
 
     #[test]
@@ -319,7 +255,7 @@ mod tests {
         let mut current = report();
         current.plan_hits += 1;
         current.cross_fallbacks += 1;
-        assert_eq!(compare_baseline(&current, &baseline).len(), 2);
+        assert_eq!(failures(&current, &baseline).len(), 2);
     }
 
     #[test]
@@ -329,7 +265,7 @@ mod tests {
         current.policy = "stitch".into();
         current.stitch_admits = 3;
         current.stitch_legs = 7;
-        assert_eq!(compare_baseline(&current, &baseline).len(), 3);
+        assert_eq!(failures(&current, &baseline).len(), 3);
     }
 
     #[test]
@@ -337,11 +273,20 @@ mod tests {
         let baseline = report();
         let mut slow = report();
         slow.events_per_sec = baseline.events_per_sec * 0.05;
-        assert_eq!(compare_baseline(&slow, &baseline).len(), 1);
+        assert_eq!(failures(&slow, &baseline).len(), 1);
         let mut noisy = report();
         noisy.events_per_sec = baseline.events_per_sec * 0.5;
         noisy.shards = 1;
         noisy.wall_s = baseline.wall_s * 2.0;
-        assert!(compare_baseline(&noisy, &baseline).is_empty());
+        assert!(failures(&noisy, &baseline).is_empty());
+    }
+
+    #[test]
+    fn the_placement_gate_needs_a_stitched_job() {
+        let mut r = report();
+        assert!(check_stitched(&r.to_json()).is_err());
+        r.stitch_admits = 1;
+        assert_eq!(check_stitched(&r.to_json()), Ok(()));
+        assert!(check_stitched("{}").is_err());
     }
 }

@@ -4,12 +4,12 @@
 //! workspace's layers — phy Monte-Carlo, fabricd admission/failure
 //! campaigns, slice-shape × collective matrices, and route-cache churn.
 //! Randomized scenarios get their RNG seed partitioned up front by
-//! [`derive_seed`](crate::fingerprint::derive_seed)`(base, index)`, so the
+//! [`derive_seed`](desim::fnv::derive_seed)`(base, index)`, so the
 //! stream a scenario consumes is a pure function of the grid — independent
 //! of worker count, scheduling, or which thread picks it up.
 
-use crate::fingerprint::derive_seed;
 use collectives::Mode;
+use desim::fnv::derive_seed;
 use pod::PolicyKind;
 use topo::Shape3;
 use workloads::STANDARD_SHAPES;

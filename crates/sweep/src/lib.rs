@@ -6,18 +6,19 @@
 //! churn. This crate fans a [grid](grid::GridSpec) of such scenarios across
 //! OS threads and proves the parallelism changed *nothing*:
 //!
-//! * **Seed partitioning** ([`fingerprint::derive_seed`]) — each randomized
+//! * **Seed partitioning** ([`desim::fnv::derive_seed`]) — each randomized
 //!   scenario's RNG stream is fixed by `(base_seed, grid index)` alone.
-//! * **Order-combined fingerprints** ([`fingerprint::combine`]) — FNV-1a
+//! * **Order-combined fingerprints** ([`desim::fnv::combine`]) — FNV-1a
 //!   digests of each scenario's observable outcome, folded in grid order,
 //!   so the sweep fingerprint is bit-identical for any worker count.
 //! * **Deterministic merges** ([`run::MergedStats`]) — per-worker stats
 //!   registries folded in worker order (reporting only, never part of the
 //!   fingerprint).
-//! * **Perf baselines** ([`report::BenchReport`]) — events/sec and speedup
-//!   vs 1 worker, compared by `cargo xtask lint` against the committed
-//!   `BENCH_sweep.json` with an exact determinism gate and a tolerant
-//!   throughput gate.
+//! * **Perf baselines** ([`report::BenchReport`],
+//!   [`route_bench::RouteBenchReport`]) — the field tables of
+//!   `BENCH_sweep.json` and `BENCH_route.json`, written and compared by
+//!   [`fabricd::report`]: exact determinism rows and tolerant throughput
+//!   floors, gated by `cargo xtask lint`.
 //!
 //! `spsim sweep` is the CLI entry point; `crates/sweep/tests/` holds the
 //! worker-count equivalence tests.
@@ -25,14 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fingerprint;
 pub mod grid;
 pub mod report;
 pub mod route_bench;
 pub mod run;
 
-pub use fingerprint::{combine, derive_seed, Fnv};
 pub use grid::{CollectiveAlgo, GridSpec, Scenario};
-pub use report::{compare_baseline, outcome_to_json, BenchReport, MIN_PERF_RATIO};
-pub use route_bench::{compare_route_baseline, run_route_bench, RouteBenchReport};
+pub use report::{outcome_to_json, BenchReport};
+pub use route_bench::{check_stamped_speedup, run_route_bench, RouteBenchReport};
 pub use run::{run_scenario, run_sweep, MergedStats, ScenarioResult, SweepOutcome};

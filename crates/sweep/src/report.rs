@@ -1,19 +1,18 @@
 //! JSON reports and the committed perf baseline.
 //!
-//! The workspace has no serde (offline build), so the report format is a
-//! flat, hand-rolled JSON object read back through fabricd's field reader
-//! ([`fabricd::report::json_str`] and friends). `BENCH_sweep.json` at the
-//! repository root is the committed baseline; `cargo xtask lint` re-runs
-//! the smoke grid and gates on it: **fingerprint, scenario count, and event
-//! count match exactly** (determinism), and **events/sec may not regress
-//! below `MIN_PERF_RATIO` × baseline** (a loose tolerance so CI noise
-//! doesn't flake, but an order-of-magnitude slowdown fails).
+//! `BENCH_sweep.json` at the repository root is the committed baseline.
+//! Its table below declares every field once, with its gate, and
+//! [`fabricd::report`] writes and compares it. `cargo xtask lint` re-runs
+//! the smoke grid and gates on it: **grid, fingerprint, scenario count,
+//! and event count match exactly** (determinism), and **events/sec may not
+//! regress below [`MIN_PERF_RATIO`](fabricd::report::MIN_PERF_RATIO) ×
+//! baseline** (a loose tolerance so CI noise doesn't flake, but an
+//! order-of-magnitude slowdown fails).
 
 use crate::run::SweepOutcome;
-use fabricd::report::{json_f64, json_str, json_u64};
-
-/// Throughput may not drop below this fraction of the baseline.
-pub const MIN_PERF_RATIO: f64 = 0.1;
+use fabricd::report::Gate::{Exact, Floor, Info};
+use fabricd::report::Value::{self, Str, F64, U64};
+use fabricd::report::{BenchFields, Field};
 
 /// The benchmark summary that is serialized, committed, and gated on.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,78 +54,32 @@ impl BenchReport {
             },
         }
     }
-
-    /// Serialize to the committed JSON form (stable key order).
-    pub fn to_json(&self) -> String {
-        // Floats use Rust's shortest round-trip Display form so that
-        // parse(to_json(r)) == r exactly.
-        format!(
-            "{{\n  \"grid\": \"{}\",\n  \"scenarios\": {},\n  \"workers\": {},\n  \
-             \"fingerprint\": \"{}\",\n  \"events\": {},\n  \"wall_s\": {},\n  \
-             \"events_per_sec\": {},\n  \"speedup_vs_1\": {}\n}}\n",
-            self.grid,
-            self.scenarios,
-            self.workers,
-            self.fingerprint,
-            self.events,
-            self.wall_s,
-            self.events_per_sec,
-            self.speedup_vs_1,
-        )
-    }
-
-    /// Parse the JSON form produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<BenchReport, String> {
-        Ok(BenchReport {
-            grid: json_str(text, "grid")?,
-            scenarios: json_u64(text, "scenarios")?,
-            workers: json_u64(text, "workers")?,
-            fingerprint: json_str(text, "fingerprint")?,
-            events: json_u64(text, "events")?,
-            wall_s: json_f64(text, "wall_s")?,
-            events_per_sec: json_f64(text, "events_per_sec")?,
-            speedup_vs_1: json_f64(text, "speedup_vs_1")?,
-        })
-    }
 }
 
-/// Compare a fresh run against the committed baseline. Returns one message
-/// per violated gate; empty means the baseline holds.
-pub fn compare_baseline(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    if current.grid != baseline.grid {
-        failures.push(format!(
-            "grid mismatch: ran '{}', baseline is '{}'",
-            current.grid, baseline.grid
-        ));
+impl BenchFields for BenchReport {
+    const FIELDS: &'static [Field] = &[
+        ("grid", Exact),
+        ("scenarios", Exact),
+        ("workers", Info),
+        ("fingerprint", Exact),
+        ("events", Exact),
+        ("wall_s", Info),
+        ("events_per_sec", Floor),
+        ("speedup_vs_1", Info),
+    ];
+
+    fn values(&self) -> Vec<Value<'_>> {
+        vec![
+            Str(&self.grid),
+            U64(self.scenarios),
+            U64(self.workers),
+            Str(&self.fingerprint),
+            U64(self.events),
+            F64(self.wall_s),
+            F64(self.events_per_sec),
+            F64(self.speedup_vs_1),
+        ]
     }
-    if current.scenarios != baseline.scenarios {
-        failures.push(format!(
-            "scenario count {} != baseline {}",
-            current.scenarios, baseline.scenarios
-        ));
-    }
-    if current.fingerprint != baseline.fingerprint {
-        failures.push(format!(
-            "fingerprint {} != baseline {} — a simulation output changed; if intended, \
-             regenerate with `spsim sweep --grid {} --write-baseline BENCH_sweep.json`",
-            current.fingerprint, baseline.fingerprint, baseline.grid
-        ));
-    }
-    if current.events != baseline.events {
-        failures.push(format!(
-            "event count {} != baseline {}",
-            current.events, baseline.events
-        ));
-    }
-    let floor = baseline.events_per_sec * MIN_PERF_RATIO;
-    if current.events_per_sec < floor {
-        failures.push(format!(
-            "throughput {:.0} events/s is below {:.0} ({}x of baseline {:.0})",
-            current.events_per_sec, floor, MIN_PERF_RATIO, baseline.events_per_sec
-        ));
-    }
-    failures
 }
 
 /// Serialize the full per-scenario report (for `--json` artifacts).
@@ -173,6 +126,7 @@ pub fn outcome_to_json(out: &SweepOutcome, sequential_wall_s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabricd::report::{compare, Gate};
 
     fn report() -> BenchReport {
         BenchReport {
@@ -187,26 +141,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trips() {
-        let r = report();
-        let parsed = match BenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse failed: {e}"),
-        };
-        assert_eq!(parsed, r);
+    fn failures(current: &BenchReport, baseline: &BenchReport) -> Vec<(Gate, String)> {
+        compare(BenchReport::FIELDS, &current.to_json(), &baseline.to_json())
     }
 
     #[test]
-    fn parse_rejects_missing_keys() {
-        assert!(BenchReport::parse("{}").is_err());
-        assert!(BenchReport::parse("{\"grid\": \"smoke\"}").is_err());
+    fn every_row_keeps_its_gate() {
+        let rows = |gate| {
+            BenchReport::FIELDS
+                .iter()
+                .filter(move |(_, g)| *g == gate)
+                .map(|(key, _)| *key)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(Gate::Exact).len(), 4);
+        assert_eq!(rows(Gate::Floor), ["events_per_sec"]);
+        assert!(rows(Gate::Ceiling).is_empty());
+        assert_eq!(rows(Gate::Info), ["workers", "wall_s", "speedup_vs_1"]);
+    }
+
+    #[test]
+    fn to_json_writes_the_committed_layout() {
+        assert_eq!(
+            report().to_json(),
+            "{\n  \"grid\": \"smoke\",\n  \"scenarios\": 8,\n  \"workers\": 2,\n  \
+             \"fingerprint\": \"0x00000000deadbeef\",\n  \"events\": 12345,\n  \
+             \"wall_s\": 0.25,\n  \"events_per_sec\": 49380,\n  \"speedup_vs_1\": 1.8\n}\n"
+        );
     }
 
     #[test]
     fn identical_reports_pass_the_gate() {
         let r = report();
-        assert!(compare_baseline(&r, &r).is_empty());
+        assert!(failures(&r, &r).is_empty());
     }
 
     #[test]
@@ -214,9 +181,9 @@ mod tests {
         let baseline = report();
         let mut current = report();
         current.fingerprint = "0x0000000000000001".into();
-        let failures = compare_baseline(&current, &baseline);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("fingerprint"));
+        let found = failures(&current, &baseline);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].1.starts_with("fingerprint "), "{found:?}");
     }
 
     #[test]
@@ -224,11 +191,12 @@ mod tests {
         let baseline = report();
         let mut slow = report();
         slow.events_per_sec = baseline.events_per_sec * 0.05;
-        assert_eq!(compare_baseline(&slow, &baseline).len(), 1);
+        assert_eq!(failures(&slow, &baseline).len(), 1);
         let mut noisy = report();
         noisy.events_per_sec = baseline.events_per_sec * 0.5;
         noisy.wall_s = baseline.wall_s * 2.0;
         noisy.speedup_vs_1 = 1.1;
-        assert!(compare_baseline(&noisy, &baseline).is_empty());
+        noisy.workers = 1;
+        assert!(failures(&noisy, &baseline).is_empty());
     }
 }

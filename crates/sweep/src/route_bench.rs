@@ -20,17 +20,18 @@
 //! is tolerant: `BENCH_route.json` commits an FNV-1a fingerprint of every
 //! path found (exact-match gated — a routing change that moves a single
 //! hop trips it) plus the measured rates (floor-gated at
-//! [`MIN_PERF_RATIO`](crate::report::MIN_PERF_RATIO)). The stamped phase
+//! [`MIN_PERF_RATIO`](fabricd::report::MIN_PERF_RATIO)). The stamped phase
 //! keeps its own fingerprint stream (the legacy fingerprint's bytes are
 //! untouched) which also folds in the plan-library hit/fallback counters
 //! and a stamp-vs-scratch divergence marker, so a stamp that stops
 //! matching fresh routing byte-for-byte trips the exact gate, not just
 //! the rate floor.
 
-use crate::fingerprint::Fnv;
-use crate::report::MIN_PERF_RATIO;
+use desim::fnv::Fnv;
 use desim::SimRng;
-use fabricd::report::{json_f64, json_str, json_u64};
+use fabricd::report::Gate::{Exact, Floor, Info};
+use fabricd::report::Value::{self, Str, F64, U64};
+use fabricd::report::{json_f64, BenchFields, Field};
 use fabricd::{program_planned, program_with, ring_plan, PlanEngine};
 use lightpath::{CircuitRequest, TileCoord, Wafer, WaferConfig};
 use resilience::PhotonicRack;
@@ -85,40 +86,55 @@ pub struct RouteBenchReport {
     pub stamped_plans_per_sec: f64,
 }
 
-impl RouteBenchReport {
-    /// Serialize to the committed JSON form (stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"searches\": {},\n  \"batches\": {},\n  \"fingerprint\": \"{}\",\n  \
-             \"wall_s\": {},\n  \"paths_per_sec\": {},\n  \"batches_per_sec\": {},\n  \
-             \"stamped_batches\": {},\n  \"stamped_fingerprint\": \"{}\",\n  \
-             \"stamped_plans_per_sec\": {}\n}}\n",
-            self.searches,
-            self.batches,
-            self.fingerprint,
-            self.wall_s,
-            self.paths_per_sec,
-            self.batches_per_sec,
-            self.stamped_batches,
-            self.stamped_fingerprint,
-            self.stamped_plans_per_sec,
-        )
-    }
+impl BenchFields for RouteBenchReport {
+    const FIELDS: &'static [Field] = &[
+        ("searches", Exact),
+        ("batches", Exact),
+        ("fingerprint", Exact),
+        ("wall_s", Info),
+        ("paths_per_sec", Floor),
+        ("batches_per_sec", Floor),
+        ("stamped_batches", Exact),
+        ("stamped_fingerprint", Exact),
+        ("stamped_plans_per_sec", Floor),
+    ];
 
-    /// Parse the JSON form produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<RouteBenchReport, String> {
-        Ok(RouteBenchReport {
-            searches: json_u64(text, "searches")?,
-            batches: json_u64(text, "batches")?,
-            fingerprint: json_str(text, "fingerprint")?,
-            wall_s: json_f64(text, "wall_s")?,
-            paths_per_sec: json_f64(text, "paths_per_sec")?,
-            batches_per_sec: json_f64(text, "batches_per_sec")?,
-            stamped_batches: json_u64(text, "stamped_batches")?,
-            stamped_fingerprint: json_str(text, "stamped_fingerprint")?,
-            stamped_plans_per_sec: json_f64(text, "stamped_plans_per_sec")?,
-        })
+    fn values(&self) -> Vec<Value<'_>> {
+        vec![
+            U64(self.searches),
+            U64(self.batches),
+            Str(&self.fingerprint),
+            F64(self.wall_s),
+            F64(self.paths_per_sec),
+            F64(self.batches_per_sec),
+            U64(self.stamped_batches),
+            Str(&self.stamped_fingerprint),
+            F64(self.stamped_plans_per_sec),
+        ]
     }
+}
+
+/// The route gate's same-run check, beyond its per-field rows: warm
+/// plan-library stamping beats scratch programming by at least
+/// [`MIN_STAMPED_SPEEDUP`] in the same run.
+///
+/// Both rates come from the same process on the same machine, so the check
+/// is immune to host-speed skew. Debug builds re-verify stamped == fresh
+/// link budgets inside `establish_prebudgeted` debug_asserts, which erases
+/// the speedup by design: the check is a release-build property.
+pub fn check_stamped_speedup(current: &str) -> Result<(), String> {
+    if cfg!(debug_assertions) {
+        return Ok(());
+    }
+    let stamped = json_f64(current, "stamped_plans_per_sec")?;
+    let scratch = json_f64(current, "batches_per_sec")?;
+    if stamped < MIN_STAMPED_SPEEDUP * scratch {
+        return Err(format!(
+            "stamped plans/sec {stamped:.0} is below {MIN_STAMPED_SPEEDUP}x the scratch batch \
+             rate {scratch:.0} — the plan library is no longer skipping the search hot path"
+        ));
+    }
+    Ok(())
 }
 
 /// A deterministically loaded 4×8 wafer: `PRELOAD_ATTEMPTS` seeded
@@ -308,83 +324,18 @@ fn snap(rack: &PhotonicRack) -> String {
     w.finish()
 }
 
-/// Compare a fresh run against the committed baseline. Returns one message
-/// per violated gate; empty means the baseline holds. Fingerprint and
-/// workload sizes are exact gates; both rates are floor-gated.
-pub fn compare_route_baseline(
-    current: &RouteBenchReport,
-    baseline: &RouteBenchReport,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if current.searches != baseline.searches
-        || current.batches != baseline.batches
-        || current.stamped_batches != baseline.stamped_batches
-    {
-        failures.push(format!(
-            "workload mismatch: ran {}x{}x{}, baseline is {}x{}x{}",
-            current.searches,
-            current.batches,
-            current.stamped_batches,
-            baseline.searches,
-            baseline.batches,
-            baseline.stamped_batches
-        ));
-    }
-    if current.fingerprint != baseline.fingerprint {
-        failures.push(format!(
-            "fingerprint {} != baseline {} — a routing result changed; if intended, \
-             regenerate with `spsim routebench --write-baseline BENCH_route.json`",
-            current.fingerprint, baseline.fingerprint
-        ));
-    }
-    if current.stamped_fingerprint != baseline.stamped_fingerprint {
-        failures.push(format!(
-            "stamped fingerprint {} != baseline {} — a stamped plan diverged from fresh \
-             routing or the library's hit/fallback profile shifted; if intended, \
-             regenerate with `spsim routebench --write-baseline BENCH_route.json`",
-            current.stamped_fingerprint, baseline.stamped_fingerprint
-        ));
-    }
-    for (what, cur, base) in [
-        ("paths/sec", current.paths_per_sec, baseline.paths_per_sec),
-        (
-            "batches/sec",
-            current.batches_per_sec,
-            baseline.batches_per_sec,
-        ),
-        (
-            "stamped plans/sec",
-            current.stamped_plans_per_sec,
-            baseline.stamped_plans_per_sec,
-        ),
-    ] {
-        let floor = base * MIN_PERF_RATIO;
-        if cur < floor {
-            failures.push(format!(
-                "{what} {cur:.0} is below {floor:.0} ({MIN_PERF_RATIO}x of baseline {base:.0})"
-            ));
-        }
-    }
-    // The speedup gate is same-run (stamped vs scratch rate from the same
-    // process on the same machine), so it is immune to host-speed skew.
-    // Debug builds re-verify stamped == fresh link budgets inside
-    // `establish_prebudgeted` debug_asserts, which erases the speedup by
-    // design — the gate is a release-build property.
-    if !cfg!(debug_assertions)
-        && current.stamped_plans_per_sec < MIN_STAMPED_SPEEDUP * current.batches_per_sec
-    {
-        failures.push(format!(
-            "stamped plans/sec {:.0} is below {MIN_STAMPED_SPEEDUP}x the scratch batch \
-             rate {:.0} — the plan library is no longer skipping the search hot path",
-            current.stamped_plans_per_sec, current.batches_per_sec
-        ));
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabricd::report::{compare, Gate, MIN_PERF_RATIO};
+
+    fn failures(current: &RouteBenchReport, baseline: &RouteBenchReport) -> Vec<(Gate, String)> {
+        compare(
+            RouteBenchReport::FIELDS,
+            &current.to_json(),
+            &baseline.to_json(),
+        )
+    }
 
     #[test]
     fn fingerprint_is_deterministic_and_rate_independent() {
@@ -464,37 +415,82 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let r = run_route_bench(50, 2);
-        let parsed = match RouteBenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse own json: {e}"),
+    fn every_row_keeps_its_gate() {
+        let rows = |gate| {
+            RouteBenchReport::FIELDS
+                .iter()
+                .filter(move |(_, g)| *g == gate)
+                .map(|(key, _)| *key)
+                .collect::<Vec<_>>()
         };
-        assert_eq!(parsed, r);
+        assert_eq!(rows(Gate::Exact).len(), 5);
+        assert_eq!(
+            rows(Gate::Floor),
+            ["paths_per_sec", "batches_per_sec", "stamped_plans_per_sec"]
+        );
+        assert!(rows(Gate::Ceiling).is_empty());
+        assert_eq!(rows(Gate::Info), ["wall_s"]);
+    }
+
+    #[test]
+    fn to_json_writes_the_committed_layout() {
+        let r = RouteBenchReport {
+            searches: 200,
+            batches: 5,
+            fingerprint: "0x00000000deadbeef".into(),
+            wall_s: 0.125,
+            paths_per_sec: 1600.0,
+            batches_per_sec: 40.5,
+            stamped_batches: 5,
+            stamped_fingerprint: "0x00000000cafef00d".into(),
+            stamped_plans_per_sec: 91.25,
+        };
+        assert_eq!(
+            r.to_json(),
+            "{\n  \"searches\": 200,\n  \"batches\": 5,\n  \"fingerprint\": \"0x00000000deadbeef\",\n  \
+             \"wall_s\": 0.125,\n  \"paths_per_sec\": 1600,\n  \"batches_per_sec\": 40.5,\n  \
+             \"stamped_batches\": 5,\n  \"stamped_fingerprint\": \"0x00000000cafef00d\",\n  \
+             \"stamped_plans_per_sec\": 91.25\n}\n"
+        );
     }
 
     #[test]
     fn baseline_gates_have_teeth() {
         let r = run_route_bench(50, 2);
-        assert!(compare_route_baseline(&r, &r).is_empty());
+        assert!(failures(&r, &r).is_empty());
         let mut slow = r.clone();
         slow.paths_per_sec = r.paths_per_sec * MIN_PERF_RATIO * 0.5;
-        assert_eq!(compare_route_baseline(&slow, &r).len(), 1);
+        assert_eq!(failures(&slow, &r).len(), 1);
+        let mut slow_batches = r.clone();
+        slow_batches.batches_per_sec = r.batches_per_sec * MIN_PERF_RATIO * 0.5;
+        assert_eq!(failures(&slow_batches, &r).len(), 1);
         let mut moved = r.clone();
         moved.fingerprint = "0xdeadbeefdeadbeef".into();
-        assert_eq!(compare_route_baseline(&moved, &r).len(), 1);
+        assert_eq!(failures(&moved, &r).len(), 1);
         let mut resized = r.clone();
         resized.searches += 1;
-        assert_eq!(compare_route_baseline(&resized, &r).len(), 1);
+        resized.batches += 1;
+        assert_eq!(failures(&resized, &r).len(), 2);
         let mut unstamped = r.clone();
         unstamped.stamped_fingerprint = "0xdeadbeefdeadbeef".into();
-        assert_eq!(compare_route_baseline(&unstamped, &r).len(), 1);
+        assert_eq!(failures(&unstamped, &r).len(), 1);
         let mut slow_stamp = r.clone();
         slow_stamp.stamped_plans_per_sec = r.stamped_plans_per_sec * MIN_PERF_RATIO * 0.5;
-        // Floor gate always fires; release builds add the speedup gate.
-        assert!(!compare_route_baseline(&slow_stamp, &r).is_empty());
+        assert_eq!(failures(&slow_stamp, &r).len(), 1);
         let mut reshaped = r.clone();
         reshaped.stamped_batches += 1;
-        assert_eq!(compare_route_baseline(&reshaped, &r).len(), 1);
+        reshaped.wall_s *= 3.0;
+        assert_eq!(failures(&reshaped, &r).len(), 1);
+    }
+
+    #[test]
+    fn the_speedup_check_is_a_release_property() {
+        let mut r = run_route_bench(50, 2);
+        r.batches_per_sec = 100.0;
+        r.stamped_plans_per_sec = 129.0;
+        let slow = check_stamped_speedup(&r.to_json());
+        assert_eq!(slow.is_err(), !cfg!(debug_assertions), "{slow:?}");
+        r.stamped_plans_per_sec = 131.0;
+        assert_eq!(check_stamped_speedup(&r.to_json()), Ok(()));
     }
 }

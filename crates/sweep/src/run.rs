@@ -12,9 +12,9 @@
 //! pull interleaving; stats still stay out of the fingerprint so the
 //! fingerprint remains a pure routing/simulation digest — see `DESIGN.md`.
 
-use crate::fingerprint::Fnv;
 use crate::grid::{CollectiveAlgo, GridSpec, Scenario};
 use collectives::{bucket_reduce_scatter, execute, ring_all_reduce, snake_order, CostParams, Mode};
+use desim::fnv::{combine, Fnv};
 use desim::stats::{Histogram, OnlineStats};
 use desim::SimRng;
 use fabricd::{metrics::COUNTERS, CtrlConfig};
@@ -616,8 +616,7 @@ pub fn run_sweep(grid: &GridSpec, workers: usize) -> SweepOutcome {
         results.push(r);
     }
     let wall = started.elapsed();
-    let fingerprint =
-        crate::fingerprint::combine(&results.iter().map(|r| r.fingerprint).collect::<Vec<u64>>());
+    let fingerprint = combine(&results.iter().map(|r| r.fingerprint).collect::<Vec<u64>>());
     let events = results.iter().map(|r| r.events).sum();
     SweepOutcome {
         grid: grid.name.clone(),

@@ -16,14 +16,15 @@
 //!    suppressions require a reason; `detlint.toml` baselines only
 //!    ratchet down. A planted-violation negative control proves the
 //!    analyzer has teeth on every run.
-//! 3. **perf baselines** — re-runs the committed `BENCH_sweep.json` grid
-//!    via `spsim sweep`, the committed `BENCH_route.json` workload via
-//!    `spsim routebench`, and the committed `BENCH_pod.json` pod smoke
-//!    (4096 chips, two epoch windows, sharded vs sequential) via
-//!    `spsim pod --smoke` (release builds) and gates all three:
-//!    fingerprints, journal hashes, scenario/workload/record counts, and
-//!    event counts must match the baselines exactly, and throughput may
-//!    not regress below the tolerance floor.
+//! 3. **perf baselines** — walks [`BENCH_GATES`]: each row re-runs one
+//!    committed `BENCH_*.json` workload through a release `spsim`
+//!    (sweep, routebench, pod smoke, ctrl campaign, stitch placement) and
+//!    gates the fresh report with [`fabricd::report::compare`] over the
+//!    report's own field table: `Exact` rows (fingerprints, journal
+//!    hashes, counts) must match, `Floor` rates and the `Ceiling` latency
+//!    hold [`fabricd::report::MIN_PERF_RATIO`], `Info` rows only need to
+//!    be present. Two rows add a same-run check: route's stamped speedup
+//!    and placement's stitched job.
 //! 4. **fmt** — `cargo fmt --check` (skipped gracefully when rustfmt is
 //!    not installed).
 //! 5. **clippy** — `cargo clippy --workspace --all-targets` with
@@ -39,6 +40,7 @@ use collectives::cost::CostParams;
 use collectives::{
     all_to_all, bucket_reduce_scatter, ring_all_reduce, ring_reduce_scatter, snake_order, Mode,
 };
+use fabricd::report::{compare, json_f64, json_raw, BenchFields, Field, Gate, MIN_PERF_RATIO};
 use lightpath::{CircuitRequest, TileCoord, Wafer, WaferConfig};
 use resilience::{fig6a, optical_repair, PhotonicRack};
 use std::path::{Path, PathBuf};
@@ -108,7 +110,7 @@ fn lint(flags: &[String]) -> ExitCode {
         if skip_bench {
             println!("  skipped (--skip-bench)");
         } else {
-            failures.extend((gate.run)(&root));
+            failures.extend(run_bench_gate(&root, gate));
         }
     }
 
@@ -777,78 +779,100 @@ fn verify_golden(root: &Path) -> Vec<String> {
 
 // --------------------------------------------------------- perf baseline --
 
-/// One committed perf-baseline artifact and the typed gate that re-runs
-/// and compares it. `lint` walks [`BENCH_GATES`] in order; adding a gate
-/// is one table entry plus a thin typed wrapper over [`run_bench_gate`].
+/// One committed perf-baseline artifact, as data: the report table that
+/// gates it and the `spsim` run that reproduces it. `lint` walks
+/// [`BENCH_GATES`] in order through [`run_bench_gate`].
 struct BenchGate {
     /// The committed artifact at the workspace root (also the section
     /// title `lint` prints).
     baseline: &'static str,
-    /// The typed gate body.
-    run: fn(&Path) -> Vec<String>,
+    /// The report's `(key, gate)` rows.
+    fields: &'static [Field],
+    /// The `spsim` subcommand and its fixed flags.
+    command: &'static [&'static str],
+    /// Keys whose baseline values are passed as `--key value`.
+    keyed: &'static [&'static str],
+    /// A same-run check beyond the per-field rows.
+    check: Option<fn(&str) -> Result<(), String>>,
+    /// The command that rewrites the baseline, printed once on failure.
+    regen: &'static str,
 }
 
 /// Every perf gate `cargo xtask lint` enforces, in run order.
 const BENCH_GATES: &[BenchGate] = &[
     BenchGate {
         baseline: "BENCH_sweep.json",
-        run: sweep_baseline,
+        fields: sweep::BenchReport::FIELDS,
+        command: &["sweep"],
+        keyed: &["grid", "workers"],
+        check: None,
+        regen: "spsim sweep --grid smoke --workers 2 --write-baseline BENCH_sweep.json",
     },
     BenchGate {
         baseline: "BENCH_route.json",
-        run: route_baseline,
+        fields: sweep::RouteBenchReport::FIELDS,
+        command: &["routebench"],
+        keyed: &["searches", "batches"],
+        check: Some(sweep::check_stamped_speedup),
+        regen: "spsim routebench --write-baseline BENCH_route.json",
     },
     BenchGate {
         baseline: "BENCH_pod.json",
-        run: pod_baseline,
+        fields: pod::PodBenchReport::FIELDS,
+        command: &["pod", "--smoke"],
+        keyed: &[],
+        check: None,
+        regen: "spsim pod --smoke --write-baseline BENCH_pod.json",
     },
     BenchGate {
         baseline: "BENCH_ctrl.json",
-        run: ctrl_baseline,
+        fields: fabricd::CtrlBenchReport::FIELDS,
+        command: &["ctrl", "--campaign"],
+        keyed: &[],
+        check: None,
+        regen: "spsim ctrl --campaign --write-baseline BENCH_ctrl.json",
     },
     BenchGate {
         baseline: "BENCH_placement.json",
-        run: placement_baseline,
+        fields: pod::PodBenchReport::FIELDS,
+        command: &["pod", "--failures", "2"],
+        keyed: &["chips", "jobs", "policy"],
+        check: Some(pod::check_stitched),
+        regen: "spsim pod --chips 512 --jobs 96 --failures 2 --policy stitch \
+                --write-baseline BENCH_placement.json",
     },
 ];
 
-/// The shared skeleton every perf gate runs: read the committed baseline,
-/// parse it, re-run the workload through `spsim` (release, so throughput
-/// is comparable to the committed numbers) into a scratch artifact under
-/// `target/`, parse that, compare, and report. The closures supply the
-/// typed pieces: `argv` builds the spsim invocation from the parsed
-/// baseline (`--write-baseline <scratch>` is appended here), `compare`
-/// returns the violated gates, `ok_line` renders the success summary.
-fn run_bench_gate<R>(
-    root: &Path,
-    baseline_file: &str,
-    regen: &str,
-    parse: fn(&str) -> Result<R, String>,
-    argv: impl FnOnce(&R) -> Vec<String>,
-    compare: impl FnOnce(&R, &R) -> Vec<String>,
-    ok_line: impl FnOnce(&R, &R) -> String,
-) -> Vec<String> {
-    let baseline_path = root.join(baseline_file);
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
+/// Run one gate: read the committed baseline, re-run its workload through
+/// `spsim` (release, so rates are comparable to the committed numbers)
+/// into a scratch artifact under `target/`, compare every row, run the
+/// same-run check, and report.
+fn run_bench_gate(root: &Path, gate: &BenchGate) -> Vec<String> {
+    let baseline_path = root.join(gate.baseline);
+    let baseline = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
         Err(e) => {
             println!("  FAIL cannot read {}: {e}", baseline_path.display());
             return vec![format!(
-                "missing perf baseline {} — generate with `{regen}`",
-                baseline_path.display()
+                "missing perf baseline {} — generate with `{}`",
+                baseline_path.display(),
+                gate.regen
             )];
         }
     };
-    let baseline = match parse(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            println!("  FAIL unparseable baseline: {e}");
-            return vec![format!("unparseable {}: {e}", baseline_path.display())];
+    let mut args: Vec<String> = gate.command.iter().map(|a| a.to_string()).collect();
+    for key in gate.keyed {
+        match json_raw(&baseline, key) {
+            Ok(value) => args.extend([format!("--{key}"), value.trim_matches('"').to_string()]),
+            Err(e) => {
+                println!("  FAIL baseline: {e}");
+                println!("       regenerate with `{}`", gate.regen);
+                return vec![format!("{}: baseline: {e}", gate.baseline)];
+            }
         }
-    };
-    let args = argv(&baseline);
-    let subcommand = args.first().cloned().unwrap_or_default();
-    let stem = baseline_file.strip_suffix(".json").unwrap_or(baseline_file);
+    }
+    let subcommand = gate.command.first().copied().unwrap_or_default();
+    let stem = gate.baseline.strip_suffix(".json").unwrap_or(gate.baseline);
     let current_path = root.join("target").join(format!("{stem}.current.json"));
     let status = cargo()
         .current_dir(root)
@@ -871,219 +895,51 @@ fn run_bench_gate<R>(
             return vec![format!("could not run spsim {subcommand}: {e}")];
         }
     }
-    let current = match std::fs::read_to_string(&current_path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| parse(&t))
-    {
-        Ok(c) => c,
+    let current = match std::fs::read_to_string(&current_path) {
+        Ok(t) => t,
         Err(e) => {
             println!("  FAIL unreadable {subcommand} output: {e}");
             return vec![format!("unreadable {}: {e}", current_path.display())];
         }
     };
-    let failures = compare(&current, &baseline);
+    let mut failures: Vec<String> = compare(gate.fields, &current, &baseline)
+        .into_iter()
+        .map(|(_, message)| message)
+        .collect();
+    failures.extend(gate.check.and_then(|check| check(&current).err()));
     if failures.is_empty() {
-        println!("  ok   {}", ok_line(&current, &baseline));
+        println!("  ok   {}", ok_line(gate.fields, &current, &baseline));
     } else {
         for f in &failures {
             println!("  FAIL {f}");
         }
+        println!(
+            "       if the change is intended, regenerate with `{}`",
+            gate.regen
+        );
     }
     failures
+        .into_iter()
+        .map(|f| format!("{}: {f}", gate.baseline))
+        .collect()
 }
 
-/// Re-run the committed benchmark grid through `spsim sweep` and gate on
-/// `BENCH_sweep.json`: exact fingerprint/scenario/event equality,
-/// tolerant throughput floor (see [`sweep::MIN_PERF_RATIO`]).
-fn sweep_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_sweep.json",
-        "spsim sweep --grid smoke --workers 2 --write-baseline BENCH_sweep.json",
-        sweep::BenchReport::parse,
-        |b| {
-            vec![
-                "sweep".into(),
-                "--grid".into(),
-                b.grid.clone(),
-                "--workers".into(),
-                b.workers.to_string(),
-            ]
-        },
-        sweep::compare_baseline,
-        |c, b| {
-            format!(
-                "grid '{}' fingerprint {} reproduced; {:.0} events/s (baseline {:.0}, \
-                 floor {:.2}x)",
-                c.grid,
-                c.fingerprint,
-                c.events_per_sec,
-                b.events_per_sec,
-                sweep::MIN_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed routing benchmark through `spsim routebench` and
-/// gate on `BENCH_route.json`: exact workload and path-fingerprint
-/// equality, tolerant throughput floors for both rates.
-fn route_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_route.json",
-        "spsim routebench --write-baseline BENCH_route.json",
-        sweep::RouteBenchReport::parse,
-        |b| {
-            vec![
-                "routebench".into(),
-                "--searches".into(),
-                b.searches.to_string(),
-                "--batches".into(),
-                b.batches.to_string(),
-            ]
-        },
-        sweep::compare_route_baseline,
-        |c, b| {
-            format!(
-                "fingerprints {} / {} (stamped) reproduced; {:.0} paths/s, \
-                 {:.0} batches/s, {:.0} stamped plans/s ({:.1}x scratch; baseline \
-                 {:.0}/{:.0}/{:.0}, floor {:.2}x)",
-                c.fingerprint,
-                c.stamped_fingerprint,
-                c.paths_per_sec,
-                c.batches_per_sec,
-                c.stamped_plans_per_sec,
-                if c.batches_per_sec > 0.0 {
-                    c.stamped_plans_per_sec / c.batches_per_sec
-                } else {
-                    0.0
-                },
-                b.paths_per_sec,
-                b.batches_per_sec,
-                b.stamped_plans_per_sec,
-                sweep::MIN_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed pod smoke — the full 4096-chip pod over two epoch
-/// windows, shards=1 vs shards=4 (`spsim pod --smoke` refuses to report at
-/// all unless the sharded and sequential fingerprints agree bit for bit) —
-/// and gate on `BENCH_pod.json`: exact fingerprint, journal hash, record
-/// and event counts, tolerant events/sec floor (see
-/// [`pod::MIN_PERF_RATIO`]).
-fn pod_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_pod.json",
-        "spsim pod --smoke --write-baseline BENCH_pod.json",
-        pod::PodBenchReport::parse,
-        |_| vec!["pod".into(), "--smoke".into()],
-        pod::compare_baseline,
-        |c, b| {
-            format!(
-                "{} chips / {} groups / {} epochs: fingerprint {} and journal {} \
-                 reproduced; {:.0} events/s (baseline {:.0}, floor {:.2}x)",
-                c.chips,
-                c.groups,
-                c.epochs,
-                c.fingerprint,
-                c.journal_hash,
-                c.events_per_sec,
-                b.events_per_sec,
-                pod::MIN_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed control-plane bench — the [`fabricd::bench_config`]
-/// campaign with periodic snapshots, a from-scratch replay, and a delta
-/// replay from the last snapshot — and gate on `BENCH_ctrl.json`: exact
-/// fingerprint, journal hash, record/snapshot/admission counts, the
-/// tail-replay record count (the structural O(tail) claim), a tolerant
-/// admissions/sec floor, and a tolerant tail-replay latency ceiling (see
-/// [`fabricd::MIN_CTRL_PERF_RATIO`]).
-fn ctrl_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_ctrl.json",
-        "spsim ctrl --campaign --write-baseline BENCH_ctrl.json",
-        fabricd::CtrlBenchReport::parse,
-        |_| vec!["ctrl".into(), "--campaign".into()],
-        fabricd::compare_ctrl_baseline,
-        |c, b| {
-            format!(
-                "{} jobs / {} snapshots: fingerprint {} and journal {} reproduced; \
-                 delta replay folds {} of {} records in {:.3} ms; {:.0} admissions/s \
-                 (baseline {:.0}, floor {:.2}x)",
-                c.jobs,
-                c.snapshots,
-                c.fingerprint,
-                c.journal_hash,
-                c.replay_tail_records,
-                c.replay_full_records,
-                c.replay_tail_ms,
-                c.admissions_per_sec,
-                b.admissions_per_sec,
-                fabricd::MIN_CTRL_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed cross-group placement scenario — the stitch
-/// policy on a 512-chip pod (eight single-rack shard domains, so a
-/// 64-chip job cannot fit a broken group without crossing a rack face) —
-/// and gate on `BENCH_placement.json`: exact fingerprint, journal hash,
-/// policy and stitch-counter equality, the tolerant events/sec floor,
-/// plus the structural claim that at least one cross-group job was
-/// admitted (a stitch policy that silently stops stitching fails the
-/// gate even if it stays deterministic).
-fn placement_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_placement.json",
-        "spsim pod --chips 512 --jobs 96 --failures 2 --policy stitch \
-         --write-baseline BENCH_placement.json",
-        pod::PodBenchReport::parse,
-        |b| {
-            vec![
-                "pod".into(),
-                "--chips".into(),
-                b.chips.to_string(),
-                "--jobs".into(),
-                b.jobs.to_string(),
-                "--failures".into(),
-                "2".into(),
-                "--policy".into(),
-                b.policy.clone(),
-            ]
-        },
-        |c, b| {
-            let mut f = pod::compare_baseline(c, b);
-            if c.stitch_admits == 0 {
-                f.push("placement gate: the stitch policy admitted no cross-group job".into());
-            }
-            f
-        },
-        |c, b| {
-            format!(
-                "policy '{}': {} stitched job(s) ({} legs, {} rollbacks), fingerprint {} \
-                 reproduced; {:.0} events/s (baseline {:.0}, floor {:.2}x)",
-                c.policy,
-                c.stitch_admits,
-                c.stitch_legs,
-                c.stitch_rollbacks,
-                c.fingerprint,
-                c.events_per_sec,
-                b.events_per_sec,
-                pod::MIN_PERF_RATIO
-            )
-        },
-    )
+/// The success summary: how many exact rows reproduced, then each rate
+/// with its baseline and bound.
+fn ok_line(fields: &[Field], current: &str, baseline: &str) -> String {
+    let exact = fields.iter().filter(|(_, g)| *g == Gate::Exact).count();
+    let mut line = format!("{exact} exact fields reproduced");
+    for (key, gate) in fields {
+        let cur = json_f64(current, key).unwrap_or(f64::NAN);
+        let base = json_f64(baseline, key).unwrap_or(f64::NAN);
+        let bound = match gate {
+            Gate::Floor => format!("floor {:.3}", base * MIN_PERF_RATIO),
+            Gate::Ceiling => format!("ceiling {:.3}", base / MIN_PERF_RATIO),
+            Gate::Exact | Gate::Info => continue,
+        };
+        line.push_str(&format!("; {key} {cur:.3} (baseline {base:.3}, {bound})"));
+    }
+    line
 }
 
 // --------------------------------------------------------- source audits --

@@ -15,6 +15,7 @@ use server_photonics::collectives::{
     all_to_all, bucket_reduce_scatter, execute, ring_reduce_scatter, snake_order, CostParams, Mode,
 };
 use server_photonics::desim::{SimDuration, SimRng, SimTime};
+use server_photonics::fabricd::report::{compare, BenchFields};
 use server_photonics::fabricd::{self, CampaignOptions, CtrlConfig, CtrlSnapshot};
 use server_photonics::hostnet::{self, CircuitPolicy, HostParams, Message, PeerId};
 use server_photonics::lightpath::{CircuitRequest, FabricError, TileCoord, Wafer, WaferConfig};
@@ -23,7 +24,8 @@ use server_photonics::resilience::{
     analyze, fig6a, measure_interference, optical_repair, PhotonicRack,
 };
 use server_photonics::sweep::{
-    outcome_to_json, route_bench, run_route_bench, run_sweep, BenchReport, GridSpec,
+    check_stamped_speedup, outcome_to_json, route_bench, run_route_bench, run_sweep, BenchReport,
+    GridSpec, RouteBenchReport,
 };
 use server_photonics::topo::{Coord3, Shape3, Slice, Torus};
 use server_photonics::workloads::{generate, simulate as simulate_placement, ArrivalParams};
@@ -733,8 +735,12 @@ fn cmd_routebench(args: &Args) -> Result<(), String> {
         let path = args.get_str("baseline", "BENCH_route.json");
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let baseline = route_bench::RouteBenchReport::parse(&text)?;
-        let failures = route_bench::compare_route_baseline(&report, &baseline);
+        let current = report.to_json();
+        let mut failures: Vec<String> = compare(RouteBenchReport::FIELDS, &current, &text)
+            .into_iter()
+            .map(|(_, message)| message)
+            .collect();
+        failures.extend(check_stamped_speedup(&current).err());
         for f in &failures {
             eprintln!("  GATE {f}");
         }

@@ -1,37 +1,30 @@
 //! Snapshot-path pins that plain `cargo test` checks: the committed ctrl
-//! bench scenario must reproduce `BENCH_ctrl.json`'s fingerprint and
-//! journal hash exactly, and compaction must not move either; its last
-//! snapshot must reproduce `golden/ctrl_snapshot.txt` byte for byte; and
-//! a pod run resumed from a mid-run snapshot must land on the
-//! uninterrupted run. Any drift in journal hashing, snapshot capture, or
-//! the admission engine's queue and event codec fails here.
+//! bench scenario must reproduce every exact field of `BENCH_ctrl.json`
+//! (fingerprint, journal hash, record, snapshot and admission counts, and
+//! the tail-replay record count), and compaction must not move its
+//! fingerprint, journal hash or record count; its last snapshot must
+//! reproduce `golden/ctrl_snapshot.txt` byte for byte; and a pod run
+//! resumed from a mid-run snapshot must land on the uninterrupted run. Any
+//! drift in journal hashing, snapshot capture, or the admission engine's
+//! queue and event codec fails here.
 
 use desim::SimDuration;
-use fabricd::{
-    report::bench_config, run_campaign, run_ctrl_bench, CampaignOptions, CtrlBenchReport,
-};
+use fabricd::report::{bench_config, compare, json_str, json_u64, BenchFields, Gate};
+use fabricd::{run_campaign, run_ctrl_bench, CampaignOptions, CtrlBenchReport};
 use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot};
 use workloads::ArrivalParams;
 
-fn committed_ctrl() -> CtrlBenchReport {
-    match CtrlBenchReport::parse(include_str!("../BENCH_ctrl.json")) {
-        Ok(r) => r,
-        Err(e) => panic!("BENCH_ctrl.json does not parse: {e}"),
-    }
-}
+const BENCH_CTRL: &str = include_str!("../BENCH_ctrl.json");
 
 #[test]
 fn ctrl_bench_reproduces_the_committed_pins() {
     let (cfg, every) = bench_config();
     let run = run_ctrl_bench(&cfg, every).expect("ctrl bench runs");
-    let pinned = committed_ctrl();
-    assert_eq!(run.fingerprint, pinned.fingerprint, "state fingerprint");
-    assert_eq!(run.journal_hash, pinned.journal_hash, "journal hash");
-    assert_eq!(run.snapshots, pinned.snapshots, "snapshot count");
-    assert_eq!(
-        run.journal_records, pinned.journal_records,
-        "journal records"
-    );
+    let drift: Vec<_> = compare(CtrlBenchReport::FIELDS, &run.to_json(), BENCH_CTRL)
+        .into_iter()
+        .filter(|(gate, _)| *gate == Gate::Exact)
+        .collect();
+    assert!(drift.is_empty(), "BENCH_ctrl.json drifted: {drift:#?}");
 }
 
 /// The event kind codes, the `(time, seq)` keys and the whole `[campaign]`
@@ -63,17 +56,19 @@ fn compacted_ctrl_campaign_ends_on_the_committed_pins() {
         crash_after_events: None,
     };
     let out = run_campaign(&cfg, &opts).expect("compacted campaign runs");
-    let pinned = committed_ctrl();
     assert!(out.state.journal().base_seq() > 0, "compaction happened");
     assert_eq!(
-        format!("{:#018x}", out.state.fingerprint()),
-        pinned.fingerprint
+        Ok(format!("{:#018x}", out.state.fingerprint())),
+        json_str(BENCH_CTRL, "fingerprint")
     );
     assert_eq!(
-        format!("{:#018x}", out.state.journal().hash()),
-        pinned.journal_hash
+        Ok(format!("{:#018x}", out.state.journal().hash())),
+        json_str(BENCH_CTRL, "journal_hash")
     );
-    assert_eq!(out.state.journal().len() as u64, pinned.journal_records);
+    assert_eq!(
+        Ok(out.state.journal().len() as u64),
+        json_u64(BENCH_CTRL, "journal_records")
+    );
 }
 
 #[test]
