@@ -205,6 +205,14 @@ struct CrossBuild {
     manual_dst_claim: Option<usize>,
 }
 
+/// One wafer's [`Wafer::write_snap`] text and the wafer revision it was
+/// written at (`None`: never written).
+#[derive(Debug, Clone, Default)]
+struct WaferText {
+    rev: Option<u64>,
+    text: String,
+}
+
 /// A rack-scale assembly of LIGHTPATH wafers joined by fibers.
 #[derive(Debug, Clone)]
 pub struct Fabric {
@@ -212,6 +220,9 @@ pub struct Fabric {
     fibers: Vec<FiberState>,
     cross: BTreeMap<CrossCircuitId, CrossCircuit>,
     next_id: u64,
+    /// Each wafer's snapshot text, by wafer id, for
+    /// [`write_snap_cached`](Self::write_snap_cached). Never serialized.
+    snap_text: Vec<WaferText>,
 }
 
 impl Fabric {
@@ -223,6 +234,7 @@ impl Fabric {
             fibers: Vec::new(),
             cross: BTreeMap::new(),
             next_id: 0,
+            snap_text: Vec::new(),
         }
     }
 
@@ -755,12 +767,46 @@ impl Fabric {
     /// capacities) is template state rebuilt by the caller's constructor
     /// and is not written.
     pub fn write_snap(&self, w: &mut desim::SnapWriter) {
-        w.section("fabric");
-        w.u64("next_id", self.next_id);
-        w.u64("wafers", self.wafers.len() as u64);
+        self.write_snap_head(w);
         for wafer in &self.wafers {
             wafer.write_snap(w);
         }
+        self.write_snap_links(w);
+    }
+
+    /// [`write_snap`](Self::write_snap), byte for byte, through a per-wafer
+    /// text cache: a wafer whose revision has not moved since its text was
+    /// last written is appended from the cache, and only the others are
+    /// re-serialized, so serialization costs O(changed wafers). Debug
+    /// builds check every cached text against a fresh write.
+    pub fn write_snap_cached(&mut self, w: &mut desim::SnapWriter) {
+        self.write_snap_head(w);
+        self.snap_text
+            .resize_with(self.wafers.len(), WaferText::default);
+        for (wafer, cached) in self.wafers.iter().zip(&mut self.snap_text) {
+            if cached.rev != Some(wafer.rev()) {
+                cached.text = wafer_text(wafer);
+                cached.rev = Some(wafer.rev());
+            }
+            debug_assert_eq!(
+                cached.text,
+                wafer_text(wafer),
+                "cached wafer snapshot text diverged from a fresh write"
+            );
+            w.append(&cached.text);
+        }
+        self.write_snap_links(w);
+    }
+
+    fn write_snap_head(&self, w: &mut desim::SnapWriter) {
+        w.section("fabric");
+        w.u64("next_id", self.next_id);
+        w.u64("wafers", self.wafers.len() as u64);
+    }
+
+    /// Fiber usage and the cross-circuit table: the part of the fabric's
+    /// snapshot after its wafers.
+    fn write_snap_links(&self, w: &mut desim::SnapWriter) {
         w.u64("fibers", self.fibers.len() as u64);
         for f in &self.fibers {
             w.u64("used", f.used as u64);
@@ -918,6 +964,13 @@ impl Fabric {
         }
         Ok(())
     }
+}
+
+/// One wafer's snapshot text, written from scratch.
+fn wafer_text(wafer: &Wafer) -> String {
+    let mut w = desim::SnapWriter::new();
+    wafer.write_snap(&mut w);
+    w.finish()
 }
 
 #[cfg(test)]
@@ -1143,6 +1196,69 @@ mod tests {
         assert_eq!(g.fiber_free(0), 4);
         assert_eq!(g.wafer(WaferId(0)).tile(t(0, 7)).serdes.tx_free(), 16);
         assert_eq!(g.wafer(WaferId(1)).tile(t(3, 5)).serdes.rx_free(), 16);
+    }
+
+    /// Serialize `f` fresh and through its cache; the bytes must agree.
+    /// Returns the cached text and the ids of the wafers it re-serialized.
+    fn cached_write(f: &mut Fabric) -> (String, Vec<usize>) {
+        let before: Vec<Option<u64>> = f.snap_text.iter().map(|c| c.rev).collect();
+        let mut cached = desim::SnapWriter::new();
+        f.write_snap_cached(&mut cached);
+        let mut fresh = desim::SnapWriter::new();
+        f.write_snap(&mut fresh);
+        let text = cached.finish();
+        assert_eq!(text, fresh.finish(), "cached write diverged from fresh");
+        let rewritten = f
+            .snap_text
+            .iter()
+            .enumerate()
+            .filter(|&(i, c)| before.get(i).copied().flatten() != c.rev)
+            .map(|(i, _)| i)
+            .collect();
+        (text, rewritten)
+    }
+
+    #[test]
+    fn every_wafer_mutation_forces_its_text_to_be_rewritten() {
+        let (mut f, _) = two_wafer_fabric();
+        let (text, rewritten) = cached_write(&mut f);
+        assert_eq!(rewritten, [0, 1], "a cold cache writes every wafer");
+        assert_eq!(cached_write(&mut f), (text.clone(), vec![]));
+
+        // A SerDes claim straight through `tile_mut`, the way cross
+        // circuits claim attach-tile lanes: the bytes move.
+        f.wafer_mut(WaferId(1))
+            .tile_mut(t(2, 3))
+            .serdes
+            .claim_tx(LambdaSet::first_n(2))
+            .expect("free lanes");
+        let (claimed, rewritten) = cached_write(&mut f);
+        assert_eq!(rewritten, [1]);
+        assert_ne!(claimed, text);
+
+        // A failed establish changes no byte, yet still rewrites: a
+        // rolled-back batch is a run of calls like this one.
+        let same = CircuitRequest::new(t(1, 1), t(1, 1), 1);
+        assert!(f.wafer_mut(WaferId(0)).establish(same).is_err());
+        assert_eq!(cached_write(&mut f), (claimed.clone(), vec![0]));
+
+        // A circuit and its teardown each rewrite their wafer.
+        let id = f
+            .wafer_mut(WaferId(0))
+            .establish(CircuitRequest::new(t(1, 1), t(2, 2), 1))
+            .expect("establish")
+            .id;
+        assert_eq!(cached_write(&mut f).1, [0]);
+        f.wafer_mut(WaferId(0)).teardown(id).expect("teardown");
+        assert_eq!(cached_write(&mut f).1, [0]);
+
+        // Restoring over a warm cache rewrites every wafer it reads.
+        let (mut g, _) = two_wafer_fabric();
+        assert_eq!(cached_write(&mut g).1, [0, 1]);
+        let mut r = desim::SnapReader::new(&claimed);
+        g.read_snap(&mut r).expect("restore");
+        r.done().expect("consumed fully");
+        assert_eq!(cached_write(&mut g), (claimed, vec![0, 1]));
     }
 
     #[test]

@@ -63,6 +63,12 @@ pub struct Wafer {
     /// state (establish, teardown, tile failure/restore). Route-layer
     /// caches key on this: equal epochs guarantee identical search results.
     occupancy_epoch: u64,
+    /// Revision keying [`Fabric`](crate::fabric::Fabric)'s cache of this
+    /// wafer's snapshot text: bumped on entry to every `&mut self` method,
+    /// failed attempts included, and never serialized. It is not
+    /// `occupancy_epoch`, which is serialized and misses SerDes claims
+    /// made through [`tile_mut`](Self::tile_mut).
+    rev: u64,
 }
 
 impl Wafer {
@@ -103,6 +109,7 @@ impl Wafer {
             next_id: 0,
             reconfigs: 0,
             occupancy_epoch: 0,
+            rev: 0,
         }
     }
 
@@ -130,6 +137,7 @@ impl Wafer {
     ///
     /// Panics if `t` is outside the grid.
     pub fn tile_mut(&mut self, t: TileCoord) -> &mut Tile {
+        self.rev += 1;
         let i = self.index(t).expect("tile coordinate out of bounds");
         &mut self.tiles[i]
     }
@@ -189,6 +197,13 @@ impl Wafer {
     /// [`route`]: https://docs.rs/route
     pub fn occupancy_epoch(&self) -> u64 {
         self.occupancy_epoch
+    }
+
+    /// The snapshot-text revision (see the `rev` field): equal revisions
+    /// bracket a window in which [`write_snap`](Self::write_snap) writes
+    /// the same bytes.
+    pub(crate) fn rev(&self) -> u64 {
+        self.rev
     }
 
     /// The itemized optical loss budget a circuit on `path` would incur.
@@ -276,6 +291,7 @@ impl Wafer {
         req: CircuitRequest,
         prebudgeted: Option<phy::link_budget::LinkReport>,
     ) -> Result<EstablishReport, CircuitError> {
+        self.rev += 1;
         // --- validate endpoints -------------------------------------------------
         if req.src == req.dst {
             return Err(CircuitError::SameEndpoints(req.src));
@@ -403,6 +419,7 @@ impl Wafer {
 
     /// Tear a circuit down, releasing its waveguides and SerDes lanes.
     pub fn teardown(&mut self, id: CircuitId) -> Result<(), CircuitError> {
+        self.rev += 1;
         // Resolve indices before removing so an (impossible) stale path
         // leaves the wafer untouched instead of panicking mid-teardown.
         let (src_idx, dst_idx) = {
@@ -460,12 +477,14 @@ impl Wafer {
     /// Mark a tile's accelerator failed. Existing circuits are untouched;
     /// the resilience layer decides what to tear down.
     pub fn fail_tile(&mut self, t: TileCoord) {
+        self.rev += 1;
         self.tile_mut(t).fail();
         self.occupancy_epoch += 1;
     }
 
     /// Restore a tile's accelerator.
     pub fn restore_tile(&mut self, t: TileCoord) {
+        self.rev += 1;
         self.tile_mut(t).restore();
         self.occupancy_epoch += 1;
     }
@@ -521,6 +540,7 @@ impl Wafer {
     /// (leaving `self` possibly partially restored — callers discard it)
     /// on any inconsistency instead of panicking.
     pub fn read_snap(&mut self, r: &mut desim::SnapReader<'_>) -> Result<(), String> {
+        self.rev += 1;
         r.section("wafer")?;
         self.next_id = r.u64("next_id")?;
         self.reconfigs = r.u64("reconfigs")?;

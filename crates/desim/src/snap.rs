@@ -10,11 +10,16 @@
 //!
 //! The format is deliberately primitive: UTF-8 lines, `[section]` headers,
 //! `key=value` pairs in a fixed order chosen by the writer. The reader is
-//! *strict* — it demands exactly the keys the writer emitted, in order —
-//! because a lenient reader would accept byte strings the writer never
-//! produces, and then "restored fingerprint == snapshot fingerprint" would
-//! stop implying "same state". Floats travel as exact bit patterns
-//! (`{:016x}` of `f64::to_bits`), never decimal, for the same reason.
+//! *strict* — it demands exactly the keys the writer emitted, in order, and
+//! numbers only in the one form the writer prints them (no `+`, no leading
+//! zero, no `-0`, hex digits lower-case and 16 wide) — because a lenient
+//! reader would accept byte strings the writer never produces, and then
+//! "restored fingerprint == snapshot fingerprint" would stop implying "same
+//! state". Floats travel as exact bit patterns (`{:016x}` of
+//! `f64::to_bits`), never decimal, for the same reason.
+//!
+//! The writer allocates nothing per value: digits go straight into its
+//! buffer, and a key with nothing to escape is one copy.
 //!
 //! Nothing here panics: the writer is infallible by construction and the
 //! reader returns `Err(String)` on any malformed input, so a corrupted
@@ -46,14 +51,17 @@ impl SnapWriter {
     /// Write `key=<decimal u64>`.
     pub fn u64(&mut self, key: &str, v: u64) {
         self.key(key);
-        self.buf.push_str(&v.to_string());
+        push_decimal(&mut self.buf, v);
         self.buf.push('\n');
     }
 
     /// Write `key=<decimal i64>`.
     pub fn i64(&mut self, key: &str, v: i64) {
         self.key(key);
-        self.buf.push_str(&v.to_string());
+        if v < 0 {
+            self.buf.push('-');
+        }
+        push_decimal(&mut self.buf, v.unsigned_abs());
         self.buf.push('\n');
     }
 
@@ -61,7 +69,23 @@ impl SnapWriter {
     /// bit-identical and no decimal rounding can perturb a fingerprint.
     pub fn f64(&mut self, key: &str, v: f64) {
         self.key(key);
-        self.buf.push_str(&format!("{:016x}", v.to_bits()));
+        let mut bits = v.to_bits();
+        let mut hex = [b'0'; 16];
+        for d in hex.iter_mut().rev() {
+            // A nibble is below 16, so the cast is lossless.
+            let nibble = (bits & 0xf) as u8;
+            *d = if nibble < 10 {
+                b'0' + nibble
+            } else {
+                b'a' - 10 + nibble
+            };
+            bits >>= 4;
+        }
+        // Sixteen ASCII hex digits are UTF-8, so this never skips; one
+        // `push_str` beats sixteen `push`es.
+        if let Ok(hex) = std::str::from_utf8(&hex) {
+            self.buf.push_str(hex);
+        }
         self.buf.push('\n');
     }
 
@@ -76,6 +100,14 @@ impl SnapWriter {
         self.key(key);
         push_escaped(&mut self.buf, v);
         self.buf.push('\n');
+    }
+
+    /// Append text another `SnapWriter` produced, byte for byte: a cached
+    /// section. Canonical input stays canonical only if `text` is exactly
+    /// what the writer would emit here; callers that cache keep a debug
+    /// check of that.
+    pub fn append(&mut self, text: &str) {
+        self.buf.push_str(text);
     }
 
     /// FNV-1a fingerprint of the bytes written so far.
@@ -94,17 +126,56 @@ impl SnapWriter {
     }
 }
 
-fn push_escaped(buf: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            ']' => buf.push_str("\\b"),
-            '=' => buf.push_str("\\e"),
-            _ => buf.push(c),
+/// Append the decimal digits of `v` (what `v.to_string()` writes) without
+/// allocating: the digits fill a stack array from its end.
+fn push_decimal(buf: &mut String, mut v: u64) {
+    let mut digits = [b'0'; 20];
+    let mut len = 0;
+    for d in digits.iter_mut().rev() {
+        // A remainder mod 10 is below 10, so the cast is lossless.
+        *d = b'0' + (v % 10) as u8;
+        v /= 10;
+        len += 1;
+        if v == 0 {
+            break;
         }
     }
+    buf.extend(
+        digits
+            .iter()
+            .skip(digits.len() - len)
+            .map(|&d| char::from(d)),
+    );
+}
+
+/// The escape sequence of a byte that needs one. Every escaped character
+/// is ASCII, so a byte found this way sits on a char boundary.
+fn escape(b: u8) -> Option<&'static str> {
+    match b {
+        b'\\' => Some("\\\\"),
+        b'\n' => Some("\\n"),
+        b'\r' => Some("\\r"),
+        b']' => Some("\\b"),
+        b'=' => Some("\\e"),
+        _ => None,
+    }
+}
+
+/// Append `s` with `\\`, `\n`, `\r`, `]` and `=` escaped. The runs between
+/// escapes go in one `push_str` each, so a plain key is one copy.
+fn push_escaped(buf: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some((at, esc)) = rest
+        .bytes()
+        .enumerate()
+        .find_map(|(i, b)| Some((i, escape(b)?)))
+    {
+        let (plain, tail) = rest.split_at(at);
+        buf.push_str(plain);
+        buf.push_str(esc);
+        rest = tail.get(1..).unwrap_or_default();
+    }
+    buf.push_str(rest);
 }
 
 fn unescape(s: &str) -> Result<String, String> {
@@ -125,6 +196,12 @@ fn unescape(s: &str) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+/// Whether `v` is a decimal the writer emits: ASCII digits only, and no
+/// leading zero unless `v` is `0`.
+fn is_canonical_decimal(v: &str) -> bool {
+    !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) && (v == "0" || !v.starts_with('0'))
 }
 
 /// Strict sequential reader over a [`SnapWriter`]-produced string.
@@ -196,30 +273,39 @@ impl<'a> SnapReader<'a> {
         Ok(v)
     }
 
-    /// Read `key=<decimal u64>`.
+    /// Read `key=<decimal u64>` in the writer's form: no sign, no
+    /// leading zero.
     pub fn u64(&mut self, key: &str) -> Result<u64, String> {
         let v = self.value(key)?;
-        v.parse::<u64>()
-            .map_err(|e| format!("snap: line {}: {key}: bad u64 {v:?}: {e}", self.line_no))
+        match v.parse::<u64>() {
+            Ok(n) if is_canonical_decimal(v) => Ok(n),
+            _ => Err(self.bad(key, "u64", v)),
+        }
     }
 
-    /// Read `key=<decimal i64>`.
+    /// Read `key=<decimal i64>` in the writer's form: no `+`, no leading
+    /// zero, and no `-0`.
     pub fn i64(&mut self, key: &str) -> Result<i64, String> {
         let v = self.value(key)?;
-        v.parse::<i64>()
-            .map_err(|e| format!("snap: line {}: {key}: bad i64 {v:?}: {e}", self.line_no))
+        let canonical = match v.strip_prefix('-') {
+            Some(magnitude) => magnitude != "0" && is_canonical_decimal(magnitude),
+            None => is_canonical_decimal(v),
+        };
+        match v.parse::<i64>() {
+            Ok(n) if canonical => Ok(n),
+            _ => Err(self.bad(key, "i64", v)),
+        }
     }
 
-    /// Read an `f64` stored as its `{:016x}` bit pattern.
+    /// Read an `f64` stored as its `{:016x}` bit pattern: exactly 16
+    /// lower-case hex digits.
     pub fn f64(&mut self, key: &str) -> Result<f64, String> {
         let v = self.value(key)?;
-        let bits = u64::from_str_radix(v, 16).map_err(|e| {
-            format!(
-                "snap: line {}: {key}: bad f64 bits {v:?}: {e}",
-                self.line_no
-            )
-        })?;
-        Ok(f64::from_bits(bits))
+        let canonical = v.len() == 16 && v.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        match u64::from_str_radix(v, 16) {
+            Ok(bits) if canonical => Ok(f64::from_bits(bits)),
+            _ => Err(self.bad(key, "f64 bits", v)),
+        }
     }
 
     /// Read a bool stored as `0`/`1`.
@@ -235,6 +321,13 @@ impl<'a> SnapReader<'a> {
     pub fn str(&mut self, key: &str) -> Result<String, String> {
         let v = self.value(key)?;
         unescape(v)
+    }
+
+    fn bad(&self, key: &str, kind: &str, v: &str) -> String {
+        format!(
+            "snap: line {}: {key}: bad {kind} {v:?} (not the writer's canonical form)",
+            self.line_no
+        )
     }
 
     /// Expect end of input — trailing garbage is as fatal as truncation.
@@ -317,6 +410,28 @@ mod tests {
         r2.section("s").expect("section");
         r2.u64("a").expect("a");
         assert!(r2.done().is_err());
+        // Numbers the writer never prints, most of which `str::parse` or
+        // `from_str_radix` accepts.
+        for line in ["queue=+8", "queue=08", "queue=", "queue=-0"] {
+            let err = SnapReader::new(line).u64("queue").expect_err(line);
+            assert!(err.contains("line 1: queue: bad u64"), "{err}");
+        }
+        for line in ["d=+7", "d=-07", "d=-0", "d=00", "d=-"] {
+            let err = SnapReader::new(line).i64("d").expect_err(line);
+            assert!(err.contains("line 1: d: bad i64"), "{err}");
+        }
+        for line in [
+            "wait_lo=3FF0000000000000",
+            "wait_lo=+3ff000000000000",
+            "wait_lo=3ff",
+            "wait_lo=03ff0000000000000",
+        ] {
+            let err = SnapReader::new(line).f64("wait_lo").expect_err(line);
+            assert!(err.contains("line 1: wait_lo: bad f64 bits"), "{err}");
+        }
+        assert_eq!(SnapReader::new("d=-7").i64("d"), Ok(-7));
+        assert_eq!(SnapReader::new("d=0").i64("d"), Ok(0));
+        assert_eq!(SnapReader::new("queue=0").u64("queue"), Ok(0));
     }
 
     #[test]

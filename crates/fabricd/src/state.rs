@@ -212,9 +212,15 @@ impl FabricState {
     /// the live state it reproduces — and so is the routing scratch
     /// (semantically stateless).
     pub fn fingerprint(&self) -> u64 {
+        desim::snap::fingerprint(&self.state_text())
+    }
+
+    /// The canonical state text [`fingerprint`](Self::fingerprint) hashes,
+    /// written from scratch: the bytes a snapshot captured here carries.
+    pub fn state_text(&self) -> String {
         let mut w = SnapWriter::new();
         self.write_state(&mut w);
-        w.fingerprint()
+        w.finish()
     }
 
     /// Capture a canonical snapshot at instant `at` and journal the
@@ -228,8 +234,7 @@ impl FabricState {
     pub fn capture_snapshot(&mut self, at: SimTime) -> FabricSnapshot {
         let seq = self.journal.next_seq();
         let base_fnv = self.journal.seal();
-        let mut w = SnapWriter::new();
-        self.write_state(&mut w);
+        let w = self.write_state_cached();
         let fingerprint = w.fingerprint();
         let state = w.finish();
         self.journal
@@ -256,6 +261,25 @@ impl FabricState {
     /// [`fingerprint`](Self::fingerprint) for what is covered and why the
     /// journal is not).
     fn write_state(&self, w: &mut SnapWriter) {
+        self.write_occupancy(w);
+        self.rack.fabric.write_snap(w);
+        self.write_tenants(w);
+    }
+
+    /// [`write_state`](Self::write_state)'s bytes, with the fabric written
+    /// through its per-wafer text cache: only wafers that changed since the
+    /// last cached write are re-serialized.
+    fn write_state_cached(&mut self) -> SnapWriter {
+        let mut w = SnapWriter::new();
+        self.write_occupancy(&mut w);
+        self.rack.fabric.write_snap_cached(&mut w);
+        self.write_tenants(&mut w);
+        w
+    }
+
+    /// The config binding and the occupancy map: the state text before
+    /// the fabric.
+    fn write_occupancy(&self, w: &mut SnapWriter) {
         let h = self.journal.header();
         w.section("state");
         w.u64("racks", h.racks as u64);
@@ -285,9 +309,11 @@ impl FabricState {
             w.u64("y", y as u64);
             w.u64("z", z as u64);
         }
+    }
 
-        self.rack.fabric.write_snap(w);
-
+    /// Tenants, incidents, reserved spares and replay bookkeeping: the
+    /// state text after the fabric.
+    fn write_tenants(&self, w: &mut SnapWriter) {
         w.section("jobs");
         w.u64("count", self.jobs.len() as u64);
         for (job, rec) in &self.jobs {
@@ -1132,7 +1158,7 @@ impl FabricState {
                 // The record commits to the state after every earlier
                 // record; replay must have reproduced it bit-exactly here.
                 // This is the invariant verify CTL406 audits end-to-end.
-                let fp = self.fingerprint();
+                let fp = self.write_state_cached().fingerprint();
                 if fp == *fingerprint {
                     Ok(())
                 } else {

@@ -9,6 +9,8 @@
 //! 2. Crashing a campaign at an arbitrary event and restarting from the
 //!    last snapshot yields a final state bit-identical to the
 //!    uninterrupted run's.
+//! 3. Every captured state text, written through the fabric's per-wafer
+//!    text cache, is byte for byte the state's fresh serialization.
 
 use desim::SimDuration;
 use fabricd::{replay, replay_from, resume_campaign, run_campaign, CampaignOptions, CtrlConfig};
@@ -130,6 +132,54 @@ proptest! {
             // The campaign drained before the crash point; the "crashed"
             // run is simply the full run.
             prop_assert_eq!(crashed.state.fingerprint(), full.state.fingerprint());
+        }
+    }
+
+    /// Snapshot capture re-serializes only wafers whose revision moved and
+    /// appends the rest from a cache. Whatever mix of failures, retried
+    /// and rolled-back programming, infeasible plans, compaction and
+    /// crash-restart a 4-rack campaign runs, each captured snapshot must
+    /// restore (which re-fingerprints the decoded state from scratch), and
+    /// that state's fresh serialization must be the captured text.
+    #[test]
+    fn captured_state_text_is_a_fresh_serialization(
+        seed in 0u64..1_000,
+        jobs in 8usize..24,
+        failures in 1usize..4,
+        infeasible_every in 2usize..6,
+        every_s in 120u64..900,
+        crash_frac in 0.2f64..0.8,
+        compact in any::<bool>(),
+    ) {
+        let cfg = CtrlConfig {
+            racks: 4,
+            program_retries: 2,
+            infeasible_every,
+            ..config(seed, jobs, failures, 120)
+        };
+        let opts = CampaignOptions {
+            snapshot_every: Some(SimDuration::from_secs(every_s)),
+            compact,
+            crash_after_events: None,
+        };
+        let full = run_campaign(&cfg, &opts).map_err(TestCaseError::Fail)?;
+        let crash_at = ((full.events_executed as f64 * crash_frac) as u64).max(1);
+        let crashed = run_campaign(&cfg, &CampaignOptions {
+            crash_after_events: Some(crash_at),
+            ..opts
+        }).map_err(TestCaseError::Fail)?;
+        let resumed = match crashed.snapshots.last() {
+            Some(snap) if crashed.crashed => {
+                let r = resume_campaign(snap, &opts).map_err(TestCaseError::Fail)?;
+                prop_assert_eq!(r.state.fingerprint(), full.state.fingerprint());
+                r.snapshots
+            }
+            _ => Vec::new(),
+        };
+        prop_assert!(!full.snapshots.is_empty(), "the campaign captured snapshots");
+        for snap in full.snapshots.iter().chain(&crashed.snapshots).chain(&resumed) {
+            let st = snap.fabric.restore().map_err(|e| TestCaseError::Fail(e.to_string()))?;
+            prop_assert_eq!(st.state_text(), snap.fabric.state.as_str());
         }
     }
 }

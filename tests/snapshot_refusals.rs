@@ -90,9 +90,41 @@ fn queue_overcount(lines: &[&str]) -> Vec<String> {
     out
 }
 
+/// The queue count with a `+` sign, which `str::parse` accepts.
+fn queue_plus_sign(lines: &[&str]) -> Vec<String> {
+    let queue = find(lines, 0, "queue");
+    let mut out = owned(lines);
+    out[queue] = format!("queue=+{}", value(lines[queue], "queue").unwrap());
+    out
+}
+
+/// The queue count with a leading zero, which `str::parse` accepts.
+fn queue_leading_zero(lines: &[&str]) -> Vec<String> {
+    let queue = find(lines, 0, "queue");
+    let mut out = owned(lines);
+    out[queue] = format!("queue=0{}", value(lines[queue], "queue").unwrap());
+    out
+}
+
+/// A float's bit pattern in upper-case hex, which `from_str_radix`
+/// accepts: the admission-wait histogram's `wait_hi`, inside the escaped
+/// metrics block. Its `wait_lo` is always `0.0`, whose hex has no letter
+/// to raise.
+fn wait_hi_upper_case(lines: &[&str]) -> Vec<String> {
+    const KEY: &str = "\\nwait_hi\\e";
+    let at = (0..lines.len())
+        .find(|&i| lines[i].contains(KEY))
+        .expect("a metrics block");
+    let (head, tail) = lines[at].split_once(KEY).unwrap();
+    let (hex, rest) = tail.split_at(16);
+    let mut out = owned(lines);
+    out[at] = format!("{head}{KEY}{}{rest}", hex.to_uppercase());
+    out
+}
+
 type Edit = fn(&[&str]) -> Vec<String>;
 
-const CASES: [(&str, Edit, &str); 4] = [
+const CASES: [(&str, Edit, &str); 7] = [
     (
         "seq >= event_seq",
         seq_at_counter,
@@ -101,6 +133,13 @@ const CASES: [(&str, Edit, &str); 4] = [
     ("duplicate (at, seq)", duplicate_key, "duplicate event key"),
     ("unknown kind", unknown_kind, "unknown event kind 9"),
     ("queue overcount", queue_overcount, "expected key job"),
+    ("queue=+N", queue_plus_sign, "queue: bad u64"),
+    ("queue=0N", queue_leading_zero, "queue: bad u64"),
+    (
+        "upper-case wait_hi",
+        wait_hi_upper_case,
+        "wait_hi: bad f64 bits",
+    ),
 ];
 
 #[test]
