@@ -204,6 +204,13 @@ fn is_canonical_decimal(v: &str) -> bool {
     !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) && (v == "0" || !v.starts_with('0'))
 }
 
+/// The value of `v` if it is exactly 16 lower-case hex digits, the one
+/// form the writer prints a bit pattern or a fingerprint in.
+fn parse_hex16(v: &str) -> Option<u64> {
+    let canonical = v.len() == 16 && v.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    u64::from_str_radix(v, 16).ok().filter(|_| canonical)
+}
+
 /// Strict sequential reader over a [`SnapWriter`]-produced string.
 ///
 /// Every accessor demands the *next* line match the expected shape
@@ -301,10 +308,9 @@ impl<'a> SnapReader<'a> {
     /// lower-case hex digits.
     pub fn f64(&mut self, key: &str) -> Result<f64, String> {
         let v = self.value(key)?;
-        let canonical = v.len() == 16 && v.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-        match u64::from_str_radix(v, 16) {
-            Ok(bits) if canonical => Ok(f64::from_bits(bits)),
-            _ => Err(self.bad(key, "f64 bits", v)),
+        match parse_hex16(v) {
+            Some(bits) => Ok(f64::from_bits(bits)),
+            None => Err(self.bad(key, "f64 bits", v)),
         }
     }
 
@@ -346,6 +352,37 @@ impl<'a> SnapReader<'a> {
 /// [`SnapWriter::fingerprint`] of the writer that produced it).
 pub fn fingerprint(text: &str) -> u64 {
     Fnv::new().write_bytes(text.as_bytes()).finish()
+}
+
+/// Frame `body` as a self-describing artifact: a `<tag> fnv=<16 hex>`
+/// header line carrying the body's [`fingerprint`], then the body, so
+/// truncation or tampering is caught before any state is rebuilt.
+pub fn seal(tag: &str, body: &str) -> String {
+    format!("{tag} fnv={:016x}\n{body}", fingerprint(body))
+}
+
+/// The body of a [`seal`]ed `tag` artifact. Like [`SnapReader`], it is
+/// strict: the header must be exactly the line `seal` writes (no other
+/// spacing, case, sign or width, no `\r`), and the body must match its
+/// fingerprint. Every error names the expected tag.
+pub fn open<'a>(tag: &str, text: &'a str) -> Result<&'a str, String> {
+    let (head, body) = text
+        .split_once('\n')
+        .ok_or_else(|| format!("snap: expected a `{tag}` artifact, got no header line"))?;
+    let fnv = head
+        .strip_prefix(tag)
+        .and_then(|rest| rest.strip_prefix(" fnv="))
+        .and_then(parse_hex16)
+        .ok_or_else(|| {
+            format!("snap: expected a `{tag} fnv=<16 lower-case hex>` header, got {head:?}")
+        })?;
+    let got = fingerprint(body);
+    if got != fnv {
+        return Err(format!(
+            "snap: `{tag}` body fingerprint {got:016x} does not match the header's {fnv:016x}"
+        ));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -432,6 +469,37 @@ mod tests {
         assert_eq!(SnapReader::new("d=-7").i64("d"), Ok(-7));
         assert_eq!(SnapReader::new("d=0").i64("d"), Ok(0));
         assert_eq!(SnapReader::new("queue=0").u64("queue"), Ok(0));
+    }
+
+    #[test]
+    fn open_accepts_only_what_seal_writes() {
+        let body = "[s]\na=1\n";
+        let text = seal("demo v1", body);
+        assert_eq!(
+            text,
+            format!("demo v1 fnv={:016x}\n{body}", fingerprint(body))
+        );
+        assert_eq!(open("demo v1", &text), Ok(body));
+        let hex = format!("{:016x}", fingerprint(body));
+        assert!(hex.bytes().any(|b| b.is_ascii_alphabetic()), "{hex}");
+        for head in [
+            format!("demo v1 fnv={}", hex.to_uppercase()),
+            format!("demo v1 fnv=+{hex}"),
+            format!("demo v1 fnv=0{hex}"),
+            format!("demo v1 fnv={}", &hex[1..]),
+            format!("demo v1 fnv={hex}  "),
+            format!("demo v1 fnv={hex}\r"),
+            format!("demo v1fnv={hex}"),
+            format!("demo v1  fnv={hex}"),
+            format!("demo v2 fnv={hex}"),
+        ] {
+            let err = open("demo v1", &format!("{head}\n{body}")).expect_err(&head);
+            assert!(err.contains("`demo v1 fnv=<16 lower-case hex>`"), "{err}");
+        }
+        let err = open("demo v1", &format!("{text}x")).expect_err("edited body");
+        assert!(err.contains("`demo v1` body fingerprint"), "{err}");
+        let err = open("demo v1", "demo v1").expect_err("no header line");
+        assert!(err.contains("`demo v1`"), "{err}");
     }
 
     #[test]

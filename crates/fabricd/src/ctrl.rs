@@ -278,37 +278,19 @@ const CTRL_MAGIC: &str = "spsim-ctrl-snapshot v1";
 pub type CtrlSnapshot = AdmitterSnapshot;
 
 impl CtrlSnapshot {
-    /// Serialize as a self-describing text artifact. The first line names
-    /// the format and carries an FNV-1a fingerprint of the body, so
-    /// truncation or tampering is detected before any state is rebuilt.
+    /// Serialize as a self-describing text artifact, sealed by
+    /// [`desim::snap::seal`] under the format tag.
     pub fn to_text(&self) -> String {
         let mut w = SnapWriter::new();
         w.section("campaign");
         self.write_snap(&mut w);
-        let body = w.finish();
-        let fnv = desim::snap::fingerprint(&body);
-        format!("{CTRL_MAGIC} fnv={fnv:016x}\n{body}")
+        desim::snap::seal(CTRL_MAGIC, &w.finish())
     }
 
-    /// Parse a [`to_text`](Self::to_text) artifact, verifying the body
-    /// fingerprint and every structural field.
+    /// Parse a [`to_text`](Self::to_text) artifact, verifying the header,
+    /// the body fingerprint and every structural field.
     pub fn parse(text: &str) -> Result<CtrlSnapshot, String> {
-        let (first, body) = text
-            .split_once('\n')
-            .ok_or_else(|| "ctrl snapshot: empty artifact".to_string())?;
-        let fnv_hex = first
-            .strip_prefix(CTRL_MAGIC)
-            .and_then(|rest| rest.trim().strip_prefix("fnv="))
-            .ok_or_else(|| format!("ctrl snapshot: bad magic line {first:?}"))?;
-        let fnv = u64::from_str_radix(fnv_hex, 16)
-            .map_err(|_| format!("ctrl snapshot: bad fnv field {fnv_hex:?}"))?;
-        let got = desim::snap::fingerprint(body);
-        if got != fnv {
-            return Err(format!(
-                "ctrl snapshot: body fingerprint {got:016x} does not match the \
-                 header's {fnv:016x}"
-            ));
-        }
+        let body = desim::snap::open(CTRL_MAGIC, text)?;
         let mut r = SnapReader::new(body);
         r.section("campaign")?;
         let snap = AdmitterSnapshot::read_snap(&mut r)?;

@@ -14,8 +14,18 @@
 //!    [`crate::state::replay`].
 //!
 //! Entries are never mutated or removed; [`Journal::push`] assigns
-//! monotonic sequence numbers. [`Journal::to_json`] dumps the whole log as
-//! hand-rolled JSON (the workspace is offline and carries no serde).
+//! monotonic sequence numbers.
+//!
+//! Each record kind is described once: `JournalEntry::describe` names the
+//! kind and lists its `(key, value)` fields in canonical order, each value
+//! tagged with how it is written. Two writers derive from that one
+//! description: the canonical line ([`Record::canon`]), which the hash
+//! fold streams straight into the FNV-1a state without building a
+//! `String`, and the [`Journal::to_json`] dump (hand-rolled; the workspace
+//! is offline and carries no serde), which uses the same keys. Nothing
+//! reads either back yet.
+
+use std::fmt;
 
 use desim::fnv::Fnv;
 use desim::SimTime;
@@ -32,6 +42,20 @@ pub struct JournalHeader {
     pub seed: u64,
     /// Chip-grid shape of the cluster the journal's slices live in.
     pub shape: Shape3,
+}
+
+impl JournalHeader {
+    /// The header's fields in canonical order: the journal's first hashed
+    /// line (`journal racks=… lanes=… seed=… shape=…`) and the dump's
+    /// top-level keys.
+    fn fields(&self) -> [Field<'static>; 4] {
+        [
+            ("racks", Val::Int(self.racks as u64)),
+            ("lanes", Val::Int(self.lanes as u64)),
+            ("seed", Val::Int(self.seed)),
+            ("shape", Val::Shape(self.shape)),
+        ]
+    }
 }
 
 /// Why an admission was denied.
@@ -208,118 +232,209 @@ pub struct StitchLegRecord {
     pub extent: Shape3,
 }
 
+/// What precedes each of a stitch leg's four values in its canonical form,
+/// `<leg>@g<group>:<origin>+<extent>`.
+const LEG_SEPARATORS: [&str; 4] = ["", "@g", ":", "+"];
+
 impl StitchLegRecord {
-    fn canon(&self) -> String {
-        format!(
-            "{}@g{}:{}+{}",
-            self.leg, self.group, self.origin, self.extent
-        )
+    /// The leg's fields in canonical order: the values of its canonical
+    /// form and the keys of its JSON object.
+    fn fields(&self) -> [Field<'static>; 4] {
+        [
+            ("leg", Val::Int(self.leg.into())),
+            ("group", Val::Int(self.group)),
+            ("origin", Val::Coord(self.origin)),
+            ("extent", Val::Shape(self.extent)),
+        ]
     }
 }
 
 impl JournalEntry {
-    fn canon(&self) -> String {
-        match self {
-            JournalEntry::Admit {
-                job,
-                origin,
-                extent,
-            } => {
-                format!("admit job={job} origin={origin} extent={extent}")
+    /// Hand the entry's kind and its fields, in canonical order, to `f`.
+    /// This is the one description of every record kind: the canonical
+    /// line, the JSON dump and [`kind`](Self::kind) all derive from it.
+    /// Laid out by hand as a table, one row of fields per kind.
+    #[rustfmt::skip]
+    fn describe<'e, R>(&'e self, f: impl FnOnce(&'static str, &[Field<'e>]) -> R) -> R {
+        use Val::{Coord, Hex, Int, Legs, Micros, Ports, Shape, Text, Victim};
+        match *self {
+            Self::Admit { job, origin, extent } => f("admit", &[
+                ("job", Int(job.into())), ("origin", Coord(origin)), ("extent", Shape(extent)),
+            ]),
+            Self::Deny { job, shape, reason } => f("deny", &[
+                ("job", Int(job.into())), ("shape", Shape(shape)), ("reason", Text(reason.canon())),
+            ]),
+            Self::Program { job, circuits, batches, cross } => f("program", &[
+                ("job", Int(job.into())), ("circuits", Int(circuits as u64)),
+                ("batches", Int(batches as u64)), ("cross", Int(cross as u64)),
+            ]),
+            Self::Reconfigure { job, micros } => f("reconfigure", &[
+                ("job", Int(job.into())), ("micros", Micros(micros)),
+            ]),
+            Self::Fail { incident, chip, victim, spliced } => f("fail", &[
+                ("incident", Int(incident)), ("chip", Coord(chip)), ("victim", Victim(victim)),
+                ("spliced", Int(spliced as u64)),
+            ]),
+            Self::Repair { incident, replacement, circuits, servers_touched, blast_servers } => {
+                f("repair", &[
+                    ("incident", Int(incident)), ("replacement", Coord(replacement)),
+                    ("circuits", Int(circuits as u64)), ("servers", Int(servers_touched as u64)),
+                    ("blast", Int(blast_servers as u64)),
+                ])
             }
-            JournalEntry::Deny { job, shape, reason } => {
-                format!("deny job={job} shape={shape} reason={}", reason.canon())
-            }
-            JournalEntry::Program {
-                job,
-                circuits,
-                batches,
-                cross,
-            } => {
-                format!("program job={job} circuits={circuits} batches={batches} cross={cross}")
-            }
-            JournalEntry::Reconfigure { job, micros } => {
-                format!("reconfigure job={job} micros={micros:.3}")
-            }
-            JournalEntry::Fail {
-                incident,
-                chip,
-                victim,
-                spliced,
-            } => {
-                let v = victim.map_or("-".to_string(), |v| v.to_string());
-                format!("fail incident={incident} chip={chip} victim={v} spliced={spliced}")
-            }
-            JournalEntry::Repair {
-                incident,
-                replacement,
-                circuits,
-                servers_touched,
-                blast_servers,
-            } => format!(
-                "repair incident={incident} replacement={replacement} circuits={circuits} \
-                 servers={servers_touched} blast={blast_servers}"
-            ),
-            JournalEntry::RepairFailed {
-                incident,
-                replacement,
-                error,
-            } => {
-                format!("repair-failed incident={incident} replacement={replacement} error={error}")
-            }
-            JournalEntry::Reject {
-                job,
-                shape,
-                attempt,
-                code,
-            } => {
-                format!("reject job={job} shape={shape} attempt={attempt} code={code}")
-            }
-            JournalEntry::Rollback {
-                job,
-                attempt,
-                circuits,
-            } => {
-                format!("rollback job={job} attempt={attempt} circuits={circuits}")
-            }
-            JournalEntry::Evict { job } => format!("evict job={job}"),
-            JournalEntry::Snapshot { fingerprint } => {
-                format!("snapshot fingerprint={fingerprint:#018x}")
-            }
-            JournalEntry::MultiGroupAdmit {
-                job,
-                extent,
-                legs,
-                ports,
-            } => {
-                let legs: Vec<String> = legs.iter().map(|l| l.canon()).collect();
-                let ports: Vec<String> = ports.iter().map(|p| p.to_string()).collect();
-                format!(
-                    "multi-admit job={job} extent={extent} legs=[{}] ports=[{}]",
-                    legs.join(";"),
-                    ports.join(",")
-                )
-            }
+            Self::RepairFailed { incident, replacement, ref error } => f("repair-failed", &[
+                ("incident", Int(incident)), ("replacement", Coord(replacement)),
+                ("error", Text(error)),
+            ]),
+            Self::Reject { job, shape, attempt, code } => f("reject", &[
+                ("job", Int(job.into())), ("shape", Shape(shape)), ("attempt", Int(attempt.into())),
+                ("code", Text(code)),
+            ]),
+            Self::Rollback { job, attempt, circuits } => f("rollback", &[
+                ("job", Int(job.into())), ("attempt", Int(attempt.into())),
+                ("circuits", Int(circuits as u64)),
+            ]),
+            Self::Evict { job } => f("evict", &[("job", Int(job.into()))]),
+            Self::Snapshot { fingerprint } => f("snapshot", &[("fingerprint", Hex(fingerprint))]),
+            Self::MultiGroupAdmit { job, extent, ref legs, ref ports } => f("multi-admit", &[
+                ("job", Int(job.into())), ("extent", Shape(extent)), ("legs", Legs(legs)),
+                ("ports", Ports(ports)),
+            ]),
         }
     }
 
     /// The record kind's canonical name (the first token of its canon line).
     pub fn kind(&self) -> &'static str {
+        self.describe(|kind, _| kind)
+    }
+}
+
+/// How a field's value is written: one canonical form ([`Val::canon`]) and
+/// one JSON form ([`Val::json`]) per tag.
+#[derive(Debug, Clone, Copy)]
+enum Val<'a> {
+    /// An unsigned integer, in decimal.
+    Int(u64),
+    /// A chip, `[x,y,z]`; JSON `[x, y, z]`.
+    Coord(Coord3),
+    /// An extent, `XxYxZ`; JSON `[x, y, z]`.
+    Shape(Shape3),
+    /// Text, raw; JSON an escaped string.
+    Text(&'a str),
+    /// The tenant a failure hit, `-` when none; JSON `null`.
+    Victim(Option<u32>),
+    /// Microseconds rounded to three decimals, in both.
+    Micros(f64),
+    /// A 64-bit fingerprint, `0x` and 16 hex digits; JSON a string.
+    Hex(u64),
+    /// Stitch legs, `[<leg>;<leg>…]`; JSON an array of leg objects.
+    Legs(&'a [StitchLegRecord]),
+    /// Stitch ports, `[p,p…]`; JSON `[p, p…]`.
+    Ports(&'a [u32]),
+}
+
+/// One `(key, value)` field of a record, a leg or the header.
+type Field<'a> = (&'static str, Val<'a>);
+
+impl Val<'_> {
+    /// Write the value as it follows `key=` in a canonical line.
+    fn canon(self, w: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            JournalEntry::Admit { .. } => "admit",
-            JournalEntry::Deny { .. } => "deny",
-            JournalEntry::Program { .. } => "program",
-            JournalEntry::Reconfigure { .. } => "reconfigure",
-            JournalEntry::Fail { .. } => "fail",
-            JournalEntry::Repair { .. } => "repair",
-            JournalEntry::RepairFailed { .. } => "repair-failed",
-            JournalEntry::Reject { .. } => "reject",
-            JournalEntry::Rollback { .. } => "rollback",
-            JournalEntry::Evict { .. } => "evict",
-            JournalEntry::Snapshot { .. } => "snapshot",
-            JournalEntry::MultiGroupAdmit { .. } => "multi-admit",
+            Val::Int(n) => write!(w, "{n}"),
+            Val::Coord(c) => write!(w, "{c}"),
+            Val::Shape(s) => write!(w, "{s}"),
+            Val::Text(t) => w.write_str(t),
+            Val::Victim(Some(v)) => write!(w, "{v}"),
+            Val::Victim(None) => w.write_char('-'),
+            Val::Micros(us) => write!(w, "{us:.3}"),
+            Val::Hex(x) => write!(w, "{x:#018x}"),
+            Val::Legs(legs) => list(w, legs, ";", |w, leg| {
+                for (sep, (_, v)) in LEG_SEPARATORS.into_iter().zip(leg.fields()) {
+                    w.write_str(sep)?;
+                    v.canon(w)?;
+                }
+                Ok(())
+            }),
+            Val::Ports(ports) => list(w, ports, ",", |w, p| write!(w, "{p}")),
         }
     }
+
+    /// Write the value as JSON.
+    fn json(self, w: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Val::Coord(Coord3 { p: [x, y, z] }) | Val::Shape(Shape3 { dims: [x, y, z] }) => {
+                write!(w, "[{x}, {y}, {z}]")
+            }
+            Val::Text(t) => json_string(w, t),
+            Val::Victim(None) => w.write_str("null"),
+            Val::Hex(x) => write!(w, "\"{x:#018x}\""),
+            Val::Legs(legs) => list(w, legs, ", ", |w, leg| json_object(w, leg.fields())),
+            Val::Ports(ports) => list(w, ports, ", ", |w, p| write!(w, "{p}")),
+            Val::Int(_) | Val::Victim(Some(_)) | Val::Micros(_) => self.canon(w),
+        }
+    }
+}
+
+/// Write `<kind> <key>=<value>…`: a canonical line after its sequence
+/// number and instant, or the header's whole line.
+fn canon_line(w: &mut impl fmt::Write, kind: &str, fields: &[Field<'_>]) -> fmt::Result {
+    w.write_str(kind)?;
+    for (key, v) in fields {
+        w.write_char(' ')?;
+        w.write_str(key)?;
+        w.write_char('=')?;
+        v.canon(w)?;
+    }
+    Ok(())
+}
+
+/// Write `[<item><sep><item>…]`.
+fn list<W: fmt::Write, T>(
+    w: &mut W,
+    items: &[T],
+    sep: &str,
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    w.write_char('[')?;
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            w.write_str(sep)?;
+        }
+        item(w, x)?;
+    }
+    w.write_char(']')
+}
+
+/// Write `{"<key>": <value>, …}`.
+fn json_object<'v>(
+    w: &mut impl fmt::Write,
+    fields: impl IntoIterator<Item = Field<'v>>,
+) -> fmt::Result {
+    w.write_char('{')?;
+    for (i, (key, v)) in fields.into_iter().enumerate() {
+        w.write_str(if i == 0 { "\"" } else { ", \"" })?;
+        w.write_str(key)?;
+        w.write_str("\": ")?;
+        v.json(w)?;
+    }
+    w.write_char('}')
+}
+
+/// Write `s` as a JSON string.
+fn json_string(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    w.write_char('"')?;
+    for ch in s.chars() {
+        match ch {
+            '"' => w.write_str("\\\"")?,
+            '\\' => w.write_str("\\\\")?,
+            '\n' => w.write_str("\\n")?,
+            '\t' => w.write_str("\\t")?,
+            '\r' => w.write_str("\\r")?,
+            c if (c as u32) < 0x20 => write!(w, "\\u{:04x}", c as u32)?,
+            c => w.write_char(c)?,
+        }
+    }
+    w.write_char('"')
 }
 
 /// One record: a sequence number, the simulated instant, and the decision.
@@ -336,12 +451,30 @@ pub struct Record {
 impl Record {
     /// Canonical single-line encoding; hashing and goldens key off this.
     pub fn canon(&self) -> String {
-        format!(
-            "seq={} t={}ps {}",
-            self.seq,
-            self.at.as_ps(),
-            self.entry.canon()
-        )
+        let mut line = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.write_canon(&mut line);
+        line
+    }
+
+    /// Write the canonical line, `seq=<seq> t=<ps>ps <kind> <key>=<value>…`.
+    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(w, "seq={} t={}ps ", self.seq, self.at.as_ps())?;
+        self.entry
+            .describe(|kind, fields| canon_line(w, kind, fields))
+    }
+
+    /// Write the record as one JSON object: `seq`, `t_ps` and `kind`, then
+    /// the fields under their canonical keys.
+    fn write_json(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        self.entry.describe(|kind, fields| {
+            let head = [
+                ("seq", Val::Int(self.seq)),
+                ("t_ps", Val::Int(self.at.as_ps())),
+                ("kind", Val::Text(kind)),
+            ];
+            json_object(w, head.into_iter().chain(fields.iter().copied()))
+        })
     }
 }
 
@@ -389,31 +522,38 @@ impl PartialEq for Journal {
     }
 }
 
-/// The header's canonical line (the first hash-fold contribution).
-fn canon_header(h: &JournalHeader) -> String {
-    format!(
-        "journal racks={} lanes={} seed={} shape={}",
-        h.racks, h.lanes, h.seed, h.shape
-    )
+/// A `fmt::Write` sink over an FNV-1a state, so the hash fold streams
+/// canonical lines without building them. Text goes in through
+/// [`Fnv::write_bytes`]: `Fnv`'s own `write_str` length-prefixes its
+/// input, which would change every hash.
+struct FnvSink(Fnv);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Continue the hash fold at `fnv` over `records`: a newline, then each
 /// record's canonical line.
 fn fold<'a>(fnv: u64, records: impl IntoIterator<Item = &'a Record>) -> u64 {
-    let mut h = Fnv::from_state(fnv);
+    let mut sink = FnvSink(Fnv::from_state(fnv));
     for r in records {
-        h.write_bytes(b"\n").write_bytes(r.canon().as_bytes());
+        sink.0.write_bytes(b"\n");
+        // The sink cannot fail.
+        let _ = r.write_canon(&mut sink);
     }
-    h.finish()
+    sink.0.finish()
 }
 
 impl Journal {
     /// An empty journal for a run described by `header`.
     pub fn new(header: JournalHeader) -> Self {
-        let base_fnv = Fnv::new()
-            .write_bytes(canon_header(&header).as_bytes())
-            .finish();
-        Self::with_base(header, 0, base_fnv)
+        let mut sink = FnvSink(Fnv::new());
+        // The sink cannot fail.
+        let _ = canon_line(&mut sink, "journal", &header.fields());
+        Self::with_base(header, 0, sink.0.finish())
     }
 
     /// A journal resuming at sequence `base_seq` with the hash fold of the
@@ -554,184 +694,42 @@ impl Journal {
         self.sealed_fnv
     }
 
-    /// Dump the journal as JSON (hand-rolled; the workspace has no serde).
+    /// Dump the journal as JSON: the header's fields, the hash, the base
+    /// (compacted journals only), then one object per retained record.
     pub fn to_json(&self) -> String {
-        let h = &self.header;
-        let mut out = String::with_capacity(64 + self.records.len() * 96);
-        out.push_str("{\n");
-        out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"racks\": {},\n", h.racks));
-        out.push_str(&format!("  \"lanes\": {},\n", h.lanes));
-        out.push_str(&format!("  \"seed\": {},\n", h.seed));
-        out.push_str(&format!(
-            "  \"shape\": [{}, {}, {}],\n",
-            h.shape.extent(topo::Dim::X),
-            h.shape.extent(topo::Dim::Y),
-            h.shape.extent(topo::Dim::Z)
-        ));
-        out.push_str(&format!("  \"hash\": \"{:#018x}\",\n", self.hash()));
-        if self.base_seq > 0 {
-            // Only compacted journals carry base fields, so uncompacted
-            // dumps stay byte-identical to the pre-snapshot format (and to
-            // the committed goldens).
-            out.push_str(&format!("  \"base_seq\": {},\n", self.base_seq));
-            out.push_str(&format!("  \"base_fnv\": \"{:#018x}\",\n", self.base_fnv));
-        }
-        out.push_str("  \"entries\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&record_json(r));
-            out.push_str(if i + 1 < self.records.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
+        let mut out = String::with_capacity(256 + self.records.len() * 96);
+        // Writing to a `String` cannot fail.
+        let _ = self.write_json(&mut out);
         out
     }
-}
 
-fn coord_json(c: Coord3) -> String {
-    let [x, y, z] = c.p;
-    format!("[{}, {}, {}]", x, y, z)
-}
-
-fn shape_json(s: Shape3) -> String {
-    format!(
-        "[{}, {}, {}]",
-        s.extent(topo::Dim::X),
-        s.extent(topo::Dim::Y),
-        s.extent(topo::Dim::Z)
-    )
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    fn write_json(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        // Only compacted journals carry base fields, so uncompacted dumps
+        // keep the layout they had before snapshots existed.
+        let base = [
+            ("base_seq", Val::Int(self.base_seq)),
+            ("base_fnv", Val::Hex(self.base_fnv)),
+        ]
+        .into_iter()
+        .filter(|_| self.base_seq > 0);
+        let top = [("version", Val::Int(1))]
+            .into_iter()
+            .chain(self.header.fields())
+            .chain([("hash", Val::Hex(self.hash()))])
+            .chain(base);
+        w.write_str("{\n")?;
+        for (key, v) in top {
+            write!(w, "  \"{key}\": ")?;
+            v.json(w)?;
+            w.write_str(",\n")?;
         }
+        w.write_str("  \"entries\": [")?;
+        for (i, r) in self.records.iter().enumerate() {
+            w.write_str(if i == 0 { "\n    " } else { ",\n    " })?;
+            r.write_json(w)?;
+        }
+        w.write_str("\n  ]\n}\n")
     }
-    out
-}
-
-fn record_json(r: &Record) -> String {
-    let common = format!(
-        "\"seq\": {}, \"t_ps\": {}, \"kind\": \"{}\"",
-        r.seq,
-        r.at.as_ps(),
-        r.entry.kind()
-    );
-    let rest = match &r.entry {
-        JournalEntry::Admit {
-            job,
-            origin,
-            extent,
-        } => format!(
-            ", \"job\": {job}, \"origin\": {}, \"extent\": {}",
-            coord_json(*origin),
-            shape_json(*extent)
-        ),
-        JournalEntry::Deny { job, shape, reason } => format!(
-            ", \"job\": {job}, \"shape\": {}, \"reason\": \"{}\"",
-            shape_json(*shape),
-            reason.canon()
-        ),
-        JournalEntry::Program {
-            job,
-            circuits,
-            batches,
-            cross,
-        } => format!(
-            ", \"job\": {job}, \"circuits\": {circuits}, \"batches\": {batches}, \
-             \"cross\": {cross}"
-        ),
-        JournalEntry::Reconfigure { job, micros } => {
-            format!(", \"job\": {job}, \"micros\": {micros:.3}")
-        }
-        JournalEntry::Fail {
-            incident,
-            chip,
-            victim,
-            spliced,
-        } => format!(
-            ", \"incident\": {incident}, \"chip\": {}, \"victim\": {}, \"spliced\": {spliced}",
-            coord_json(*chip),
-            victim.map_or("null".to_string(), |v| v.to_string())
-        ),
-        JournalEntry::Repair {
-            incident,
-            replacement,
-            circuits,
-            servers_touched,
-            blast_servers,
-        } => format!(
-            ", \"incident\": {incident}, \"replacement\": {}, \"circuits\": {circuits}, \
-             \"servers_touched\": {servers_touched}, \"blast_servers\": {blast_servers}",
-            coord_json(*replacement)
-        ),
-        JournalEntry::RepairFailed {
-            incident,
-            replacement,
-            error,
-        } => format!(
-            ", \"incident\": {incident}, \"replacement\": {}, \"error\": \"{}\"",
-            coord_json(*replacement),
-            escape_json(error)
-        ),
-        JournalEntry::Reject {
-            job,
-            shape,
-            attempt,
-            code,
-        } => format!(
-            ", \"job\": {job}, \"shape\": {}, \"attempt\": {attempt}, \"code\": \"{code}\"",
-            shape_json(*shape)
-        ),
-        JournalEntry::Rollback {
-            job,
-            attempt,
-            circuits,
-        } => format!(", \"job\": {job}, \"attempt\": {attempt}, \"circuits\": {circuits}"),
-        JournalEntry::Evict { job } => format!(", \"job\": {job}"),
-        JournalEntry::Snapshot { fingerprint } => {
-            format!(", \"fingerprint\": \"{fingerprint:#018x}\"")
-        }
-        JournalEntry::MultiGroupAdmit {
-            job,
-            extent,
-            legs,
-            ports,
-        } => {
-            let legs: Vec<String> = legs
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{{\"leg\": {}, \"group\": {}, \"origin\": {}, \"extent\": {}}}",
-                        l.leg,
-                        l.group,
-                        coord_json(l.origin),
-                        shape_json(l.extent)
-                    )
-                })
-                .collect();
-            let ports: Vec<String> = ports.iter().map(|p| p.to_string()).collect();
-            format!(
-                ", \"job\": {job}, \"extent\": {}, \"legs\": [{}], \"ports\": [{}]",
-                shape_json(*extent),
-                legs.join(", "),
-                ports.join(", ")
-            )
-        }
-    };
-    format!("{{{common}{rest}}}")
 }
 
 #[cfg(test)]

@@ -191,9 +191,10 @@ pub fn ring_plan(cluster: &Cluster, slice: &Slice, lanes: usize) -> CircuitPlan 
     let mut batches: BTreeMap<lightpath::WaferId, Vec<Demand>> = BTreeMap::new();
     let mut cross = Vec::new();
     if order.len() >= 2 {
-        for i in 0..order.len() {
-            let a = order[i];
-            let b = order[(i + 1) % order.len()];
+        // Every chip to its snake-order successor, then the last back to
+        // the first.
+        let successors = order.iter().skip(1).chain(order.first());
+        for (&a, &b) in order.iter().zip(successors) {
             let (wa, ta) = chip_to_tile(cluster, a);
             let (wb, tb) = chip_to_tile(cluster, b);
             if wa == wb {

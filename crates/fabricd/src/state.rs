@@ -13,7 +13,7 @@
 //! (`BTreeMap`/`BTreeSet`/coordinate order), never hash-ordered.
 
 use crate::journal::{DenyReason, Journal, JournalEntry, JournalHeader, Record};
-use crate::plan::{program_planned, ring_plan, PlanEngine};
+use crate::plan::{program_planned, ring_plan, PlanEngine, ProgramFailure};
 use crate::snapshot::FabricSnapshot;
 use desim::{SimDuration, SimTime, SnapReader, SnapWriter};
 use lightpath::{CtrlFault, FabricCircuit, FabricError, TopoFault, WaferId, WaferTelemetry};
@@ -898,37 +898,46 @@ impl FabricState {
         }
     }
 
-    /// Replay a `Deny { ProgramFailed }`: re-run the failed attempt so the
-    /// wafer's reconfiguration and circuit-id counters advance exactly as
-    /// they did live, then release the slice again.
-    fn apply_deny_program(&mut self, seq: u64, job: u32, shape: Shape3) -> Result<(), FabricError> {
+    /// Re-run a failed admission attempt on replay: best-fit place `shape`,
+    /// plan and program its ring, and release the slice again, so the
+    /// wafers' reconfiguration and circuit-id counters advance exactly as
+    /// they did live. Returns the programming failure. A placement that
+    /// differs from live, or programming that succeeds (its circuits are
+    /// torn down again), is a divergence; `live` says how the attempt
+    /// ended live (`denied` or `rejected`).
+    fn replay_failed_attempt(
+        &mut self,
+        seq: u64,
+        job: u32,
+        shape: Shape3,
+        live: &str,
+    ) -> Result<ProgramFailure, FabricError> {
         let slice = self
             .rack
             .cluster
             .occupancy_mut()
             .place_best_fit(job, shape)
-            .map_err(|e| replay_diverged(seq, format!("denied job placed differently: {e:?}")))?;
+            .map_err(|e| replay_diverged(seq, format!("{live} job placed differently: {e:?}")))?;
         let plan = ring_plan(&self.rack.cluster, &slice, self.lanes);
         let outcome = program_planned(&mut self.rack.fabric, &plan, &mut self.plans);
         self.rack.cluster.occupancy_mut().remove(SliceId(job));
         match outcome {
-            Err(_) => Ok(()),
+            Err(failure) => Ok(failure),
             Ok(handles) => {
                 for h in handles.into_iter().rev() {
                     let _ = self.rack.fabric.teardown_handle(h);
                 }
                 Err(replay_diverged(
                     seq,
-                    "programming succeeded on replay but was denied live".into(),
+                    format!("programming succeeded on replay but was {live} live"),
                 ))
             }
         }
     }
 
-    /// Replay a `Reject`: re-run the failed non-final attempt so wafer
-    /// counters advance as they did live, verify the failure reproduces the
-    /// journaled reason code, and stage the pairing check for the record's
-    /// `Rollback`.
+    /// Replay a `Reject`: re-run the failed non-final attempt, verify the
+    /// failure reproduces the journaled reason code, and stage the pairing
+    /// check for the record's `Rollback`.
     fn apply_reject(
         &mut self,
         seq: u64,
@@ -957,37 +966,16 @@ impl FabricState {
             self.pending_rollback = Some((job, attempt, 0));
             return Ok(());
         }
-        let slice = self
-            .rack
-            .cluster
-            .occupancy_mut()
-            .place_best_fit(job, shape)
-            .map_err(|e| replay_diverged(seq, format!("rejected job placed differently: {e:?}")))?;
-        let plan = ring_plan(&self.rack.cluster, &slice, self.lanes);
-        let outcome = program_planned(&mut self.rack.fabric, &plan, &mut self.plans);
-        self.rack.cluster.occupancy_mut().remove(SliceId(job));
-        match outcome {
-            Err(failure) => {
-                let live = failure.error.root_code();
-                if live != code {
-                    return Err(replay_diverged(
-                        seq,
-                        format!("reject reason diverged: replay {live}, journal {code}"),
-                    ));
-                }
-                self.pending_rollback = Some((job, attempt, failure.rolled_back));
-                Ok(())
-            }
-            Ok(handles) => {
-                for h in handles.into_iter().rev() {
-                    let _ = self.rack.fabric.teardown_handle(h);
-                }
-                Err(replay_diverged(
-                    seq,
-                    "programming succeeded on replay but was rejected live".into(),
-                ))
-            }
+        let failure = self.replay_failed_attempt(seq, job, shape, "rejected")?;
+        let live = failure.error.root_code();
+        if live != code {
+            return Err(replay_diverged(
+                seq,
+                format!("reject reason diverged: replay {live}, journal {code}"),
+            ));
         }
+        self.pending_rollback = Some((job, attempt, failure.rolled_back));
+        Ok(())
     }
 
     /// Apply one journal record to this state (replay path).
@@ -1043,7 +1031,9 @@ impl FabricState {
             JournalEntry::MultiGroupAdmit { .. } => Ok(()),
             JournalEntry::Deny { job, shape, reason } => match reason {
                 DenyReason::QueueTimeout => Ok(()),
-                DenyReason::ProgramFailed => self.apply_deny_program(r.seq, *job, *shape),
+                DenyReason::ProgramFailed => self
+                    .replay_failed_attempt(r.seq, *job, *shape, "denied")
+                    .map(drop),
             },
             JournalEntry::Reject {
                 job,
@@ -1207,17 +1197,7 @@ pub fn replay(journal: &Journal) -> Result<FabricState, FabricError> {
         ));
     }
     let h = *journal.header();
-    let mut st = FabricState::new(h.racks, h.lanes, h.seed);
-    for r in journal.records() {
-        st.apply_record(r)?;
-    }
-    if let Some((j, a, _)) = st.pending_rollback {
-        return Err(replay_diverged(
-            journal.len() as u64,
-            format!("journal ended with rollback of job {j} attempt {a} pending"),
-        ));
-    }
-    Ok(st)
+    replay_tail(FabricState::new(h.racks, h.lanes, h.seed), journal, 0)
 }
 
 /// Delta replay: restore `snap` and fold only the journal tail above the
@@ -1230,7 +1210,7 @@ pub fn replay(journal: &Journal) -> Result<FabricState, FabricError> {
 /// state re-verifies the snapshot fingerprint, and any later `Snapshot`
 /// record in the tail re-checks state equality (CTL406 semantics).
 pub fn replay_from(snap: &FabricSnapshot, journal: &Journal) -> Result<FabricState, FabricError> {
-    let mut st = snap.restore()?;
+    let st = snap.restore()?;
     if *journal.header() != snap.header {
         return Err(replay_diverged(
             snap.seq,
@@ -1250,11 +1230,18 @@ pub fn replay_from(snap: &FabricSnapshot, journal: &Journal) -> Result<FabricSta
     // `records()` yields the retained tail starting at `base`; skip the
     // prefix the snapshot already covers (including the Snapshot record
     // itself, which restore() has re-pushed onto the resumed journal).
-    for (i, r) in journal.records().iter().enumerate() {
-        let seq = base + i as u64;
-        if seq <= snap.seq {
-            continue;
-        }
+    replay_tail(st, journal, (snap.seq - base) as usize + 1)
+}
+
+/// Apply `journal`'s retained records after the first `skip` to `st`, in
+/// order, then refuse a journal that ends with a rejected attempt whose
+/// rollback never came.
+fn replay_tail(
+    mut st: FabricState,
+    journal: &Journal,
+    skip: usize,
+) -> Result<FabricState, FabricError> {
+    for r in journal.records().iter().skip(skip) {
         st.apply_record(r)?;
     }
     if let Some((j, a, _)) = st.pending_rollback {

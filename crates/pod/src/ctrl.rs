@@ -946,28 +946,16 @@ impl PodSnapshot {
         w.finish()
     }
 
-    /// Serialize to the integrity-checked artifact format.
+    /// Serialize to the integrity-checked artifact format, sealed by
+    /// [`desim::snap::seal`] under the format tag.
     pub fn to_text(&self) -> String {
-        let body = self.body();
-        let fnv = desim::snap::fingerprint(&body);
-        format!("{POD_SNAP_MAGIC} fnv={fnv:016x}\n{body}")
+        desim::snap::seal(POD_SNAP_MAGIC, &self.body())
     }
 
-    /// Parse a [`to_text`](Self::to_text) artifact, verifying the FNV
-    /// fingerprint and every structural invariant.
+    /// Parse a [`to_text`](Self::to_text) artifact, verifying the header,
+    /// the FNV fingerprint and every structural invariant.
     pub fn parse(text: &str) -> Result<PodSnapshot, String> {
-        let (first, body) = text
-            .split_once('\n')
-            .ok_or_else(|| "pod snapshot: missing artifact body".to_string())?;
-        let tag = format!("{POD_SNAP_MAGIC} fnv=");
-        let fnv_hex = first
-            .strip_prefix(tag.as_str())
-            .ok_or_else(|| format!("pod snapshot: expected `{POD_SNAP_MAGIC}` artifact"))?;
-        let fnv = u64::from_str_radix(fnv_hex, 16)
-            .map_err(|_| "pod snapshot: malformed fingerprint".to_string())?;
-        if desim::snap::fingerprint(body) != fnv {
-            return Err("pod snapshot: artifact fingerprint mismatch (corrupt body)".to_string());
-        }
+        let body = desim::snap::open(POD_SNAP_MAGIC, text)?;
         let mut r = SnapReader::new(body);
         r.section("pod")?;
         let epoch = r.u64("epoch")?;

@@ -4,6 +4,8 @@
 //! and restore — not the integrity fingerprint — must catch it. Both
 //! artifact kinds carry the same engine block: the ctrl campaign's
 //! `[campaign]` section and every `[shard]` section of a pod snapshot.
+//! Both also share one header, `<tag> fnv=<16 hex>`, and a header spelled
+//! any way the writer never prints it is refused too.
 
 use fabricd::{report::bench_config, resume_campaign, run_campaign, CampaignOptions, CtrlSnapshot};
 use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot, PolicyKind};
@@ -142,8 +144,8 @@ const CASES: [(&str, Edit, &str); 7] = [
     ),
 ];
 
-#[test]
-fn ctrl_resume_refuses_corrupt_queues_and_events() {
+/// The bench campaign's middle snapshot artifact.
+fn ctrl_snapshot() -> (String, CampaignOptions) {
     let (cfg, every) = bench_config();
     let opts = CampaignOptions {
         snapshot_every: Some(every),
@@ -154,7 +156,12 @@ fn ctrl_resume_refuses_corrupt_queues_and_events() {
         .snapshots
         .get(out.snapshots.len() / 2)
         .expect("the campaign captured snapshots");
-    let text = mid.to_text();
+    (mid.to_text(), opts)
+}
+
+#[test]
+fn ctrl_resume_refuses_corrupt_queues_and_events() {
+    let (text, opts) = ctrl_snapshot();
     let clean = CtrlSnapshot::parse(&text).and_then(|s| resume_campaign(&s, &opts));
     assert!(clean.is_ok(), "the unedited artifact resumes");
     for (name, edit, want) in CASES {
@@ -218,5 +225,54 @@ fn pod_artifact_relabelled_v1_is_refused() {
     match PodSnapshot::parse(&relabelled) {
         Ok(_) => panic!("a v1-tagged artifact parsed as v2"),
         Err(e) => assert!(e.contains("spsim-pod-snapshot v2"), "{e}"),
+    }
+}
+
+/// The artifact's header respelled in ways the writer never prints, each
+/// still carrying the body's true fingerprint, so only a strict header
+/// check refuses them.
+fn header_respellings(text: &str) -> Vec<(&'static str, String)> {
+    let (head, body) = text.split_once('\n').expect("artifact has a header line");
+    let (tag, hex) = head.split_once(" fnv=").expect("header carries an fnv");
+    assert_ne!(hex, hex.to_uppercase(), "the fingerprint has a hex letter");
+    vec![
+        (
+            "upper-case fnv",
+            format!("{tag} fnv={}", hex.to_uppercase()),
+        ),
+        ("+ sign", format!("{tag} fnv=+{hex}")),
+        ("extra leading 0", format!("{tag} fnv=0{hex}")),
+        ("trailing spaces", format!("{tag} fnv={hex}  ")),
+        ("CRLF", format!("{tag} fnv={hex}\r")),
+        ("no space before fnv=", format!("{tag}fnv={hex}")),
+    ]
+    .into_iter()
+    .map(|(name, head)| (name, format!("{head}\n{body}")))
+    .collect()
+}
+
+#[test]
+fn header_spellings_the_writer_never_prints_are_refused() {
+    let (ctrl, _) = ctrl_snapshot();
+    assert!(
+        CtrlSnapshot::parse(&ctrl).is_ok(),
+        "the unedited artifact parses"
+    );
+    for (name, bad) in header_respellings(&ctrl) {
+        match CtrlSnapshot::parse(&bad) {
+            Ok(_) => panic!("{name}: a respelled ctrl header parsed"),
+            Err(e) => assert!(e.contains("spsim-ctrl-snapshot v1"), "{name}: {e}"),
+        }
+    }
+    let (pod, _) = pod_snapshot();
+    assert!(
+        PodSnapshot::parse(&pod).is_ok(),
+        "the unedited artifact parses"
+    );
+    for (name, bad) in header_respellings(&pod) {
+        match PodSnapshot::parse(&bad) {
+            Ok(_) => panic!("{name}: a respelled pod header parsed"),
+            Err(e) => assert!(e.contains("spsim-pod-snapshot v2"), "{name}: {e}"),
+        }
     }
 }
