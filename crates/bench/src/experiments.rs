@@ -1,9 +1,9 @@
 //! The experiment harness: one function per table/figure of the paper.
 //!
 //! Each function returns structured data; the `repro` binary renders it as
-//! text and `EXPERIMENTS.md` records paper-vs-measured. Criterion benches
-//! call the same functions so the numbers in the report and the benchmarks
-//! cannot drift apart.
+//! text and `EXPERIMENTS.md` records paper-vs-measured. The tests in
+//! `tests/end_to_end_repro.rs` call the same functions, so the numbers in
+//! the report and the assertions cannot drift apart.
 
 use collectives::{
     bucket_reduce_scatter, bucket_reduce_scatter_cost, execute, ring_reduce_scatter,
@@ -803,9 +803,10 @@ mod tests {
 
     #[test]
     fn all_to_all_ablation_shapes() {
-        let pts = run_all_to_all(&[1e4, 1e9]);
+        let pts = run_all_to_all(&[1e4, 1e9, 1e10]);
         assert!(!pts[0].optics_wins, "10 kB: reconfig storm dominates");
         assert!(pts[1].optics_wins, "1 GB: bandwidth + clean matchings win");
+        assert!(pts[2].optics_wins, "10 GB: optics keeps winning");
         assert!(
             pts[1].congested_rounds > 0,
             "electrical all-to-all congests"
@@ -822,6 +823,7 @@ mod tests {
     #[test]
     fn host_policy_ordering() {
         let rows = run_host_policies(500, 4_096, 8);
+        assert_eq!(rows.len(), 3, "per-message, hold-open, batching");
         let per = &rows[0];
         let batch = &rows[2];
         assert!(batch.reconfigs < per.reconfigs / 4, "batching amortizes r");

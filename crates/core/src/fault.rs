@@ -676,21 +676,6 @@ impl FabricError {
             },
         }
     }
-
-    /// All entities along the source chain, outermost first, deduplicated.
-    pub fn entity_chain(&self) -> Vec<EntityRef> {
-        let mut out = Vec::new();
-        let mut cur = Some(self);
-        while let Some(e) = cur {
-            for ent in e.entities() {
-                if !out.contains(&ent) {
-                    out.push(ent);
-                }
-            }
-            cur = e.source.as_deref();
-        }
-        out
-    }
 }
 
 impl fmt::Display for FabricError {
@@ -817,15 +802,6 @@ mod tests {
         assert!(s.contains("circuit/edge-exhausted"));
         assert_eq!(top.root_code(), "circuit/edge-exhausted");
         assert_eq!(top.layer(), Layer::Ctrl);
-    }
-
-    #[test]
-    fn entity_chain_collects_across_layers() {
-        let root = FabricError::new(CircuitFault::TileFailed(TileCoord::new(1, 2)));
-        let top = FabricError::caused_by(CtrlFault::ProgramBatch { wafer: 1 }, root);
-        let ents = top.entity_chain();
-        assert!(ents.contains(&EntityRef::Wafer(1)));
-        assert!(ents.contains(&EntityRef::Tile(TileCoord::new(1, 2))));
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl Dir {
     /// All four directions.
     pub const ALL: [Dir; 4] = [Dir::North, Dir::East, Dir::South, Dir::West];
 
-    /// The opposite direction.
-    pub fn opposite(self) -> Dir {
-        match self {
-            Dir::North => Dir::South,
-            Dir::South => Dir::North,
-            Dir::East => Dir::West,
-            Dir::West => Dir::East,
-        }
-    }
-
     /// True when `self` and `other` lie on perpendicular axes.
     pub fn is_turn(self, other: Dir) -> bool {
         matches!(
@@ -258,28 +248,6 @@ impl EdgeIndex {
             Dir::North => self.horizontal_count() + (r - 1) * cols + c,
         }
     }
-
-    /// The edge at dense position `i` (inverse of [`index`](Self::index)).
-    ///
-    /// Panics when `i >= len()`.
-    pub fn edge_at(self, i: usize) -> EdgeId {
-        let h = self.horizontal_count();
-        let cols = self.cols as usize;
-        if i < h {
-            let (r, c) = ((i / (cols - 1)) as u8, (i % (cols - 1)) as u8);
-            EdgeId::between(TileCoord::new(r, c), TileCoord::new(r, c + 1))
-        } else {
-            let v = i - h;
-            assert!(
-                v < (self.rows as usize - 1) * cols,
-                "edge index {i} out of range for a {}x{} grid",
-                self.rows,
-                self.cols
-            );
-            let (r, c) = ((v / cols) as u8, (v % cols) as u8);
-            EdgeId::between(TileCoord::new(r, c), TileCoord::new(r + 1, c))
-        }
-    }
 }
 
 /// A fixed-size set of dense edge indices, stored as a bitset.
@@ -335,15 +303,6 @@ impl EdgeSet {
             .iter()
             .zip(other.words.iter())
             .any(|(&a, &b)| a & b != 0)
-    }
-
-    /// OR every bit of `other` into this set. Both sets must be sized for
-    /// the same grid.
-    pub fn union_with(&mut self, other: &EdgeSet) {
-        debug_assert_eq!(self.words.len(), other.words.len());
-        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
-            *w |= o;
-        }
     }
 }
 
@@ -516,15 +475,15 @@ mod tests {
     }
 
     #[test]
-    fn dir_to_and_opposite() {
+    fn dir_to_and_turns() {
         let a = TileCoord::new(1, 1);
         assert_eq!(a.dir_to(TileCoord::new(0, 1)), Dir::North);
         assert_eq!(a.dir_to(TileCoord::new(1, 2)), Dir::East);
         for d in Dir::ALL {
-            assert_eq!(d.opposite().opposite(), d);
             assert!(!d.is_turn(d));
-            assert!(!d.is_turn(d.opposite()));
         }
+        assert!(!Dir::North.is_turn(Dir::South));
+        assert!(!Dir::East.is_turn(Dir::West));
         assert!(Dir::North.is_turn(Dir::East));
     }
 
@@ -617,7 +576,6 @@ mod tests {
                         let i = ix.index(e);
                         assert!(!seen[i], "index {i} assigned twice");
                         seen[i] = true;
-                        assert_eq!(ix.edge_at(i), e, "edge_at inverts index");
                     }
                 }
             }
@@ -689,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_set_intersection_and_union() {
+    fn edge_set_intersection() {
         let mut a = EdgeSet::new(130);
         let mut b = EdgeSet::new(130);
         assert!(!a.intersects(&b), "empty sets are disjoint");
@@ -700,11 +658,6 @@ mod tests {
         b.insert(129);
         assert!(a.intersects(&b), "shared bit in the last word detected");
         assert!(b.intersects(&a), "intersection is symmetric");
-        a.union_with(&b);
-        for i in [0, 64, 129] {
-            assert!(a.contains(i), "union must carry bit {i}");
-        }
-        assert!(!a.contains(1));
     }
 
     #[test]

@@ -1,14 +1,10 @@
-//! One LIGHTPATH tile: the transceiver block and representative switches.
+//! One LIGHTPATH tile: the transceiver block under one accelerator.
 //!
-//! Physically a tile carries thousands of MZIs (Fig 4); the four 1×3
-//! switches modelled here are the representative programmable elements of
-//! Fig 2a/2b, one facing each cardinal direction. Circuit bookkeeping
-//! (waveguide capacity, wavelength claims) lives at the wafer level; the
-//! tile owns the *electrical-side* resources — its SerDes lane pool — and
-//! the accelerator-failure flag.
+//! Circuit bookkeeping (waveguide capacity, wavelength claims, and the
+//! 3.7 µs MZI reconfiguration charged per establish) lives at the wafer
+//! level; the tile owns the *electrical-side* resources — its SerDes lane
+//! pool — and the accelerator-failure flag.
 
-use crate::geom::Dir;
-use phy::mzi::{MziParams, Switch1x3, SwitchPort};
 use phy::serdes::SerdesPool;
 use phy::wdm::WdmGrid;
 
@@ -17,37 +13,17 @@ use phy::wdm::WdmGrid;
 pub struct Tile {
     /// SerDes lanes of the accelerator chip bonded to this tile.
     pub serdes: SerdesPool,
-    /// Representative 1×3 switches, indexed by the direction they face.
-    switches: [Switch1x3; 4],
     /// True when the stacked accelerator has failed. Light still passes
     /// through the photonic layer, but the tile cannot source or sink.
     failed: bool,
-    /// Number of switch-programming events on this tile.
-    programs: u64,
-}
-
-fn dir_index(d: Dir) -> usize {
-    match d {
-        Dir::North => 0,
-        Dir::East => 1,
-        Dir::South => 2,
-        Dir::West => 3,
-    }
 }
 
 impl Tile {
-    /// A fresh tile with the given WDM plan and switch parameters.
-    pub fn new(wdm: &WdmGrid, mzi: MziParams) -> Self {
+    /// A fresh tile with the given WDM plan.
+    pub fn new(wdm: &WdmGrid) -> Self {
         Tile {
-            serdes: SerdesPool::new(wdm.channels, wdm.rate),
-            switches: [
-                Switch1x3::new(mzi, SwitchPort::Out0),
-                Switch1x3::new(mzi, SwitchPort::Out0),
-                Switch1x3::new(mzi, SwitchPort::Out0),
-                Switch1x3::new(mzi, SwitchPort::Out0),
-            ],
+            serdes: SerdesPool::new(wdm.channels),
             failed: false,
-            programs: 0,
         }
     }
 
@@ -65,26 +41,6 @@ impl Tile {
     pub fn restore(&mut self) {
         self.failed = false;
     }
-
-    /// Inspect the switch facing direction `d`.
-    pub fn switch(&self, d: Dir) -> &Switch1x3 {
-        &self.switches[dir_index(d)]
-    }
-
-    /// Program the switch facing `d` to `port` at absolute time `now_s`;
-    /// returns the settle latency in seconds (0 when already selected).
-    pub fn program_switch(&mut self, d: Dir, port: SwitchPort, now_s: f64) -> f64 {
-        let lat = self.switches[dir_index(d)].select(port, now_s);
-        if lat > 0.0 {
-            self.programs += 1;
-        }
-        lat
-    }
-
-    /// Switch-programming events so far.
-    pub fn programs(&self) -> u64 {
-        self.programs
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +48,7 @@ mod tests {
     use super::*;
 
     fn tile() -> Tile {
-        Tile::new(&WdmGrid::default(), MziParams::default())
+        Tile::new(&WdmGrid::default())
     }
 
     #[test]
@@ -110,19 +66,5 @@ mod tests {
         assert!(t.is_failed());
         t.restore();
         assert!(!t.is_failed());
-    }
-
-    #[test]
-    fn switch_programming_counts_and_reports_latency() {
-        let mut t = tile();
-        let lat = t.program_switch(Dir::East, SwitchPort::Out2, 0.0);
-        assert!((lat - 3.7e-6).abs() < 1e-9);
-        assert_eq!(t.programs(), 1);
-        // Re-programming to the same port much later is free.
-        let lat = t.program_switch(Dir::East, SwitchPort::Out2, 1.0);
-        assert_eq!(lat, 0.0);
-        assert_eq!(t.programs(), 1);
-        // Other directions are independent.
-        assert_eq!(t.switch(Dir::North).selected(), SwitchPort::Out0);
     }
 }

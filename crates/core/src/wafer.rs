@@ -77,9 +77,7 @@ impl Wafer {
     /// `cfg.fab_seed`).
     pub fn new(cfg: WaferConfig) -> Self {
         let cfg = cfg.validated();
-        let tiles = (0..cfg.tiles())
-            .map(|_| Tile::new(&cfg.wdm, cfg.mzi))
-            .collect();
+        let tiles = (0..cfg.tiles()).map(|_| Tile::new(&cfg.wdm)).collect();
         let mut rng = SimRng::seed_from_u64(cfg.fab_seed);
         let edge_index = EdgeIndex::new(cfg.rows, cfg.cols);
         let mut stitch_loss_db = vec![0.0; edge_index.len()];

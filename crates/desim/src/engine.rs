@@ -139,12 +139,6 @@ impl<M> Engine<M> {
         self.schedule_at(self.now + after, f)
     }
 
-    /// Schedule `f` to run at the current instant, after all events already
-    /// queued for this instant.
-    pub fn schedule_now(&mut self, f: impl FnOnce(&mut M, &mut Engine<M>) + 'static) -> EventId {
-        self.schedule_at(self.now, f)
-    }
-
     /// Cancel a pending event. Returns `true` only if the event was still
     /// queued; cancelling an executed, unknown, or already-cancelled id is a
     /// no-op returning `false`.
@@ -205,20 +199,6 @@ impl<M> Engine<M> {
                 _ => break,
             }
         }
-    }
-
-    /// Run until `pred(model)` holds (checked after each event) or the queue
-    /// drains. Returns `true` if the predicate was satisfied.
-    pub fn run_until_pred(&mut self, model: &mut M, mut pred: impl FnMut(&M) -> bool) -> bool {
-        if pred(model) {
-            return true;
-        }
-        while self.step(model) {
-            if pred(model) {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -313,19 +293,6 @@ mod tests {
         assert_eq!(e.pending(), 1);
         e.run(&mut log);
         assert_eq!(log.0.len(), 2);
-    }
-
-    #[test]
-    fn run_until_pred_stops_early() {
-        let mut e = Engine::new();
-        let mut log = Log::default();
-        for i in 1..=10 {
-            e.schedule_at(at(i), move |m: &mut Log, _| m.0.push((i, "e")));
-        }
-        let hit = e.run_until_pred(&mut log, |m| m.0.len() >= 3);
-        assert!(hit);
-        assert_eq!(log.0.len(), 3);
-        assert_eq!(e.pending(), 7);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl EpochConfig {
         }
     }
 
-    /// The window length.
-    pub fn length(&self) -> SimDuration {
-        self.length
-    }
-
     /// First instant of epoch `k` (saturating at the clock's end).
     pub fn start_of(&self, epoch: u64) -> SimTime {
         match self.length.as_ps().checked_mul(epoch) {
@@ -50,11 +45,6 @@ impl EpochConfig {
     /// `t < end_of(k)` belong to epoch `k` or earlier.
     pub fn end_of(&self, epoch: u64) -> SimTime {
         self.start_of(epoch.saturating_add(1))
-    }
-
-    /// Which epoch an instant falls in.
-    pub fn epoch_of(&self, t: SimTime) -> u64 {
-        t.as_ps() / self.length.as_ps()
     }
 }
 
@@ -103,8 +93,6 @@ mod tests {
         let e = EpochConfig::new(SimDuration::from_secs(10)).expect("non-zero");
         assert_eq!(e.start_of(0), SimTime::ZERO);
         assert_eq!(e.end_of(0), e.start_of(1));
-        assert_eq!(e.epoch_of(SimTime::ZERO), 0);
-        assert_eq!(e.epoch_of(e.end_of(0)), 1, "boundary starts the next epoch");
         assert!(EpochConfig::new(SimDuration::ZERO).is_none());
     }
 

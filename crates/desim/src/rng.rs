@@ -39,14 +39,6 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream (e.g. one per module) without
-    /// perturbing this stream's relationship to other consumers.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        // Mix the label into a fresh seed drawn from this stream.
-        let base = self.next_u64();
-        SimRng::seed_from_u64(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -135,30 +127,6 @@ impl SimRng {
         -(1.0 - self.next_f64()).ln() / rate
     }
 
-    /// Poisson deviate (Knuth for small means, normal approximation above 64).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean >= 0.0, "mean must be non-negative");
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            // Normal approximation with continuity correction.
-            let z = self.normal();
-            let v = mean + mean.sqrt() * z + 0.5;
-            return v.max(0.0) as u64;
-        }
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.next_f64();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -193,21 +161,6 @@ mod tests {
         let mut b = SimRng::seed_from_u64(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn forked_streams_are_independent_and_deterministic() {
-        let mut parent1 = SimRng::seed_from_u64(9);
-        let mut parent2 = SimRng::seed_from_u64(9);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // A different stream label yields a different sequence.
-        let mut parent3 = SimRng::seed_from_u64(9);
-        let mut c3 = parent3.fork(4);
-        assert_ne!(c1.next_u64(), c3.next_u64());
     }
 
     #[test]
@@ -252,19 +205,6 @@ mod tests {
         let rate = 4.0;
         let mean: f64 = (0..n).map(|_| r.exponential(rate)).sum::<f64>() / n as f64;
         assert!((mean - 1.0 / rate).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_mean_matches_parameter() {
-        let mut r = SimRng::seed_from_u64(23);
-        for lambda in [0.5, 3.0, 20.0, 200.0] {
-            let n = 20_000;
-            let mean: f64 = (0..n).map(|_| r.poisson(lambda) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - lambda).abs() < 0.05 * lambda.max(1.0),
-                "lambda {lambda} mean {mean}"
-            );
-        }
     }
 
     #[test]

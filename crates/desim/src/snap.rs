@@ -216,10 +216,12 @@ fn parse_hex16(v: &str) -> Option<u64> {
 /// Every accessor demands the *next* line match the expected shape
 /// (section header or `key=value` with the expected key); any deviation is
 /// an error naming the line, so truncation, reordering, and hand-edits are
-/// all caught before a half-restored state can leak out.
+/// all caught before a half-restored state can leak out. Lines end in `\n`
+/// alone, as the writer ends them: a line holding a `\r` is refused.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
-    lines: std::str::Lines<'a>,
+    /// The input after the last line consumed.
+    rest: &'a str,
     /// 1-based line number of the last line consumed.
     line_no: usize,
 }
@@ -228,16 +230,33 @@ impl<'a> SnapReader<'a> {
     /// Read `text` from the start.
     pub fn new(text: &'a str) -> Self {
         SnapReader {
-            lines: text.lines(),
+            rest: text,
             line_no: 0,
         }
     }
 
     fn next_line(&mut self) -> Result<&'a str, String> {
         self.line_no += 1;
-        self.lines
-            .next()
-            .ok_or_else(|| format!("snap: unexpected end of input at line {}", self.line_no))
+        if self.rest.is_empty() {
+            return Err(format!(
+                "snap: unexpected end of input at line {}",
+                self.line_no
+            ));
+        }
+        // One pass finds the end of the line, or a `\r` before it.
+        let end = self.rest.bytes().position(|b| b == b'\n' || b == b'\r');
+        let (line, tail) = self.rest.split_at(end.unwrap_or(self.rest.len()));
+        self.rest = match tail.strip_prefix('\n') {
+            Some(next) => next,
+            None if tail.is_empty() => tail,
+            None => {
+                return Err(format!(
+                    "snap: line {}: carriage return after {line:?} (the writer ends lines with \\n alone)",
+                    self.line_no
+                ))
+            }
+        };
+        Ok(line)
     }
 
     /// Expect a `[name]` section header.
@@ -338,13 +357,17 @@ impl<'a> SnapReader<'a> {
 
     /// Expect end of input — trailing garbage is as fatal as truncation.
     pub fn done(&mut self) -> Result<(), String> {
-        match self.lines.next() {
-            None => Ok(()),
-            Some(line) => Err(format!(
-                "snap: line {}: trailing content {line:?}",
-                self.line_no + 1
-            )),
+        if self.rest.is_empty() {
+            return Ok(());
         }
+        let line = self
+            .rest
+            .split_once('\n')
+            .map_or(self.rest, |(line, _)| line);
+        Err(format!(
+            "snap: line {}: trailing content {line:?}",
+            self.line_no + 1
+        ))
     }
 }
 
@@ -447,6 +470,19 @@ mod tests {
         r2.section("s").expect("section");
         r2.u64("a").expect("a");
         assert!(r2.done().is_err());
+        // Line endings the writer never prints: CRLF, or a stray `\r`.
+        for (text, line) in [
+            ("[s]\r\na=1\r\n", 1),
+            ("[s]\na=1\r", 2),
+            ("[s]\na=\r1\n", 2),
+        ] {
+            let mut r = SnapReader::new(text);
+            let err = r.section("s").and_then(|()| r.u64("a")).expect_err(text);
+            assert!(
+                err.contains(&format!("line {line}: carriage return")),
+                "{err}"
+            );
+        }
         // Numbers the writer never prints, most of which `str::parse` or
         // `from_str_radix` accepts.
         for line in ["queue=+8", "queue=08", "queue=", "queue=-0"] {

@@ -137,11 +137,6 @@ impl SimDuration {
         self.0 as f64 / PS_PER_US as f64
     }
 
-    /// Nanoseconds as a float (lossy; for reporting only).
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
-
     /// Saturating addition.
     pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))

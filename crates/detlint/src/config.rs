@@ -9,8 +9,8 @@
 //! [rules]              # default severity per rule code
 //! DET001 = "error"
 //!
-//! [crate.criterion]    # per-crate severity overrides
-//! DET002 = "allow"     # the bench shim measures wall time by design
+//! [crate.sweep]        # per-crate severity overrides
+//! DET002 = "warn"      # report its telemetry clock reads, never fail on them
 //!
 //! [baseline.core]      # per-crate ratchet ceilings (count <= ceiling)
 //! PAN001 = 6
@@ -177,7 +177,7 @@ mod tests {
              DET001 = \"error\"\n\
              DET002 = \"warn\"  # trailing comment\n\
              \n\
-             [crate.criterion]\n\
+             [crate.sweep]\n\
              DET002 = \"allow\"\n\
              \n\
              [baseline.core]\n\
@@ -187,7 +187,7 @@ mod tests {
         .expect("parses");
         assert_eq!(cfg.severity("route", Rule::Det001), Severity::Error);
         assert_eq!(cfg.severity("route", Rule::Det002), Severity::Warn);
-        assert_eq!(cfg.severity("criterion", Rule::Det002), Severity::Allow);
+        assert_eq!(cfg.severity("sweep", Rule::Det002), Severity::Allow);
         assert_eq!(cfg.baseline("core", Rule::Pan001), Some(6));
         assert_eq!(cfg.baseline("core", Rule::Pan003), Some(120));
         assert_eq!(cfg.baseline("route", Rule::Pan001), None);

@@ -163,8 +163,9 @@ impl fmt::Display for Rule {
 /// Per-rule, per-crate severity, resolved from `detlint.toml`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// The rule is off for this crate (e.g. the criterion shim measures
-    /// wall time by design).
+    /// The rule is off for this crate (`DET002 = "allow"` under
+    /// `[crate.sweep]` would, say, stop reporting its telemetry clock
+    /// reads).
     Allow,
     /// Reported in output and the JSON artifact, but never fails the build.
     Warn,

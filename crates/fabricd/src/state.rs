@@ -1259,24 +1259,41 @@ mod tests {
 
     #[test]
     fn admit_program_evict_roundtrip() {
+        // One warm fabric admits and evicts each shape back to back, up to
+        // a whole 4×4×1 layer: every admission succeeds, and every evict
+        // leaves no circuit and no occupied chip behind.
         let mut st = FabricState::new(1, 2, 0);
-        let t0 = SimTime::ZERO;
-        match st.admit(t0, 0, Shape3::new(2, 2, 1)) {
-            Admission::Admitted { setup, .. } => {
-                assert!((setup.as_micros_f64() - 3.7).abs() < 1e-9);
+        let mut t = SimTime::ZERO;
+        let mut job = 0;
+        for shape in [
+            Shape3::new(2, 2, 1),
+            Shape3::new(4, 2, 1),
+            Shape3::new(4, 4, 1),
+        ] {
+            for cycle in 0..50 {
+                match st.admit(t, job, shape) {
+                    Admission::Admitted { setup, .. } => {
+                        assert!((setup.as_micros_f64() - 3.7).abs() < 1e-9);
+                    }
+                    other => panic!("{shape} cycle {cycle}: expected admission, got {other:?}"),
+                }
+                if job == 0 {
+                    assert_eq!(st.journal().len(), 3, "admit + program + reconfigure");
+                }
+                assert_eq!(st.live_jobs(), 1);
+                let busy = st.utilization();
+                assert!(busy.circuits > 0);
+                assert!(busy.occupancy > 0.0);
+                t += SimDuration::from_us(1);
+                st.evict(t, job);
+                t += SimDuration::from_us(1);
+                assert_eq!(st.live_jobs(), 0);
+                let idle = st.utilization();
+                assert_eq!(idle.circuits, 0, "{shape} cycle {cycle}");
+                assert_eq!(idle.occupancy, 0.0, "{shape} cycle {cycle}");
+                job += 1;
             }
-            other => panic!("expected admission, got {other:?}"),
         }
-        assert_eq!(st.live_jobs(), 1);
-        assert_eq!(st.journal().len(), 3, "admit + program + reconfigure");
-        let busy = st.utilization();
-        assert!(busy.circuits > 0);
-        assert!(busy.occupancy > 0.0);
-        st.evict(t0 + SimDuration::from_secs(1), 0);
-        assert_eq!(st.live_jobs(), 0);
-        let idle = st.utilization();
-        assert_eq!(idle.circuits, 0);
-        assert_eq!(idle.occupancy, 0.0);
     }
 
     #[test]

@@ -90,17 +90,6 @@ impl Channel {
         }
         Milliwatts((lo * hi).sqrt()).to_dbm()
     }
-
-    /// The sensitivity penalty of this channel against NRZ at the same
-    /// *data rate* (NRZ needs 2× the baud for PAM4's bits), dB. Positive
-    /// means this format needs more power.
-    pub fn penalty_vs_nrz_same_rate(&self, pd: &Photodetector, target_ber: f64) -> f64 {
-        let nrz = Channel {
-            gbaud: self.rate().0 / Format::Nrz.bits_per_symbol(),
-            format: Format::Nrz,
-        };
-        (self.sensitivity(pd, target_ber) - nrz.sensitivity(pd, target_ber)).0
-    }
 }
 
 #[cfg(test)]
@@ -132,26 +121,6 @@ mod tests {
         assert!(
             (4.0..6.0).contains(&gap),
             "PAM4 penalty {gap} dB at equal baud"
-        );
-    }
-
-    #[test]
-    fn pam4_beats_nrz_at_same_data_rate_in_bandwidth() {
-        // At the same 224 Gb/s, NRZ needs 224 GBd (double the bandwidth
-        // and hence more integrated noise); the PAM4 penalty shrinks.
-        let pd = Photodetector::default();
-        let pam4 = Channel::lightpath_default();
-        let penalty = pam4.penalty_vs_nrz_same_rate(&pd, 1e-12);
-        let equal_baud_gap = {
-            let nrz = Channel {
-                gbaud: 112.0,
-                format: Format::Nrz,
-            };
-            (pam4.sensitivity(&pd, 1e-12) - nrz.sensitivity(&pd, 1e-12)).0
-        };
-        assert!(
-            penalty < equal_baud_gap,
-            "halved baud recovers part of the eye penalty: {penalty} vs {equal_baud_gap}"
         );
     }
 

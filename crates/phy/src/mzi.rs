@@ -88,16 +88,6 @@ impl Mzi {
         }
     }
 
-    /// Device parameters.
-    pub fn params(&self) -> &MziParams {
-        &self.params
-    }
-
-    /// The commanded (target) state.
-    pub fn state(&self) -> MziState {
-        self.state
-    }
-
     /// Command a state change at absolute time `now_s`. Returns the latency
     /// (seconds) until the selected port's *optical amplitude* is within 1 %
     /// of its settled value — **3.7 µs** for a full bar↔cross swing with the
@@ -151,11 +141,6 @@ impl Mzi {
         let floor = Db::loss(self.params.extinction_ratio_db).to_linear();
         let il = Db::loss(self.params.insertion_loss_db).to_linear();
         (ideal.max(floor)) * il
-    }
-
-    /// Insertion loss of the selected path as a [`Db`] ratio (negative).
-    pub fn insertion_loss(&self) -> Db {
-        Db::loss(self.params.insertion_loss_db)
     }
 
     /// Record the normalized optical amplitude at the port selected by
@@ -242,11 +227,6 @@ impl Switch1x3 {
         }
     }
 
-    /// Currently selected port.
-    pub fn selected(&self) -> SwitchPort {
-        self.selected
-    }
-
     /// Command the switch to `port` at absolute time `now_s`; returns the
     /// reconfiguration latency in seconds (the slowest constituent MZI, i.e.
     /// 3.7 µs for any real state change with default parameters, 0 if
@@ -260,33 +240,6 @@ impl Switch1x3 {
         let l2 = self.stage2.drive(s2, now_s);
         self.selected = port;
         l1.max(l2)
-    }
-
-    /// Settled power transmission to `port` (linear ≤ 1), long after any
-    /// transition.
-    pub fn transmission_settled(&self, port: SwitchPort) -> f64 {
-        self.transmission_at(port, f64::MAX / 4.0)
-    }
-
-    /// Power transmission to `port` at absolute time `t_s`.
-    pub fn transmission_at(&self, port: SwitchPort, t_s: f64) -> f64 {
-        match port {
-            SwitchPort::Out0 => self.stage1.bar_transmission(t_s),
-            SwitchPort::Out1 => {
-                self.stage1.cross_transmission(t_s) * self.stage2.bar_transmission(t_s)
-            }
-            SwitchPort::Out2 => {
-                self.stage1.cross_transmission(t_s) * self.stage2.cross_transmission(t_s)
-            }
-        }
-    }
-
-    /// Worst-case insertion loss of the selected path (both stages).
-    pub fn path_insertion_loss(&self) -> Db {
-        match self.selected {
-            SwitchPort::Out0 => self.stage1.insertion_loss(),
-            _ => self.stage1.insertion_loss() + self.stage2.insertion_loss(),
-        }
     }
 }
 
@@ -358,58 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn switch_selects_each_port() {
-        for port in SwitchPort::ALL {
-            let s = Switch1x3::new(ideal_params(), port);
-            assert!(
-                s.transmission_settled(port) > 0.99,
-                "selected port {port:?} is bright"
-            );
-            for other in SwitchPort::ALL {
-                if other != port {
-                    assert!(
-                        s.transmission_settled(other) < 0.02,
-                        "unselected port {other:?} is dark"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn switch_reconfiguration_latency_is_3_7us() {
         let mut s = Switch1x3::new(MziParams::default(), SwitchPort::Out0);
         let lat = s.select(SwitchPort::Out2, 0.0);
         assert!((lat - 3.7e-6).abs() < 1e-9);
         assert_eq!(s.select(SwitchPort::Out2, 1.0), 0.0);
-    }
-
-    #[test]
-    fn power_conservation_with_no_loss() {
-        // At any instant during a transition the three ports plus nothing
-        // else carry the input power (within the extinction floor error).
-        let mut s = Switch1x3::new(ideal_params(), SwitchPort::Out0);
-        s.select(SwitchPort::Out2, 0.0);
-        for i in 0..40 {
-            let t = i as f64 * 0.2e-6;
-            let total: f64 = SwitchPort::ALL
-                .iter()
-                .map(|&p| s.transmission_at(p, t))
-                .sum();
-            assert!(total <= 1.05, "total power {total} at t={t}");
-            assert!(total >= 0.5, "power vanished: {total} at t={t}");
-        }
-    }
-
-    #[test]
-    fn path_loss_counts_stages() {
-        let p = MziParams {
-            insertion_loss_db: 0.15,
-            ..MziParams::default()
-        };
-        let s0 = Switch1x3::new(p, SwitchPort::Out0);
-        assert!((s0.path_insertion_loss().0 + 0.15).abs() < 1e-12);
-        let s2 = Switch1x3::new(p, SwitchPort::Out2);
-        assert!((s2.path_insertion_loss().0 + 0.30).abs() < 1e-12);
     }
 }

@@ -6,7 +6,6 @@
 //! chip". This module models that electrical-side constraint: a pool of
 //! full-duplex SerDes lanes that transmit/receive one wavelength each.
 
-use crate::units::Gbps;
 use crate::wdm::LambdaSet;
 
 /// A pool of SerDes lanes on the accelerator chip bonded to a tile.
@@ -17,29 +16,22 @@ use crate::wdm::LambdaSet;
 #[derive(Debug, Clone)]
 pub struct SerdesPool {
     lanes: usize,
-    rate_per_lane: Gbps,
     tx_in_use: LambdaSet,
     rx_in_use: LambdaSet,
 }
 
 impl SerdesPool {
-    /// A pool of `lanes` full-duplex lanes at `rate_per_lane` each.
+    /// A pool of `lanes` full-duplex lanes.
     ///
     /// Panics if `lanes` is 0 or exceeds the 64-channel ceiling of
     /// [`LambdaSet`].
-    pub fn new(lanes: usize, rate_per_lane: Gbps) -> Self {
+    pub fn new(lanes: usize) -> Self {
         assert!(lanes > 0 && lanes <= 64, "lanes must be in 1..=64");
         SerdesPool {
             lanes,
-            rate_per_lane,
             tx_in_use: LambdaSet::EMPTY,
             rx_in_use: LambdaSet::EMPTY,
         }
-    }
-
-    /// Matches a LIGHTPATH tile: 16 lanes at 224 Gb/s.
-    pub fn lightpath_default() -> Self {
-        SerdesPool::new(crate::wdm::LAMBDAS_PER_TILE, crate::wdm::RATE_PER_LAMBDA)
     }
 
     /// Total lanes.
@@ -55,11 +47,6 @@ impl SerdesPool {
     /// Lanes currently free in the receive direction.
     pub fn rx_free(&self) -> usize {
         self.lanes - self.rx_in_use.len()
-    }
-
-    /// Aggregate egress bandwidth still unallocated.
-    pub fn tx_headroom(&self) -> Gbps {
-        Gbps(self.rate_per_lane.0 * self.tx_free() as f64)
     }
 
     /// Claim `k` transmit lanes bound to specific wavelengths. Fails
@@ -123,15 +110,8 @@ mod tests {
     use crate::wdm::Lambda;
 
     #[test]
-    fn default_matches_lightpath_tile() {
-        let p = SerdesPool::lightpath_default();
-        assert_eq!(p.lanes(), 16);
-        assert!((p.tx_headroom().0 - 3584.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn claim_and_release_roundtrip() {
-        let mut p = SerdesPool::new(4, Gbps(224.0));
+        let mut p = SerdesPool::new(4);
         let set = LambdaSet::first_n(3);
         assert!(p.claim_tx(set).is_some());
         assert_eq!(p.tx_free(), 1);
@@ -142,7 +122,7 @@ mod tests {
 
     #[test]
     fn overlapping_claim_fails_atomically() {
-        let mut p = SerdesPool::new(4, Gbps(224.0));
+        let mut p = SerdesPool::new(4);
         let a: LambdaSet = [Lambda(0), Lambda(1)].into_iter().collect();
         let b: LambdaSet = [Lambda(1), Lambda(2)].into_iter().collect();
         assert!(p.claim_tx(a).is_some());
@@ -152,7 +132,7 @@ mod tests {
 
     #[test]
     fn capacity_claim_fails() {
-        let mut p = SerdesPool::new(2, Gbps(224.0));
+        let mut p = SerdesPool::new(2);
         assert!(p.claim_rx(LambdaSet::first_n(2)).is_some());
         let more = LambdaSet::single(Lambda(5));
         assert!(p.claim_rx(more).is_none());
@@ -160,7 +140,7 @@ mod tests {
 
     #[test]
     fn availability_tracks_claims() {
-        let mut p = SerdesPool::new(4, Gbps(224.0));
+        let mut p = SerdesPool::new(4);
         let a = LambdaSet::single(Lambda(2));
         p.claim_tx(a);
         let avail = p.tx_available();
@@ -171,7 +151,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unclaimed")]
     fn double_release_panics() {
-        let mut p = SerdesPool::new(4, Gbps(224.0));
+        let mut p = SerdesPool::new(4);
         p.release_tx(LambdaSet::single(Lambda(0)));
     }
 }

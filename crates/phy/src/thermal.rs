@@ -53,37 +53,6 @@ impl FirstOrderStep {
         }
         self.target + (self.start - self.target) * (-t / self.tau).exp()
     }
-
-    /// Target level.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
-    /// Time constant in seconds.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// Time until the response stays within `tol` × |step| of the target.
-    /// Zero-magnitude steps settle immediately.
-    ///
-    /// Panics unless `0 < tol < 1`.
-    pub fn settle_time(&self, tol: f64) -> f64 {
-        assert!(
-            tol > 0.0 && tol < 1.0,
-            "tolerance must be in (0,1), got {tol}"
-        );
-        if self.start == self.target {
-            return 0.0;
-        }
-        self.tau * (1.0 / tol).ln()
-    }
-
-    /// Conventional 10 %→90 % rise time.
-    pub fn rise_time_10_90(&self) -> f64 {
-        // t10 = τ·ln(1/0.9), t90 = τ·ln(1/0.1); difference = τ·ln 9.
-        self.tau * 9f64.ln()
-    }
 }
 
 #[cfg(test)]
@@ -126,29 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn settle_time_definition_holds() {
-        let s = FirstOrderStep::new(2.0, -1.0, 5e-7);
-        let t = s.settle_time(0.02);
-        let err = (s.value(t) - s.target()).abs() / 3.0;
-        assert!((err - 0.02).abs() < 1e-9, "err {err}");
-    }
-
-    #[test]
-    fn zero_step_settles_instantly() {
-        let s = FirstOrderStep::new(1.0, 1.0, 1e-6);
-        assert_eq!(s.settle_time(0.01), 0.0);
-    }
-
-    #[test]
     fn falling_step_decays() {
         let s = FirstOrderStep::new(1.0, 0.0, 1e-6);
         assert!(s.value(1e-6) < 0.4);
         assert!(s.value(1e-6) > 0.3);
-    }
-
-    #[test]
-    fn rise_time_is_ln9_tau() {
-        let s = FirstOrderStep::new(0.0, 1.0, 1e-6);
-        assert!((s.rise_time_10_90() - 9f64.ln() * 1e-6).abs() < 1e-18);
     }
 }

@@ -44,24 +44,6 @@ impl Default for WdmGrid {
 }
 
 impl WdmGrid {
-    /// Wavelength of channel `l` in nanometers.
-    ///
-    /// Panics if `l` is out of range.
-    pub fn wavelength_nm(&self, l: Lambda) -> f64 {
-        assert!(
-            (l.0 as usize) < self.channels,
-            "channel {} out of range 0..{}",
-            l.0,
-            self.channels
-        );
-        self.start_nm + l.0 as f64 * self.spacing_nm
-    }
-
-    /// All channels on the grid.
-    pub fn lambdas(&self) -> impl Iterator<Item = Lambda> + '_ {
-        (0..self.channels as u8).map(Lambda)
-    }
-
     /// Aggregate rate of the full grid.
     pub fn aggregate_rate(&self) -> Gbps {
         Gbps(self.rate.0 * self.channels as f64)
@@ -214,22 +196,6 @@ mod tests {
         assert_eq!(g.rate.0, 224.0);
         // 16 λ × 224 Gb/s = 3.584 Tb/s per tile egress.
         assert!((g.aggregate_rate().0 - 3584.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wavelengths_are_evenly_spaced() {
-        let g = WdmGrid::default();
-        let w0 = g.wavelength_nm(Lambda(0));
-        let w1 = g.wavelength_nm(Lambda(1));
-        let w15 = g.wavelength_nm(Lambda(15));
-        assert!((w1 - w0 - 0.8).abs() < 1e-12);
-        assert!((w15 - w0 - 15.0 * 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_grid_channel_panics() {
-        WdmGrid::default().wavelength_nm(Lambda(16));
     }
 
     #[test]

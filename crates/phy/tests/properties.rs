@@ -78,7 +78,7 @@ proptest! {
     /// SerDes claims and releases conserve lane counts under any sequence.
     #[test]
     fn serdes_conservation(claims in prop::collection::vec(1usize..8, 1..10)) {
-        let mut pool = SerdesPool::new(16, Gbps(224.0));
+        let mut pool = SerdesPool::new(16);
         let mut held = Vec::new();
         for &k in &claims {
             let avail = pool.tx_available();

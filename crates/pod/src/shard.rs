@@ -112,11 +112,6 @@ impl ShardDomain {
         }
     }
 
-    /// This domain's group index.
-    pub fn group(&self) -> u32 {
-        self.group
-    }
-
     /// Accept a delegated command, to execute at simulated instant `at`.
     /// Called single-threaded at the epoch barrier; delivery order is the
     /// control plane's canonical delegation order, so the `(time, seq)`

@@ -10,7 +10,6 @@
 
 use crate::coords::{Coord3, Dim, Shape3};
 use crate::occupancy::Occupancy;
-use crate::torus::DirLink;
 
 /// Chips per multi-accelerator server.
 pub const CHIPS_PER_SERVER: usize = 4;
@@ -93,16 +92,6 @@ impl Cluster {
         }
     }
 
-    /// True when a directed link crosses a rack boundary (an OCS-provided
-    /// inter-rack cable rather than an in-rack electrical trace).
-    pub fn is_inter_rack(&self, l: DirLink) -> bool {
-        if l.dim != Dim::Z {
-            return false;
-        }
-        let dest = self.occ.torus().dest(l);
-        self.rack_of(l.from) != self.rack_of(dest)
-    }
-
     /// Servers in a rack.
     pub fn servers_per_rack(&self) -> usize {
         self.rack_shape.volume() / CHIPS_PER_SERVER
@@ -166,11 +155,6 @@ impl RackGroupPartition {
     /// Z extent of one group's slab.
     pub fn group_z(&self) -> usize {
         self.rack_shape.extent(Dim::Z) * self.group_racks
-    }
-
-    /// Which group a rack belongs to.
-    pub fn group_of_rack(&self, rack: usize) -> usize {
-        rack / self.group_racks
     }
 
     /// Which group a pod-global chip coordinate belongs to.
@@ -264,8 +248,6 @@ mod tests {
         assert_eq!(p.groups(), 16);
         assert_eq!(p.group_shape(), Shape3::new(4, 4, 16));
         assert_eq!(p.group_z(), 16);
-        assert_eq!(p.group_of_rack(3), 0);
-        assert_eq!(p.group_of_rack(4), 1);
         assert_eq!(p.group_of(Coord3::new(0, 0, 15)), 0);
         assert_eq!(p.group_of(Coord3::new(0, 0, 16)), 1);
         // Round-trip local ↔ pod coordinates.
@@ -279,35 +261,5 @@ mod tests {
         // Ragged partitions are refused.
         assert!(RackGroupPartition::new(6, 4, Shape3::rack_4x4x4()).is_none());
         assert!(RackGroupPartition::new(0, 4, Shape3::rack_4x4x4()).is_none());
-    }
-
-    #[test]
-    fn inter_rack_links_are_z_boundary_crossings() {
-        let c = Cluster::tpu_v4(2);
-        let boundary = DirLink {
-            from: Coord3::new(0, 0, 3),
-            dim: Dim::Z,
-            forward: true,
-        };
-        assert!(c.is_inter_rack(boundary));
-        let interior = DirLink {
-            from: Coord3::new(0, 0, 1),
-            dim: Dim::Z,
-            forward: true,
-        };
-        assert!(!c.is_inter_rack(interior));
-        let x_link = DirLink {
-            from: Coord3::new(3, 0, 3),
-            dim: Dim::X,
-            forward: true,
-        };
-        assert!(!c.is_inter_rack(x_link));
-        // The global wraparound z=7 → z=0 crosses racks too.
-        let wrap = DirLink {
-            from: Coord3::new(0, 0, 7),
-            dim: Dim::Z,
-            forward: true,
-        };
-        assert!(c.is_inter_rack(wrap));
     }
 }

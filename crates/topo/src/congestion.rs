@@ -57,11 +57,6 @@ impl LoadMap {
         }
     }
 
-    /// Load on one link.
-    pub fn load(&self, link: DirLink) -> u32 {
-        self.loads.get(&link).copied().unwrap_or(0)
-    }
-
     /// The largest load on any link (0 when empty).
     pub fn max_load(&self) -> u32 {
         self.loads.values().copied().max().unwrap_or(0)

@@ -222,22 +222,6 @@ impl Occupancy {
     pub fn is_failed(&self, c: Coord3) -> bool {
         self.failed[self.torus.shape.index_of(c)]
     }
-
-    /// The slices whose chips a full-dimension ring cycle through `through`
-    /// along `d` would touch, excluding `except` — the tenants an
-    /// out-of-slice ring would interfere with.
-    pub fn cycle_tenants(&self, through: Coord3, d: Dim, except: SliceId) -> Vec<SliceId> {
-        let mut out: Vec<SliceId> = self
-            .torus
-            .ring_cycle(through, d)
-            .into_iter()
-            .filter_map(|c| self.owner(c))
-            .filter(|&id| id != except)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -369,20 +353,5 @@ mod tests {
         assert_eq!(occ.healthy_free_chips().len(), 63);
         occ.restore_chip(c);
         assert_eq!(occ.healthy_free_chips().len(), 64);
-    }
-
-    #[test]
-    fn cycle_tenants_reports_interference() {
-        let mut occ = rack();
-        occ.place(Slice::new(1, Coord3::new(0, 0, 0), Shape3::new(4, 4, 2)))
-            .unwrap();
-        occ.place(Slice::new(2, Coord3::new(0, 0, 2), Shape3::new(4, 4, 2)))
-            .unwrap();
-        // Slice-1's Z cycle through [0,0,0] passes slice-2's chips.
-        let tenants = occ.cycle_tenants(Coord3::new(0, 0, 0), Dim::Z, SliceId(1));
-        assert_eq!(tenants, vec![SliceId(2)]);
-        // An X cycle stays within slice-1.
-        let tenants = occ.cycle_tenants(Coord3::new(0, 0, 0), Dim::X, SliceId(1));
-        assert!(tenants.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 //! mapping is how TPUv4 migrates jobs between rack sets — the expensive
 //! rack-granularity response whose blast radius §4.2 attacks.
 
-use crate::coords::{Coord3, Dim, Shape3};
+use crate::coords::{Dim, Shape3};
 use std::collections::BTreeMap;
 
 /// One port of an OCS: a chip position on some cube's face.
@@ -32,7 +32,6 @@ pub struct OcsPort {
 /// wraparound links.
 #[derive(Debug, Clone)]
 pub struct Ocs {
-    dim: Dim,
     cubes: usize,
     face_ports: usize,
     /// For each cube, which cube its high face feeds (same-face-position
@@ -50,17 +49,11 @@ impl Ocs {
         let perp: Vec<Dim> = Dim::ALL.into_iter().filter(|&x| x != d).collect();
         let face_ports = cube_shape.extent(perp[0]) * cube_shape.extent(perp[1]);
         Ocs {
-            dim: d,
             cubes,
             face_ports,
             high_to_low: (0..cubes).map(|c| (c, c)).collect(),
             reconfigs: 0,
         }
-    }
-
-    /// Dimension served.
-    pub fn dim(&self) -> Dim {
-        self.dim
     }
 
     /// Ports per face.
@@ -130,25 +123,6 @@ impl Ocs {
         }
         out
     }
-
-    /// Where the wraparound link from a chip on the high face of `cube`
-    /// lands: the same face position on the destination cube's low face.
-    pub fn wrap_destination(
-        &self,
-        cube: usize,
-        face_pos: usize,
-        cube_shape: Shape3,
-    ) -> (usize, Coord3) {
-        assert!(face_pos < self.face_ports, "face position out of range");
-        let perp: Vec<Dim> = Dim::ALL.into_iter().filter(|&x| x != self.dim).collect();
-        let w = cube_shape.extent(perp[0]);
-        let a = face_pos % w;
-        let b = face_pos / w;
-        let dest = self.destination(cube);
-        let mut c = Coord3::new(0, 0, 0).with(self.dim, 0);
-        c = c.with(perp[0], a).with(perp[1], b);
-        (dest, c)
-    }
 }
 
 #[cfg(test)]
@@ -193,36 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn wrap_destination_preserves_face_position() {
-        let mut ocs = Ocs::new(Dim::Z, 2, CUBE);
-        ocs.compose(&[0, 1]);
-        // Chip at face position (x=3, y=2) → flattened 2·4 + 3 = 11.
-        let (dest, landing) = ocs.wrap_destination(0, 11, CUBE);
-        assert_eq!(dest, 1);
-        assert_eq!(landing.get(Dim::X), 3);
-        assert_eq!(landing.get(Dim::Y), 2);
-        assert_eq!(landing.get(Dim::Z), 0, "lands on the low face");
-        // The far cube's high face wraps back to cube 0.
-        let (back, _) = ocs.wrap_destination(1, 11, CUBE);
-        assert_eq!(back, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate")]
     fn duplicate_group_rejected() {
         let mut ocs = Ocs::new(Dim::Z, 3, CUBE);
         ocs.compose(&[0, 0]);
-    }
-
-    #[test]
-    fn composition_matches_cluster_model() {
-        // Two cubes composed along Z behave like the Cluster's 4×4×8 torus:
-        // the wraparound from (x,y,7) lands at (x,y,0), i.e. cube 1's high
-        // face feeds cube 0's low face.
-        let mut ocs = Ocs::new(Dim::Z, 2, CUBE);
-        ocs.compose(&[0, 1]);
-        let (dest, landing) = ocs.wrap_destination(1, 0, CUBE);
-        assert_eq!(dest, 0);
-        assert_eq!(landing, Coord3::new(0, 0, 0));
     }
 }

@@ -124,19 +124,6 @@ impl Torus {
         debug_assert_eq!(cur, b, "route must terminate at the destination");
         links
     }
-
-    /// All directed links of the torus (6 per chip).
-    pub fn all_links(&self) -> impl Iterator<Item = DirLink> + '_ {
-        self.shape.coords().flat_map(|c| {
-            Dim::ALL.into_iter().flat_map(move |d| {
-                [true, false].into_iter().map(move |forward| DirLink {
-                    from: c,
-                    dim: d,
-                    forward,
-                })
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -219,11 +206,5 @@ mod tests {
         assert!(t
             .route(Coord3::new(1, 1, 1), Coord3::new(1, 1, 1))
             .is_empty());
-    }
-
-    #[test]
-    fn all_links_count() {
-        let t = rack();
-        assert_eq!(t.all_links().count(), 64 * 6);
     }
 }

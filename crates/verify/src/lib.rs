@@ -1,8 +1,9 @@
 //! # verify — static invariant verifier for schedules and circuits
 //!
 //! A compiler-style analysis layer over the workspace's two executable
-//! artifact kinds: collective transfer [`Schedule`]s and photonic circuit
-//! allocations ([`lightpath::Wafer`] / [`lightpath::Fabric`]). Nothing is
+//! artifact kinds: collective transfer [`collectives::Schedule`]s and
+//! photonic circuit allocations ([`lightpath::Wafer`] /
+//! [`lightpath::Fabric`]). Nothing is
 //! executed — every rule is a pure fold over the artifact — so the
 //! verifier can gate experiments before they run and audit states after.
 //!
@@ -63,7 +64,6 @@ pub use schedule_rules::{
     check_physical_transfers, check_schedule, CollectiveSpec, ScheduleContext,
 };
 
-use collectives::Schedule;
 use lightpath::{Fabric, Wafer, WaferId};
 
 /// Analyze every circuit on a live wafer (CKT101–CKT103, PHY201).
@@ -79,10 +79,4 @@ pub fn check_fabric(fabric: &Fabric) -> Report {
         report.merge(check_wafer_view(&WaferView::of(fabric.wafer(id), Some(id))));
     }
     report
-}
-
-/// Analyze a schedule under a context (SCH001–SCH004); re-exported
-/// convenience over [`schedule_rules::check_schedule`].
-pub fn verify_schedule(schedule: &Schedule, ctx: &ScheduleContext) -> Report {
-    check_schedule(schedule, ctx)
 }

@@ -17,12 +17,10 @@
 
 pub mod arrivals;
 pub mod models;
-pub mod pipeline;
 pub mod placement;
 pub mod training;
 
 pub use arrivals::{generate, ArrivalParams, JobRequest, STANDARD_SHAPES};
 pub use models::{by_name, catalogue, Dtype, ModelSpec};
-pub use pipeline::{PipelineJob, PipelineTiming};
 pub use placement::{simulate, simulate_with_policy, PlacementPolicy, PlacementReport};
 pub use training::{CollectiveStrategy, JobTiming, TrainingJob};

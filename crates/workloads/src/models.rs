@@ -46,16 +46,9 @@ impl ModelSpec {
     pub fn gradient_bytes(&self) -> u64 {
         self.parameters * self.dtype.bytes()
     }
-
-    /// Per-chip buffer when gradients are sharded over `chips` data-parallel
-    /// workers (e.g. with ZeRO-style partitioning).
-    pub fn sharded_bytes(&self, chips: usize) -> u64 {
-        assert!(chips >= 1);
-        self.gradient_bytes() / chips as u64
-    }
 }
 
-/// The catalogue used across examples and benches.
+/// The catalogue used across examples and experiments.
 pub fn catalogue() -> Vec<ModelSpec> {
     vec![
         ModelSpec {
@@ -128,13 +121,6 @@ mod tests {
         assert_eq!(gpt3.gradient_bytes(), 350_000_000_000); // 350 GB at fp16
         let resnet = by_name("resnet50").unwrap();
         assert_eq!(resnet.gradient_bytes(), 102_400_000);
-    }
-
-    #[test]
-    fn sharding_divides() {
-        let m = by_name("llama-70b").unwrap();
-        assert_eq!(m.sharded_bytes(8), m.gradient_bytes() / 8);
-        assert_eq!(m.sharded_bytes(1), m.gradient_bytes());
     }
 
     #[test]

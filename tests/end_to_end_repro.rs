@@ -125,6 +125,17 @@ fn controllers_diverge_with_scale() {
     assert!(slow_down > 10.0, "central serialization: {slow_down}");
     let flat = pts[1].decentral_mean.as_secs_f64() / pts[0].decentral_mean.as_secs_f64();
     assert!(flat < 2.0, "decentralized stays flat: {flat}");
+    // Hop-local decisions never lose to the central controller, from a
+    // small batch up to the largest one EXPERIMENTS.md reports.
+    for p in run_controllers(&[16, 256]) {
+        assert!(
+            p.decentral_mean <= p.central_mean,
+            "{} requests: decentral {:?} > central {:?}",
+            p.requests,
+            p.decentral_mean,
+            p.central_mean
+        );
+    }
 }
 
 #[test]

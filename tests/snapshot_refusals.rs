@@ -1,7 +1,8 @@
 //! Restored queues are refused, never resumed and never a panic. Each case
-//! edits one field of a real snapshot artifact's body and recomputes the
-//! header FNV, so the structural checks of the admission engine's codec
-//! and restore — not the integrity fingerprint — must catch it. Both
+//! edits one field, or every line ending, of a real snapshot artifact's
+//! body and re-seals it, so the structural checks of the snapshot reader,
+//! the admission engine's codec and restore — not the integrity
+//! fingerprint — must catch it. Both
 //! artifact kinds carry the same engine block: the ctrl campaign's
 //! `[campaign]` section and every `[shard]` section of a pod snapshot.
 //! Both also share one header, `<tag> fnv=<16 hex>`, and a header spelled
@@ -20,8 +21,7 @@ fn reseal(text: &str, edit: impl Fn(&[&str]) -> Vec<String>) -> String {
         edited.push('\n');
     }
     assert_ne!(edited, body, "the edit must change the body");
-    let fnv = desim::snap::fingerprint(&edited);
-    format!("{magic} fnv={fnv:016x}\n{edited}")
+    desim::snap::seal(magic, &edited)
 }
 
 fn value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -124,9 +124,14 @@ fn wait_hi_upper_case(lines: &[&str]) -> Vec<String> {
     out
 }
 
+/// Every line ended with `\r\n`, as an editor that saves CRLF writes it.
+fn crlf_body(lines: &[&str]) -> Vec<String> {
+    lines.iter().map(|l| format!("{l}\r")).collect()
+}
+
 type Edit = fn(&[&str]) -> Vec<String>;
 
-const CASES: [(&str, Edit, &str); 7] = [
+const CASES: [(&str, Edit, &str); 8] = [
     (
         "seq >= event_seq",
         seq_at_counter,
@@ -142,6 +147,7 @@ const CASES: [(&str, Edit, &str); 7] = [
         wait_hi_upper_case,
         "wait_hi: bad f64 bits",
     ),
+    ("CRLF body", crlf_body, "line 1: carriage return"),
 ];
 
 /// The bench campaign's middle snapshot artifact.
