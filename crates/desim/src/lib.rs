@@ -15,6 +15,9 @@
 //!   for a seed is fixed by this crate alone, not by external crate versions.
 //! * **Measurement collectors** ([`OnlineStats`], [`Histogram`],
 //!   [`TimeSeries`]) — the primitives the experiment harnesses report from.
+//! * **One worker pool** ([`par::map_pulled`]) — the scoped pull-queue pool
+//!   that sweep grids and pod epoch windows share; results come back in
+//!   item order, so the worker count is unobservable.
 //!
 //! ## Example
 //!
@@ -46,6 +49,7 @@ mod engine;
 pub mod epoch;
 pub mod fnv;
 mod ord;
+pub mod par;
 mod quantile;
 mod rng;
 pub mod snap;

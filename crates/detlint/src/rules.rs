@@ -38,8 +38,8 @@ pub enum Rule {
     Pan002,
     /// Index expressions (`x[i]`, `&s[a..b]`) — panic-capable bounds.
     Pan003,
-    /// Bare `std::thread::{spawn, scope, Builder}` outside the sweep
-    /// worker pool.
+    /// Bare `std::thread::{spawn, scope, Builder}` outside `desim::par`,
+    /// the workspace's one worker pool.
     Conc001,
     /// `unsafe` keyword anywhere, or a crate entry point missing
     /// `#![forbid(unsafe_code)]`.
@@ -95,7 +95,7 @@ impl Rule {
             Rule::Pan001 => "unwrap/expect/panic! call site in non-test code",
             Rule::Pan002 => "unreachable!/todo!/unimplemented! site in non-test code",
             Rule::Pan003 => "index expression (panic-capable bounds) in non-test code",
-            Rule::Conc001 => "bare std::thread spawn/scope outside the sweep worker pool",
+            Rule::Conc001 => "bare std::thread spawn/scope outside desim::par's worker pool",
             Rule::Uns001 => "unsafe usage or missing #![forbid(unsafe_code)]",
             Rule::Sup001 => "malformed, unknown, reasonless, or stale suppression",
         }
@@ -127,8 +127,8 @@ impl Rule {
                              paths; ratchet the per-crate ceiling down as sites are fixed"
             }
             Rule::Conc001 => {
-                "route parallel work through sweep's pull-queue worker pool \
-                              so fingerprints stay worker-count invariant"
+                "route parallel work through desim::par::map_pulled, the pull-queue \
+                              worker pool, so fingerprints stay worker-count invariant"
             }
             Rule::Uns001 => {
                 "add #![forbid(unsafe_code)] to the crate entry point and \
@@ -347,7 +347,7 @@ pub fn scan(tokens: &[Token], src: &str) -> Vec<Hit> {
             push(
                 Rule::Conc001,
                 i,
-                format!("`thread::{}` outside the sweep worker pool", ident(i + 3)),
+                format!("`thread::{}` outside desim::par", ident(i + 3)),
             );
         }
 

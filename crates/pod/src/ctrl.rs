@@ -2,8 +2,8 @@
 //!
 //! One run admits a deterministic job trace against the whole 4096-chip
 //! torus, delegates every admission to exactly one rack-group shard
-//! domain, executes the domains in sim-time epoch windows on a
-//! work-stealing thread pool, and folds the per-shard journals into one
+//! domain, executes the domains in sim-time epoch windows on the
+//! [`desim::par`] pull-queue pool, and folds the per-shard journals into one
 //! pod-level append-only FNV journal through the canonical
 //! `(time, shard, seq)` exchange of [`desim::epoch`]. Everything the run
 //! reports — fingerprint, journal hash, merged metrics — is a pure
@@ -17,8 +17,9 @@
 //!    capacity view of the previous barrier, in trace order;
 //! 3. each domain's window is sequential and self-contained
 //!    ([`ShardDomain`]);
-//! 4. barrier folding sorts deltas by `(time, shard, seq)` — a pure
-//!    function of the deltas, not of completion order;
+//! 4. the pool returns barrier reports in group order, and barrier
+//!    folding sorts deltas by `(time, shard, seq)` — a pure function of
+//!    the deltas, not of completion order;
 //! 5. metrics and fingerprints fold in group-index order.
 //!
 //! **Snapshots & crash restart.** With [`PodOptions::snapshot_every`] set,
@@ -41,8 +42,6 @@ use desim::epoch::{exchange, EpochConfig, Stamped};
 use desim::fnv::{combine, derive_seed, Fnv};
 use desim::{SimDuration, SimTime, SnapReader, SnapWriter};
 use fabricd::{Journal, JournalEntry, JournalHeader, Metrics, RouteTelemetry, StitchLegRecord};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use topo::{band, RackGroupPartition};
 use workloads::{generate, ArrivalParams, JobRequest};
 
@@ -163,7 +162,6 @@ pub struct PodOutcome {
 
 /// What one domain reports at an epoch barrier.
 struct BarrierReport {
-    group: usize,
     delta: Vec<fabricd::Record>,
     free: usize,
     pending: usize,
@@ -226,7 +224,7 @@ fn remap_entry(p: &RackGroupPartition, group: usize, entry: JournalEntry) -> Jou
 struct PodRun {
     cfg: PodConfig,
     layout: PodLayout,
-    domains: Vec<Mutex<ShardDomain>>,
+    domains: Vec<ShardDomain>,
     trace: Vec<JobRequest>,
     failures: Vec<(SimTime, usize)>,
     journal: Journal,
@@ -259,15 +257,15 @@ impl PodRun {
     fn fresh(cfg: &PodConfig) -> Result<PodRun, String> {
         let layout = PodLayout::new(cfg.chips).map_err(|e| e.to_string())?;
         let groups = layout.groups();
-        let domains: Vec<Mutex<ShardDomain>> = (0..groups)
+        let domains: Vec<ShardDomain> = (0..groups)
             .map(|g| {
-                Mutex::new(ShardDomain::new(
+                ShardDomain::new(
                     g as u32,
                     layout.group_racks(),
                     cfg.lanes,
                     derive_seed(cfg.seed, g as u64),
                     cfg.queue_timeout,
-                ))
+                )
             })
             .collect();
         let (trace, failures) = demand(cfg, groups);
@@ -315,6 +313,18 @@ impl PodRun {
         if header != snap.header {
             return Err("pod snapshot: header does not match its config".to_string());
         }
+        // A capture is taken at the barrier that closes an epoch window:
+        // after `epoch ≥ 1` windows, at the end of the last one, with
+        // every domain captured at that same instant.
+        let epochs = EpochConfig::new(cfg.epoch)
+            .ok_or_else(|| "pod snapshot: epoch length must be positive".to_string())?;
+        if snap.epoch.checked_sub(1).map(|last| epochs.end_of(last)) != Some(snap.at) {
+            return Err(format!(
+                "pod snapshot: capture instant {} ps is not the barrier after {} epochs",
+                snap.at.as_ps(),
+                snap.epoch
+            ));
+        }
         if snap.domains.len() != groups {
             return Err(format!(
                 "pod snapshot: {} domain captures for a {groups}-group layout",
@@ -335,7 +345,14 @@ impl PodRun {
                     ds.group
                 ));
             }
-            domains.push(Mutex::new(ShardDomain::restore(ds)?));
+            if ds.engine.fabric.at != snap.at {
+                return Err(format!(
+                    "pod snapshot: domain capture {g} taken at {} ps, not at the barrier {} ps",
+                    ds.engine.fabric.at.as_ps(),
+                    snap.at.as_ps()
+                ));
+            }
+            domains.push(ShardDomain::restore(ds)?);
         }
         let (trace, failures) = demand(&cfg, groups);
         if snap.next_job > trace.len() || snap.next_fail > failures.len() {
@@ -371,10 +388,7 @@ impl PodRun {
         let partition = *self.layout.partition();
         let groups = self.domains.len();
         let mut doms = Vec::with_capacity(groups);
-        for (g, slot) in self.domains.iter_mut().enumerate() {
-            let dom = slot
-                .get_mut()
-                .map_err(|_| "pod shard mutex poisoned".to_string())?;
+        for (g, dom) in self.domains.iter_mut().enumerate() {
             let ds = dom.capture(at);
             for rec in dom.take_delta() {
                 self.journal
@@ -488,79 +502,36 @@ impl PodRun {
                 self.next_fail += 1;
             }
 
-            // --- window (parallel): every domain runs to the deadline. The
-            // pull queue balances load; which thread runs which domain is
-            // unobservable because domains are sequential and self-contained.
-            let domains = &self.domains;
-            let next = AtomicUsize::new(0);
-            let run_worker = || -> Result<Vec<BarrierReport>, String> {
-                let mut out = Vec::new();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = domains.get(g) else {
-                        return Ok(out);
-                    };
-                    let mut dom = slot
-                        .lock()
-                        .map_err(|_| "pod shard mutex poisoned".to_string())?;
-                    dom.run_until(end);
-                    dom.sample(end);
-                    out.push(BarrierReport {
-                        group: g,
-                        delta: dom.take_delta(),
-                        free: dom.free_chips(),
-                        pending: dom.pending(),
-                    });
+            // --- window (parallel): every domain runs to the deadline on
+            // the pull-queue pool. Which thread runs which domain is
+            // unobservable: domains are sequential and self-contained, and
+            // the reports come back in group order.
+            let reports = desim::par::map_pulled(&mut self.domains, workers, |dom| {
+                dom.run_until(end);
+                dom.sample(end);
+                BarrierReport {
+                    delta: dom.take_delta(),
+                    free: dom.free_chips(),
+                    pending: dom.pending(),
                 }
-            };
-            let mut parts: Vec<BarrierReport> = Vec::with_capacity(groups);
-            if workers == 1 {
-                parts.extend(run_worker()?);
-            } else {
-                let mut worker_err: Option<String> = None;
-                // detlint: allow(CONC001) — this IS the sanctioned pod shard
-                // worker pool: scoped, atomic pull queue, barrier-ordered fold.
-                std::thread::scope(|scope| {
-                    let run_worker = &run_worker;
-                    let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
-                    let mut results: Vec<Result<Vec<BarrierReport>, String>> = vec![run_worker()];
-                    for h in handles {
-                        results.push(
-                            h.join()
-                                .unwrap_or_else(|_| Err("pod shard worker panicked".to_string())),
-                        );
-                    }
-                    for res in results {
-                        match res {
-                            Ok(part) => parts.extend(part),
-                            Err(e) => worker_err = Some(e),
-                        }
-                    }
-                });
-                if let Some(e) = worker_err {
-                    return Err(e);
-                }
-            }
+            });
 
-            // --- barrier, part 2 (single-threaded): canonical fold. Pull
-            // order interleaves arbitrarily; group index restores identity.
-            parts.sort_by_key(|r| r.group);
+            // --- barrier, part 2 (single-threaded): canonical fold.
             let mut pending_total = 0usize;
-            let mut outboxes: Vec<Vec<Stamped<JournalEntry>>> = Vec::with_capacity(parts.len());
-            for rep in parts {
+            let mut outboxes: Vec<Vec<Stamped<JournalEntry>>> = Vec::with_capacity(groups + 1);
+            for (g, rep) in reports.into_iter().enumerate() {
                 pending_total += rep.pending;
-                if let Some(f) = self.free_est.get_mut(rep.group) {
+                if let Some(f) = self.free_est.get_mut(g) {
                     *f = rep.free;
                 }
-                let g32 = rep.group as u32;
                 outboxes.push(
                     rep.delta
                         .into_iter()
                         .map(|rec| Stamped {
                             at: rec.at,
-                            shard: g32,
+                            shard: g as u32,
                             seq: rec.seq,
-                            payload: remap_entry(&partition, rep.group, rec.entry),
+                            payload: remap_entry(&partition, g, rec.entry),
                         })
                         .collect(),
                 );
@@ -624,10 +595,7 @@ impl PodRun {
         let mut route = RouteTelemetry::default();
         let mut fps: Vec<u64> = Vec::with_capacity(groups);
         let mut events: u64 = 0;
-        for slot in &mut self.domains {
-            let dom = slot
-                .get_mut()
-                .map_err(|_| "pod shard mutex poisoned".to_string())?;
+        for dom in &self.domains {
             metrics.merge(dom.metrics());
             route.merge(&RouteTelemetry::of(dom.state()));
             fps.push(dom.fingerprint());
@@ -706,26 +674,18 @@ impl PodRun {
 
         let mut admitted: Vec<StitchLegRecord> = Vec::with_capacity(legs.len());
         for (i, leg) in legs.iter().enumerate() {
-            let origin = {
-                let slot = self
-                    .domains
-                    .get_mut(leg.group)
-                    .ok_or_else(|| format!("stitch delegation to unknown group {}", leg.group))?;
-                let dom = slot
-                    .get_mut()
-                    .map_err(|_| "pod shard mutex poisoned".to_string())?;
-                dom.admit_leg(job.arrival, leg_id(i), leg.extent)
-            };
+            let origin = self
+                .domains
+                .get_mut(leg.group)
+                .ok_or_else(|| format!("stitch delegation to unknown group {}", leg.group))?
+                .admit_leg(job.arrival, leg_id(i), leg.extent);
             let Some(origin) = origin else {
                 // Roll back every already-admitted leg, newest first.
                 for rec in admitted.iter().rev() {
-                    let slot = self
+                    let dom = self
                         .domains
                         .get_mut(rec.group as usize)
                         .ok_or_else(|| format!("stitch rollback to unknown group {}", rec.group))?;
-                    let dom = slot
-                        .get_mut()
-                        .map_err(|_| "pod shard mutex poisoned".to_string())?;
                     dom.evict_leg(job.arrival, rec.leg);
                     dom.bump("stitch.rollbacks");
                 }
@@ -743,27 +703,20 @@ impl PodRun {
         // capacity view, and stamp the delegation digest.
         let depart = job.arrival + job.duration;
         for rec in &admitted {
-            let slot = self
+            let dom = self
                 .domains
                 .get_mut(rec.group as usize)
                 .ok_or_else(|| format!("stitch delegation to unknown group {}", rec.group))?;
-            let dom = slot
-                .get_mut()
-                .map_err(|_| "pod shard mutex poisoned".to_string())?;
             dom.schedule_leg_depart(depart, rec.leg);
             if let Some(f) = self.free_est.get_mut(rec.group as usize) {
                 *f = f.saturating_sub(rec.extent.volume());
             }
         }
         if let Some(first) = admitted.first() {
-            let slot = self
-                .domains
+            self.domains
                 .get_mut(first.group as usize)
-                .ok_or_else(|| format!("stitch delegation to unknown group {}", first.group))?;
-            let dom = slot
-                .get_mut()
-                .map_err(|_| "pod shard mutex poisoned".to_string())?;
-            dom.bump("jobs.stitched");
+                .ok_or_else(|| format!("stitch delegation to unknown group {}", first.group))?
+                .bump("jobs.stitched");
         }
         self.deleg.write_u64(job_idx as u64);
         self.deleg.write_u64(u64::MAX - 1); // stitch marker
@@ -1042,18 +995,15 @@ impl PodSnapshot {
 
 /// Deliver one command to a domain at the single-threaded barrier.
 fn deliver(
-    domains: &mut [Mutex<ShardDomain>],
+    domains: &mut [ShardDomain],
     group: usize,
     at: SimTime,
     ev: PodEvent,
 ) -> Result<(), String> {
-    let slot = domains
+    domains
         .get_mut(group)
-        .ok_or_else(|| format!("delegation to unknown group {group}"))?;
-    let dom = slot
-        .get_mut()
-        .map_err(|_| "pod shard mutex poisoned".to_string())?;
-    dom.deliver(at, ev);
+        .ok_or_else(|| format!("delegation to unknown group {group}"))?
+        .deliver(at, ev);
     Ok(())
 }
 

@@ -4,15 +4,16 @@
 //! Monte-Carlo (Fig 3b), control-plane admission/failure campaigns, the
 //! slice-shape × collective cost matrix (Tables 1–2), and route-layer
 //! churn. This crate fans a [grid](grid::GridSpec) of such scenarios across
-//! OS threads and proves the parallelism changed *nothing*:
+//! OS threads on the [`desim::par`] pool and proves the parallelism
+//! changed *nothing*:
 //!
 //! * **Seed partitioning** ([`desim::fnv::derive_seed`]) — each randomized
 //!   scenario's RNG stream is fixed by `(base_seed, grid index)` alone.
 //! * **Order-combined fingerprints** ([`desim::fnv::combine`]) — FNV-1a
 //!   digests of each scenario's observable outcome, folded in grid order,
 //!   so the sweep fingerprint is bit-identical for any worker count.
-//! * **Deterministic merges** ([`run::MergedStats`]) — per-worker stats
-//!   registries folded in worker order (reporting only, never part of the
+//! * **Deterministic merges** ([`run::MergedStats`]) — per-scenario stats
+//!   registries folded in grid order (reporting only, never part of the
 //!   fingerprint).
 //! * **Perf baselines** ([`report::BenchReport`],
 //!   [`route_bench::RouteBenchReport`]) — the field tables of

@@ -2,12 +2,12 @@
 //!
 //! Determinism contract: a scenario's [fingerprint](ScenarioResult) is a
 //! pure function of the scenario itself — it never reads the clock, another
-//! scenario's output, or anything thread-dependent. Workers pull scenario
-//! indices from a shared counter (dynamic load balancing — a static stripe
+//! scenario's output, or anything thread-dependent. Scenarios run on the
+//! [`desim::par`] pull-queue pool (dynamic load balancing — a static stripe
 //! idles behind one heavy scenario), each scenario fills a **private**
-//! stats registry, results are re-sorted by grid index after the join, and
-//! both the per-scenario fingerprints and the per-scenario registries
-//! combine in index order. The sweep fingerprint *and* the merged
+//! stats registry, the pool returns results in grid-index order, and both
+//! the per-scenario fingerprints and the per-scenario registries combine
+//! in that order. The sweep fingerprint *and* the merged
 //! statistics are therefore bit-identical for any worker count and any
 //! pull interleaving; stats still stay out of the fingerprint so the
 //! fingerprint remains a pure routing/simulation digest — see `DESIGN.md`.
@@ -44,7 +44,7 @@ pub struct ScenarioResult {
     pub events: u64,
 }
 
-/// Cross-scenario statistics, merged from per-worker registries.
+/// Cross-scenario statistics, merged from per-scenario registries.
 #[derive(Debug, Clone)]
 pub struct MergedStats {
     /// Stitch-loss samples from every `PhyMonteCarlo` scenario.
@@ -75,7 +75,7 @@ impl MergedStats {
         }
     }
 
-    /// Fold another worker's registries into this one.
+    /// Fold another scenario's registries into this one.
     pub fn merge(&mut self, other: &MergedStats) {
         self.stitch_loss_db.merge(&other.stitch_loss_db);
         self.admission_wait_s.merge(&other.admission_wait_s);
@@ -548,15 +548,13 @@ pub const MIN_SCENARIOS_PER_WORKER: usize = 4;
 ///
 /// The requested worker count is capped so every worker averages at least
 /// [`MIN_SCENARIOS_PER_WORKER`] scenarios, and never exceeds the
-/// machine's available parallelism. Workers pull the next scenario
-/// index from a shared atomic counter, so a single heavy scenario (the
-/// smoke grid's control campaign dwarfs its neighbours) occupies one
-/// worker while the rest drain the queue — a static stripe would idle
-/// behind it. Worker 0 runs inline on the calling thread: a 1-worker
-/// sweep spawns no threads at all, and a `W`-worker sweep pays `W − 1`
-/// spawns. Each scenario fills a *private* stats registry; after the
-/// join, results are re-sorted by grid index and the registries merge in
-/// index order, so both the fingerprint and the merged statistics are
+/// machine's available parallelism. The scenarios run on the
+/// [`desim::par::map_pulled`] pool: a single heavy scenario (the smoke
+/// grid's control campaign dwarfs its neighbours) occupies one worker
+/// while the rest drain the queue, and a 1-worker sweep spawns no threads
+/// at all. Each scenario fills a *private* stats registry; the pool
+/// returns results in grid-index order and the registries merge in that
+/// order, so both the fingerprint and the merged statistics are
 /// bit-identical for **any** worker count, no matter which thread ran
 /// which scenario.
 pub fn run_sweep(grid: &GridSpec, workers: usize) -> SweepOutcome {
@@ -565,50 +563,23 @@ pub fn run_sweep(grid: &GridSpec, workers: usize) -> SweepOutcome {
     // never block, so an oversubscribed host just context-switches.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let workers = workers
-        .clamp(1, n.max(1))
-        .min((n / MIN_SCENARIOS_PER_WORKER).max(1))
+        .clamp(1, (n / MIN_SCENARIOS_PER_WORKER).max(1))
         .min(cores);
     // detlint: allow(DET002) — wall-clock measures events/sec telemetry
     // only; results and fingerprints are pure functions of the grid.
     let started = std::time::Instant::now();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let run_worker = || {
-        let mut out = Vec::new();
-        loop {
-            let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(scenario) = grid.scenarios.get(index) else {
-                return out;
-            };
-            let mut local = MergedStats::new();
-            let (fingerprint, events) = run_scenario(scenario, &mut local);
-            out.push((
-                ScenarioResult {
-                    index,
-                    label: scenario.label(),
-                    fingerprint,
-                    events,
-                },
-                local,
-            ));
-        }
-    };
-    let mut parts: Vec<(ScenarioResult, MergedStats)> = Vec::with_capacity(n);
-    // detlint: allow(CONC001) — this IS the sanctioned sweep worker pool:
-    // scoped, deterministic merge order, atomic work-stealing index.
-    std::thread::scope(|scope| {
-        let run_worker = &run_worker;
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
-        parts.extend(run_worker());
-        for h in handles {
-            let Ok(part) = h.join() else {
-                panic!("sweep worker panicked");
-            };
-            parts.extend(part);
-        }
+    let scenarios = grid.scenarios.iter().enumerate();
+    let parts = desim::par::map_pulled(scenarios, workers, |(index, scenario)| {
+        let mut local = MergedStats::new();
+        let (fingerprint, events) = run_scenario(scenario, &mut local);
+        let result = ScenarioResult {
+            index,
+            label: scenario.label(),
+            fingerprint,
+            events,
+        };
+        (result, local)
     });
-    // Queue pulls interleave; identity is the grid index, so restore it
-    // and fold the per-scenario registries in that order.
-    parts.sort_by_key(|(r, _)| r.index);
     let mut results: Vec<ScenarioResult> = Vec::with_capacity(n);
     let mut merged = MergedStats::new();
     for (r, local) in parts {

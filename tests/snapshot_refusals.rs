@@ -1,6 +1,7 @@
-//! Restored queues are refused, never resumed and never a panic. Each case
-//! edits one field, or every line ending, of a real snapshot artifact's
-//! body and re-seals it, so the structural checks of the snapshot reader,
+//! Restored queues are refused, never resumed and never a panic, and so is
+//! a pod capture off its epoch barrier. Each case edits one field, or
+//! every line ending, of a real snapshot artifact's body and re-seals it,
+//! so the structural checks of the snapshot reader,
 //! the admission engine's codec and restore — not the integrity
 //! fingerprint — must catch it. Both
 //! artifact kinds carry the same engine block: the ctrl campaign's
@@ -150,6 +151,51 @@ const CASES: [(&str, Edit, &str); 8] = [
     ("CRLF body", crlf_body, "line 1: carriage return"),
 ];
 
+/// The pod's completed-epoch count, one lower than its capture instant closes.
+fn epoch_minus_one(lines: &[&str]) -> Vec<String> {
+    let epoch = find(lines, 0, "epoch");
+    let n: u64 = value(lines[epoch], "epoch").unwrap().parse().unwrap();
+    let mut out = owned(lines);
+    out[epoch] = format!("epoch={}", n - 1);
+    out
+}
+
+/// The pod-level capture instant, 1 ps late.
+fn pod_at_plus_one(lines: &[&str]) -> Vec<String> {
+    let at = find(lines, 0, "at_ps");
+    let ps: u64 = value(lines[at], "at_ps").unwrap().parse().unwrap();
+    let mut out = owned(lines);
+    out[at] = format!("at_ps={}", ps + 1);
+    out
+}
+
+/// Group 0's fabric capture instant, 1 ps late, inside the escaped
+/// fabric block of its `[shard]` section.
+fn group0_at_plus_one(lines: &[&str]) -> Vec<String> {
+    const KEY: &str = "\\nat_ps\\e";
+    let fabric = find(lines, find(lines, 0, "group"), "fabric");
+    let (head, tail) = lines[fabric]
+        .split_once(KEY)
+        .expect("a fabric capture instant");
+    let (ps, rest) = tail.split_once('\\').unwrap();
+    let ps: u64 = ps.parse().unwrap();
+    let mut out = owned(lines);
+    out[fabric] = format!("{head}{KEY}{}\\{rest}", ps + 1);
+    out
+}
+
+/// Pod-only edits: a capture must sit on the barrier its epoch count
+/// closes, and every domain must be captured at that same instant.
+const POD_CASES: [(&str, Edit, &str); 3] = [
+    ("epoch - 1", epoch_minus_one, "is not the barrier after"),
+    ("pod at_ps + 1", pod_at_plus_one, "is not the barrier after"),
+    (
+        "group 0 at_ps + 1",
+        group0_at_plus_one,
+        "domain capture 0 taken at",
+    ),
+];
+
 /// The bench campaign's middle snapshot artifact.
 fn ctrl_snapshot() -> (String, CampaignOptions) {
     let (cfg, every) = bench_config();
@@ -208,7 +254,7 @@ fn pod_resume_refuses_corrupt_shard_queues_and_events() {
     let (text, opts) = pod_snapshot();
     let clean = PodSnapshot::parse(&text).and_then(|s| resume_pod(&s, 1, &opts));
     assert!(clean.is_ok(), "the unedited artifact resumes");
-    for (name, edit, want) in CASES {
+    for (name, edit, want) in CASES.into_iter().chain(POD_CASES) {
         let bad = reseal(&text, edit);
         match PodSnapshot::parse(&bad).and_then(|s| resume_pod(&s, 1, &opts)) {
             Ok(_) => panic!("{name}: a corrupt pod snapshot resumed"),
