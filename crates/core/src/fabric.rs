@@ -904,7 +904,7 @@ impl Fabric {
             let src = coord(r, "src_wafer", "src_row", "src_col")?;
             let dst = coord(r, "dst_wafer", "dst_row", "dst_col")?;
             let hops = r.u64("fiber_hops")? as usize;
-            let mut fibers = Vec::with_capacity(hops);
+            let mut fibers = Vec::new();
             for _ in 0..hops {
                 let fi = r.u64("fiber")? as usize;
                 if fi >= self.fibers.len() {
@@ -913,7 +913,7 @@ impl Fabric {
                 fibers.push(fi);
             }
             let nseg = r.u64("segments")? as usize;
-            let mut segments = Vec::with_capacity(nseg);
+            let mut segments = Vec::new();
             for _ in 0..nseg {
                 let wid = r.u64("seg_wafer")? as usize;
                 if wid >= self.wafers.len() {

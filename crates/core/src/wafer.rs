@@ -578,7 +578,7 @@ impl Wafer {
         for _ in 0..circuits {
             let id = CircuitId(r.u64("id")?);
             let hops = r.u64("hops")? as usize;
-            let mut pts = Vec::with_capacity(hops);
+            let mut pts = Vec::new();
             for _ in 0..hops {
                 let row = u8::try_from(r.u64("row")?)
                     .map_err(|_| "wafer restore: tile row exceeds u8".to_string())?;

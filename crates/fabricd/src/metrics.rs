@@ -387,7 +387,7 @@ impl Metrics {
         let lo = r.f64("wait_lo")?;
         let hi = r.f64("wait_hi")?;
         let nbins = r.u64("wait_bins")? as usize;
-        let mut bins = Vec::with_capacity(nbins);
+        let mut bins = Vec::new();
         for _ in 0..nbins {
             bins.push(r.u64("bin")?);
         }
@@ -403,7 +403,7 @@ impl Metrics {
         let admission_wait = Histogram::from_raw(lo, hi, bins, underflow, overflow, stats)?;
         let mut read_series = |key: &str| -> Result<TimeSeries, String> {
             let n = r.u64(key)? as usize;
-            let mut points = Vec::with_capacity(n);
+            let mut points = Vec::new();
             for _ in 0..n {
                 points.push((r.f64("t")?, r.f64("v")?));
             }

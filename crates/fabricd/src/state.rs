@@ -474,7 +474,7 @@ impl FabricState {
             let ey = r.u64("ey")? as usize;
             let ez = r.u64("ez")? as usize;
             let nh = r.u64("handles")? as usize;
-            let mut handles = Vec::with_capacity(nh);
+            let mut handles = Vec::new();
             for _ in 0..nh {
                 match r.u64("kind")? {
                     0 => handles.push(FabricCircuit::Wafer(
@@ -488,7 +488,7 @@ impl FabricState {
                 }
             }
             let ns = r.u64("spares")? as usize;
-            let mut spares = Vec::with_capacity(ns);
+            let mut spares = Vec::new();
             for _ in 0..ns {
                 let x = r.u64("x")? as usize;
                 let y = r.u64("y")? as usize;

@@ -926,7 +926,7 @@ impl PodSnapshot {
         let next_job = r.u64("next_job")? as usize;
         let next_fail = r.u64("next_fail")? as usize;
         let groups = r.u64("groups")? as usize;
-        let mut free_est = Vec::with_capacity(groups);
+        let mut free_est = Vec::new();
         for _ in 0..groups {
             free_est.push(r.u64("free")? as usize);
         }
@@ -955,7 +955,7 @@ impl PodSnapshot {
                     .ok_or_else(|| format!("pod snapshot: unknown policy tag {tag}"))?
             },
         };
-        let mut domains = Vec::with_capacity(groups);
+        let mut domains = Vec::new();
         for g in 0..groups {
             let d = ShardSnapshot::read_snap(&mut r)?;
             if d.group as usize != g {

@@ -163,8 +163,7 @@ impl ShardDomain {
             .rack()
             .cluster
             .occupancy()
-            .healthy_free_chips()
-            .len()
+            .healthy_free_count()
     }
 
     /// Local events still pending (scheduled or queued for capacity).

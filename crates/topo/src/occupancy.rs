@@ -5,6 +5,7 @@ use crate::coords::{Coord3, Dim, Shape3};
 use crate::slice::{Slice, SliceId};
 use crate::torus::Torus;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Occupancy state of one torus (a rack, or a multi-rack composition).
 #[derive(Debug, Clone)]
@@ -80,7 +81,26 @@ impl Occupancy {
             .collect()
     }
 
-    /// Place a slice at its stated origin. All-or-nothing.
+    /// How many chips are unowned with a working accelerator: the length
+    /// of [`Self::healthy_free_chips`], counted without collecting them.
+    pub fn healthy_free_count(&self) -> usize {
+        self.owner
+            .iter()
+            .zip(&self.failed)
+            .filter(|&(owner, &failed)| owner.is_none() && !failed)
+            .count()
+    }
+
+    /// The `owner` index range of the X-row of `len` chips that starts at
+    /// `(x, y, z)`.
+    fn row(&self, x: usize, y: usize, z: usize, len: usize) -> Range<usize> {
+        let [nx, ny, _] = self.torus.shape.dims;
+        let start = (z * ny + y) * nx + x;
+        start..start + len
+    }
+
+    /// Place a slice at its stated origin. All-or-nothing: on overlap it
+    /// reports the first owned chip in (Z, Y, X) order.
     pub fn place(&mut self, slice: Slice) -> Result<(), PlaceError> {
         if self.slices.contains_key(&slice.id) {
             return Err(PlaceError::DuplicateId(slice.id));
@@ -88,17 +108,33 @@ impl Occupancy {
         if !slice.fits(self.torus.shape) {
             return Err(PlaceError::OutOfBounds);
         }
-        for c in slice.coords() {
-            if !self.is_free(c) {
-                return Err(PlaceError::Occupied(c));
+        let [ox, oy, oz] = slice.origin.p;
+        let [ex, ey, ez] = slice.extent.dims;
+        for z in oz..oz + ez {
+            for y in oy..oy + ey {
+                let row = self.owner.get(self.row(ox, y, z, ex)).unwrap_or_default();
+                if let Some(x) = row.iter().position(Option::is_some) {
+                    return Err(PlaceError::Occupied(Coord3::new(ox + x, y, z)));
+                }
             }
         }
-        for c in slice.coords() {
-            let i = self.torus.shape.index_of(c);
-            self.owner[i] = Some(slice.id);
-        }
+        self.fill(&slice, Some(slice.id));
         self.slices.insert(slice.id, slice);
         Ok(())
+    }
+
+    /// Set the owner of every chip in `slice`'s box, one X-row at a time.
+    fn fill(&mut self, slice: &Slice, owner: Option<SliceId>) {
+        let [ox, oy, oz] = slice.origin.p;
+        let [ex, ey, ez] = slice.extent.dims;
+        for z in oz..oz + ez {
+            for y in oy..oy + ey {
+                let row = self.row(ox, y, z, ex);
+                if let Some(row) = self.owner.get_mut(row) {
+                    row.fill(owner);
+                }
+            }
+        }
     }
 
     /// True when a box of `extent` can never be carved from this torus:
@@ -112,50 +148,62 @@ impl Occupancy {
             .any(|&d| extent.extent(d) == 0 || extent.extent(d) > shape.extent(d))
     }
 
+    /// Every origin where a box of `extent` fits inside the torus, lowest
+    /// (Z, then Y, then X) first. `extent` must be feasible.
+    fn origins(&self, extent: Shape3) -> impl Iterator<Item = Coord3> {
+        let [nx, ny, nz] = self.torus.shape.dims;
+        let [ex, ey, ez] = extent.dims;
+        (0..=nz - ez).flat_map(move |z| {
+            (0..=ny - ey).flat_map(move |y| (0..=nx - ex).map(move |x| Coord3::new(x, y, z)))
+        })
+    }
+
+    /// True when every chip of the box at `origin` is unowned. Each X-row
+    /// is one slice scan, and the first owned chip ends the test.
+    fn box_free(&self, origin: Coord3, extent: Shape3) -> bool {
+        let [ox, oy, oz] = origin.p;
+        let [ex, ey, ez] = extent.dims;
+        (oz..oz + ez).all(|z| {
+            (oy..oy + ey).all(|y| {
+                self.owner
+                    .get(self.row(ox, y, z, ex))
+                    .is_some_and(|row| row.iter().all(Option::is_none))
+            })
+        })
+    }
+
     /// First-fit placement: find the lowest (Z, then Y, then X) origin where
     /// a box of `extent` is free, place it there with id `id`.
     pub fn place_first_fit(&mut self, id: u32, extent: Shape3) -> Result<Slice, PlaceError> {
         if self.extent_infeasible(extent) {
             return Err(PlaceError::NoSpace);
         }
-        let shape = self.torus.shape;
-        for z in 0..=(shape.extent(Dim::Z).saturating_sub(extent.extent(Dim::Z))) {
-            for y in 0..=(shape.extent(Dim::Y).saturating_sub(extent.extent(Dim::Y))) {
-                for x in 0..=(shape.extent(Dim::X).saturating_sub(extent.extent(Dim::X))) {
-                    let cand = Slice::new(id, Coord3::new(x, y, z), extent);
-                    if cand.coords().all(|c| self.is_free(c)) {
-                        self.place(cand)?;
-                        return Ok(cand);
-                    }
-                }
+        match self.origins(extent).find(|&o| self.box_free(o, extent)) {
+            Some(origin) => {
+                let slice = Slice::new(id, origin, extent);
+                self.place(slice)?;
+                Ok(slice)
             }
+            None => Err(PlaceError::NoSpace),
         }
-        Err(PlaceError::NoSpace)
     }
 
     /// Best-fit placement: among all free origins for `extent`, choose the
-    /// snuggest — the one whose box touches the most occupied chips or
-    /// walls — to keep free space contiguous. Ties break toward the lowest
-    /// (Z, Y, X) origin, so best-fit degenerates to first-fit on an empty
-    /// torus.
+    /// snuggest — the one whose box touches the most occupied chips — to
+    /// keep free space contiguous. Ties break toward the lowest (Z, Y, X)
+    /// origin, so best-fit degenerates to first-fit on an empty torus.
     pub fn place_best_fit(&mut self, id: u32, extent: Shape3) -> Result<Slice, PlaceError> {
         if self.extent_infeasible(extent) {
             return Err(PlaceError::NoSpace);
         }
-        let shape = self.torus.shape;
         let mut best: Option<(usize, Coord3)> = None;
-        for z in 0..=(shape.extent(Dim::Z).saturating_sub(extent.extent(Dim::Z))) {
-            for y in 0..=(shape.extent(Dim::Y).saturating_sub(extent.extent(Dim::Y))) {
-                for x in 0..=(shape.extent(Dim::X).saturating_sub(extent.extent(Dim::X))) {
-                    let cand = Slice::new(id, Coord3::new(x, y, z), extent);
-                    if !cand.coords().all(|c| self.is_free(c)) {
-                        continue;
-                    }
-                    let snug = self.snugness(&cand);
-                    if best.is_none_or(|(s, _)| snug > s) {
-                        best = Some((snug, cand.origin));
-                    }
-                }
+        for origin in self.origins(extent) {
+            if !self.box_free(origin, extent) {
+                continue;
+            }
+            let snug = self.snugness(origin, extent);
+            if best.is_none_or(|(s, _)| snug > s) {
+                best = Some((snug, origin));
             }
         }
         match best {
@@ -168,31 +216,55 @@ impl Occupancy {
         }
     }
 
-    /// How many of the box's face-adjacent outside positions are occupied
-    /// chips or torus walls (not applicable on a torus — counts occupied
-    /// only) — higher is snugger.
-    fn snugness(&self, slice: &Slice) -> usize {
-        let shape = self.torus.shape;
+    /// How many face-adjacent outside positions of the box at `origin` hold
+    /// owned chips — higher is snugger. A torus has no walls, so only owned
+    /// chips count. Each chip on a face has one outside neighbour across
+    /// it, so per dimension this is the owned chips of two face slabs over
+    /// the box's cross-section: the plane after the box and the plane
+    /// before it (see [`faces`]). A box spanning the dimension has no
+    /// outside there.
+    fn snugness(&self, origin: Coord3, extent: Shape3) -> usize {
+        let [nx, ny, nz] = self.torus.shape.dims;
+        let [ox, oy, oz] = origin.p;
+        let [ex, ey, ez] = extent.dims;
         let mut snug = 0;
-        for c in slice.coords() {
-            for d in Dim::ALL {
-                for neighbour in [c.next_in(d, shape), c.prev_in(d, shape)] {
-                    if !slice.contains(neighbour) && !self.is_free(neighbour) {
-                        snug += 1;
-                    }
+        if ex < nx {
+            let (after, before) = faces(ox, ex, nx);
+            for z in oz..oz + ez {
+                for y in oy..oy + ey {
+                    snug += self.owned(self.row(after, y, z, 1));
+                    snug += self.owned(self.row(before, y, z, 1));
                 }
+            }
+        }
+        if ey < ny {
+            let (after, before) = faces(oy, ey, ny);
+            for z in oz..oz + ez {
+                snug += self.owned(self.row(ox, after, z, ex));
+                snug += self.owned(self.row(ox, before, z, ex));
+            }
+        }
+        if ez < nz {
+            let (after, before) = faces(oz, ez, nz);
+            for y in oy..oy + ey {
+                snug += self.owned(self.row(ox, y, after, ex));
+                snug += self.owned(self.row(ox, y, before, ex));
             }
         }
         snug
     }
 
+    /// Owned chips in one `owner` range.
+    fn owned(&self, run: Range<usize>) -> usize {
+        self.owner
+            .get(run)
+            .map_or(0, |row| row.iter().filter(|o| o.is_some()).count())
+    }
+
     /// Remove a slice, freeing its chips. Returns the removed slice.
     pub fn remove(&mut self, id: SliceId) -> Option<Slice> {
         let slice = self.slices.remove(&id)?;
-        for c in slice.coords() {
-            let i = self.torus.shape.index_of(c);
-            self.owner[i] = None;
-        }
+        self.fill(&slice, None);
         Some(slice)
     }
 
@@ -222,6 +294,16 @@ impl Occupancy {
     pub fn is_failed(&self, c: Coord3) -> bool {
         self.failed[self.torus.shape.index_of(c)]
     }
+}
+
+/// The planes just outside a box that starts at `o` with extent `e < n`
+/// along a dimension of extent `n`: the one after it (`o+e`, wrapping to
+/// 0) and the one before it (`o−1`, wrapping to `n−1`). At `e == n−1` the
+/// two are the same plane, which the box then touches from both faces.
+fn faces(o: usize, e: usize, n: usize) -> (usize, usize) {
+    let after = if o + e == n { 0 } else { o + e };
+    let before = if o == 0 { n - 1 } else { o - 1 };
+    (after, before)
 }
 
 #[cfg(test)]

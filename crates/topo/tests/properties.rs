@@ -1,10 +1,97 @@
 //! Property-based tests of the torus substrate.
 
 use proptest::prelude::*;
-use topo::{Coord3, Dim, LoadMap, Occupancy, Shape3, Slice, Torus};
+use std::collections::BTreeMap;
+use topo::{Coord3, Dim, LoadMap, Occupancy, PlaceError, Shape3, Slice, SliceId, Torus};
 
 fn shape() -> impl Strategy<Value = Shape3> {
     (1usize..=6, 1usize..=6, 1usize..=6).prop_map(|(x, y, z)| Shape3::new(x, y, z))
+}
+
+/// A random small torus, or one 4×4×16 rack group in four cases.
+fn torus_shape() -> impl Strategy<Value = Shape3> {
+    prop_oneof![shape(), shape(), shape(), Just(Shape3::new(4, 4, 16))]
+}
+
+/// Reference best-fit, chip by chip: the same (Z, Y, X) origin scan and
+/// strict `>` tie-break as [`Occupancy::place_best_fit`], with each
+/// candidate box tested one chip at a time. Returns the chosen origin.
+fn reference_best_fit(occ: &Occupancy, extent: Shape3) -> Result<Coord3, PlaceError> {
+    let shape = occ.shape();
+    if Dim::ALL
+        .iter()
+        .any(|&d| extent.extent(d) == 0 || extent.extent(d) > shape.extent(d))
+    {
+        return Err(PlaceError::NoSpace);
+    }
+    let mut best: Option<(usize, Coord3)> = None;
+    for z in 0..=(shape.extent(Dim::Z) - extent.extent(Dim::Z)) {
+        for y in 0..=(shape.extent(Dim::Y) - extent.extent(Dim::Y)) {
+            for x in 0..=(shape.extent(Dim::X) - extent.extent(Dim::X)) {
+                let cand = Slice::new(0, Coord3::new(x, y, z), extent);
+                if !cand.coords().all(|c| occ.is_free(c)) {
+                    continue;
+                }
+                let snug = reference_snugness(occ, &cand);
+                if best.is_none_or(|(s, _)| snug > s) {
+                    best = Some((snug, cand.origin));
+                }
+            }
+        }
+    }
+    best.map(|(_, origin)| origin).ok_or(PlaceError::NoSpace)
+}
+
+/// Reference snugness: for every chip of the box, each of its six face
+/// neighbours that lies outside the box and is owned counts once.
+fn reference_snugness(occ: &Occupancy, slice: &Slice) -> usize {
+    let shape = occ.shape();
+    let mut snug = 0;
+    for c in slice.coords() {
+        for d in Dim::ALL {
+            for neighbour in [c.next_in(d, shape), c.prev_in(d, shape)] {
+                if !slice.contains(neighbour) && !occ.is_free(neighbour) {
+                    snug += 1;
+                }
+            }
+        }
+    }
+    snug
+}
+
+/// What `place` must answer for `slice`: on overlap, the first owned chip
+/// in (Z, Y, X) order.
+fn reference_place(occ: &Occupancy, slice: &Slice) -> Result<(), PlaceError> {
+    if occ.slice(slice.id).is_some() {
+        return Err(PlaceError::DuplicateId(slice.id));
+    }
+    if !slice.fits(occ.shape()) {
+        return Err(PlaceError::OutOfBounds);
+    }
+    match slice.coords().find(|&c| !occ.is_free(c)) {
+        Some(c) => Err(PlaceError::Occupied(c)),
+        None => Ok(()),
+    }
+}
+
+/// A requested extent along an axis of extent `n`: mostly `n`, `n−1`, 1
+/// or anything in between; one in eight is infeasible (0 or `n+1`).
+fn axis_extent(rng: &mut desim::SimRng, n: usize) -> usize {
+    match rng.gen_range_usize(8) {
+        0 => [0, n + 1][rng.gen_range_usize(2)],
+        1 | 2 => n,
+        3 | 4 => n - 1,
+        5 => 1,
+        _ => 1 + rng.gen_range_usize(n),
+    }
+}
+
+fn random_coord(rng: &mut desim::SimRng, s: Shape3) -> Coord3 {
+    Coord3::new(
+        rng.gen_range_usize(s.extent(Dim::X)),
+        rng.gen_range_usize(s.extent(Dim::Y)),
+        rng.gen_range_usize(s.extent(Dim::Z)),
+    )
 }
 
 proptest! {
@@ -99,6 +186,73 @@ proptest! {
         }
         occ.remove(slice.id).unwrap();
         prop_assert_eq!(occ.free_chips().len(), 64);
+    }
+
+    /// Best-fit, `place` and `remove` over X-rows and face slabs answer
+    /// exactly as the chip-by-chip reference does, across random
+    /// sequences of placements, removals, failures and repairs: the same
+    /// origin or `NoSpace`, the same `Occupied` chip, and the same owner
+    /// of every chip after every step. The healthy-free count always
+    /// equals the length of the healthy-free list.
+    #[test]
+    fn best_fit_matches_the_chip_by_chip_reference(s in torus_shape(), seed in any::<u64>()) {
+        let mut rng = desim::SimRng::seed_from_u64(seed);
+        let mut occ = Occupancy::new(s);
+        let mut live: BTreeMap<SliceId, Slice> = BTreeMap::new();
+        let mut next_id = 1u32;
+        for step in 0..60 {
+            let extent = Shape3::new(
+                axis_extent(&mut rng, s.extent(Dim::X)),
+                axis_extent(&mut rng, s.extent(Dim::Y)),
+                axis_extent(&mut rng, s.extent(Dim::Z)),
+            );
+            match rng.gen_range_usize(8) {
+                0..=2 => {
+                    let want = reference_best_fit(&occ, extent);
+                    let got = occ.place_best_fit(next_id, extent);
+                    prop_assert_eq!(got.map(|sl| sl.origin), want, "step {}: best-fit {}", step, extent);
+                    if let Ok(sl) = got {
+                        prop_assert_eq!(sl, Slice::new(next_id, sl.origin, extent));
+                        live.insert(sl.id, sl);
+                    }
+                    next_id += 1;
+                }
+                3 | 4 => {
+                    // Any box at any origin: it may overhang, overlap or
+                    // reuse a live id.
+                    let id = match live.keys().next() {
+                        Some(&SliceId(old)) if rng.gen_range_usize(8) == 0 => old,
+                        _ => next_id,
+                    };
+                    let extent = Shape3::new(
+                        1 + rng.gen_range_usize(s.extent(Dim::X)),
+                        1 + rng.gen_range_usize(s.extent(Dim::Y)),
+                        1 + rng.gen_range_usize(s.extent(Dim::Z)),
+                    );
+                    let sl = Slice::new(id, random_coord(&mut rng, s), extent);
+                    let want = reference_place(&occ, &sl);
+                    prop_assert_eq!(occ.place(sl), want, "step {}: place {}", step, sl);
+                    if want.is_ok() {
+                        live.insert(sl.id, sl);
+                        next_id += 1;
+                    }
+                }
+                5 => {
+                    let id = match live.keys().nth(rng.gen_range_usize(live.len() + 1)) {
+                        Some(&id) => id,
+                        None => SliceId(next_id),
+                    };
+                    prop_assert_eq!(occ.remove(id), live.remove(&id), "step {}: remove {}", step, id);
+                }
+                6 => occ.fail_chip(random_coord(&mut rng, s)),
+                _ => occ.restore_chip(random_coord(&mut rng, s)),
+            }
+            for c in s.coords() {
+                let want = live.values().find(|sl| sl.contains(c)).map(|sl| sl.id);
+                prop_assert_eq!(occ.owner(c), want, "step {}: owner of {}", step, c);
+            }
+            prop_assert_eq!(occ.healthy_free_count(), occ.healthy_free_chips().len());
+        }
     }
 
     /// Electrical utilization is always a third-multiple in {0, 1/3, 2/3, 1}

@@ -1,5 +1,6 @@
-//! Restored queues are refused, never resumed and never a panic, and so is
-//! a pod capture off its epoch barrier. Each case edits one field, or
+//! Restored queues are refused, never resumed and never a panic, and so are
+//! a pod capture off its epoch barrier and a list count larger than the
+//! entries that follow it. Each case edits one field, or
 //! every line ending, of a real snapshot artifact's body and re-seals it,
 //! so the structural checks of the snapshot reader,
 //! the admission engine's codec and restore — not the integrity
@@ -9,7 +10,11 @@
 //! Both also share one header, `<tag> fnv=<16 hex>`, and a header spelled
 //! any way the writer never prints it is refused too.
 
-use fabricd::{report::bench_config, resume_campaign, run_campaign, CampaignOptions, CtrlSnapshot};
+use desim::{SnapReader, SnapWriter};
+use fabricd::{
+    report::bench_config, resume_campaign, run_campaign, CampaignOptions, CtrlSnapshot,
+    FabricSnapshot,
+};
 use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot, PolicyKind};
 
 /// Apply `edit` to the artifact body and re-seal the header FNV.
@@ -130,9 +135,49 @@ fn crlf_body(lines: &[&str]) -> Vec<String> {
     lines.iter().map(|l| format!("{l}\r")).collect()
 }
 
+/// 2^61: a count whose `Vec::with_capacity` overflows `isize` for every
+/// element type a reader collects, so pre-sizing from it panics.
+const HUGE_COUNT: u64 = 1 << 61;
+
+/// The admission-wait histogram's bin count, raised to [`HUGE_COUNT`]
+/// inside the first escaped metrics block.
+fn huge_wait_bins(lines: &[&str]) -> Vec<String> {
+    const KEY: &str = "\\nwait_bins\\e";
+    let at = (0..lines.len())
+        .find(|&i| lines[i].contains(KEY))
+        .expect("a metrics block");
+    let (head, tail) = lines[at].split_once(KEY).unwrap();
+    let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
+    let mut out = owned(lines);
+    out[at] = format!("{head}{KEY}{HUGE_COUNT}{}", &tail[digits..]);
+    out
+}
+
+/// One tenant's circuit-handle count, raised to [`HUGE_COUNT`] inside the
+/// state body of the first fabric capture that holds a tenant. That body
+/// is length-prefixed and fingerprinted, so both are re-sealed too.
+fn huge_handles(lines: &[&str]) -> Vec<String> {
+    let at = (0..lines.len())
+        .find(|&i| value(lines[i], "fabric").is_some_and(|f| f.contains("\\nhandles\\e")))
+        .expect("a fabric capture with a tenant");
+    let inner = SnapReader::new(lines[at]).str("fabric").unwrap();
+    let mut fabric = FabricSnapshot::parse(&inner).unwrap();
+    let state: Vec<&str> = fabric.state.lines().collect();
+    let handles = find(&state, 0, "handles");
+    let mut edited = owned(&state);
+    edited[handles] = format!("handles={HUGE_COUNT}");
+    fabric.state = edited.join("\n") + "\n";
+    fabric.fingerprint = desim::snap::fingerprint(&fabric.state);
+    let mut w = SnapWriter::new();
+    w.str("fabric", &fabric.to_text());
+    let mut out = owned(lines);
+    out[at] = w.finish().trim_end_matches('\n').to_string();
+    out
+}
+
 type Edit = fn(&[&str]) -> Vec<String>;
 
-const CASES: [(&str, Edit, &str); 8] = [
+const CASES: [(&str, Edit, &str); 10] = [
     (
         "seq >= event_seq",
         seq_at_counter,
@@ -149,6 +194,8 @@ const CASES: [(&str, Edit, &str); 8] = [
         "wait_hi: bad f64 bits",
     ),
     ("CRLF body", crlf_body, "line 1: carriage return"),
+    ("wait_bins=2^61", huge_wait_bins, "expected key bin"),
+    ("handles=2^61", huge_handles, "expected key kind"),
 ];
 
 /// The pod's completed-epoch count, one lower than its capture instant closes.
@@ -184,9 +231,18 @@ fn group0_at_plus_one(lines: &[&str]) -> Vec<String> {
     out
 }
 
+/// The pod's rack-group count, raised to [`HUGE_COUNT`].
+fn huge_groups(lines: &[&str]) -> Vec<String> {
+    let groups = find(lines, 0, "groups");
+    let mut out = owned(lines);
+    out[groups] = format!("groups={HUGE_COUNT}");
+    out
+}
+
 /// Pod-only edits: a capture must sit on the barrier its epoch count
-/// closes, and every domain must be captured at that same instant.
-const POD_CASES: [(&str, Edit, &str); 3] = [
+/// closes, every domain must be captured at that same instant, and a
+/// group count is read as far as its entries go.
+const POD_CASES: [(&str, Edit, &str); 4] = [
     ("epoch - 1", epoch_minus_one, "is not the barrier after"),
     ("pod at_ps + 1", pod_at_plus_one, "is not the barrier after"),
     (
@@ -194,6 +250,7 @@ const POD_CASES: [(&str, Edit, &str); 3] = [
         group0_at_plus_one,
         "domain capture 0 taken at",
     ),
+    ("groups=2^61", huge_groups, "expected key free"),
 ];
 
 /// The bench campaign's middle snapshot artifact.
