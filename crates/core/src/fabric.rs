@@ -12,6 +12,7 @@
 //! ring with a free chip in another server without touching any electrical
 //! switch.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 use desim::SimDuration;
@@ -144,40 +145,36 @@ impl CrossCircuit {
     }
 }
 
-/// A captured, re-stampable image of one successful cross-wafer establish:
-/// the fiber hops it chose, each intra-wafer segment's path and link
-/// report, the edge loads those decisions were made under (witnesses), and
-/// the end-to-end link report. [`Fabric::stamp_cross`] replays the image
-/// without re-running BFS fiber routing or any link-budget evaluation after
-/// verifying the witnesses still hold; on any mismatch the caller falls
-/// back to [`Fabric::establish_cross`], which behaves identically by
-/// construction.
-#[derive(Debug, Clone)]
-pub struct CrossPlan {
-    src: (WaferId, TileCoord),
-    dst: (WaferId, TileCoord),
-    lanes: usize,
-    fibers: Vec<usize>,
-    link: LinkReport,
-    segments: Vec<CrossSegmentPlan>,
+/// Wafer-relative identity of a cross-wafer circuit: the source and
+/// destination tiles, and per fiber hop the (near, far) attach tiles and
+/// the fiber length bits. Two requests of one class on different wafer
+/// pairs face the same geometry, so one captured [`CrossPlan`] can be
+/// stamped at both. The lane count is not part of it: no path choice or
+/// budget reads it, and a stamp checks SerDes lanes as a fresh establish
+/// does.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct CrossClass {
+    src: TileCoord,
+    dst: TileCoord,
+    hops: Vec<(TileCoord, TileCoord, u64)>,
 }
 
-impl CrossPlan {
-    /// The `(src, dst)` endpoints this plan programs.
-    pub fn endpoints(&self) -> ((WaferId, TileCoord), (WaferId, TileCoord)) {
-        (self.src, self.dst)
-    }
-
-    /// Wavelength lanes the plan carries.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
+/// A captured, relocatable image of one successful cross-wafer establish:
+/// each intra-wafer segment's path and link report, stored by its hop
+/// position rather than its wafer, the edge loads those decisions were
+/// made under (witnesses), and the end-to-end link report.
+#[derive(Debug, Clone)]
+struct CrossPlan {
+    link: LinkReport,
+    segments: Vec<CrossSegmentPlan>,
 }
 
 /// One intra-wafer segment image inside a [`CrossPlan`].
 #[derive(Debug, Clone)]
 struct CrossSegmentPlan {
-    wafer: WaferId,
+    /// Position along the route: 0 is the source wafer, `i` the wafer
+    /// fiber hop `i − 1` lands on.
+    hop: usize,
     path: Path,
     link: LinkReport,
     /// `(edge, load)` pairs for every bus the fresh admission read while
@@ -187,9 +184,68 @@ struct CrossSegmentPlan {
     witnesses: Vec<(EdgeId, u32)>,
 }
 
-/// How [`Fabric::cross_impl`] should treat the plan library.
+/// Bound on the cross-wafer plans a [`CrossPlans`] retains.
+const CROSS_PLAN_CAPACITY: usize = 256;
+
+/// Cross-wafer plan cache counters. Telemetry only — never journaled or
+/// fingerprinted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CrossPlanStats {
+    /// Cross circuits established by stamping a cached plan.
+    pub hits: u64,
+    /// Cross circuits established fresh (and captured for next time).
+    pub misses: u64,
+    /// Lookups whose class was known but where no captured witness image
+    /// held on the concrete wafers; the circuit was then established fresh
+    /// and its image captured beside the others.
+    pub fallbacks: u64,
+    /// Captured plans not retained because the cache already held
+    /// `CROSS_PLAN_CAPACITY` (256) plans.
+    pub evictions: u64,
+}
+
+/// Captured cross-wafer plans for [`Fabric::establish_cross_planned`],
+/// keyed by a wafer-relative class: the source and destination tiles, and
+/// per fiber hop the (near, far) attach tiles and the fiber length. Each class keeps one plan per distinct witness image, in
+/// capture order, and a plan stamps at any wafer pair whose route has the
+/// class. A pure accelerator: a stamp commits exactly what a fresh
+/// establish would, so the cache is never serialized.
+///
+/// Relocation is sound because every wafer of a [`Fabric`] is built from
+/// one [`WaferConfig`] (one stitch-loss table), the class pins the attach
+/// tiles and fiber lengths, and the witnesses pin every bus load the
+/// XY/YX choice and the skipped budgets read.
+#[derive(Debug, Clone, Default)]
+pub struct CrossPlans {
+    classes: BTreeMap<CrossClass, Vec<CrossPlan>>,
+    resident: usize,
+    stats: CrossPlanStats,
+}
+
+impl CrossPlans {
+    /// Plans currently retained.
+    pub fn resident(&self) -> usize {
+        self.resident
+    }
+
+    /// Hit, miss, fallback and eviction counters.
+    pub fn stats(&self) -> CrossPlanStats {
+        self.stats
+    }
+
+    fn retain(&mut self, class: CrossClass, plan: CrossPlan) {
+        if self.resident >= CROSS_PLAN_CAPACITY {
+            self.stats.evictions += 1;
+            return;
+        }
+        self.resident += 1;
+        self.classes.entry(class).or_default().push(plan);
+    }
+}
+
+/// How [`Fabric::cross_commit`] should treat the plan cache.
 enum CrossMode<'a> {
-    /// Route, budget, and establish from scratch.
+    /// Budget and establish from scratch.
     Fresh,
     /// Fresh, plus record each segment's decision image.
     Capture(&'a mut Vec<CrossSegmentPlan>),
@@ -218,6 +274,14 @@ struct WaferText {
 pub struct Fabric {
     wafers: Vec<Wafer>,
     fibers: Vec<FiberState>,
+    /// Fiber incidence for [`fiber_route`](Self::fiber_route): one
+    /// `(wafer, neighbour, link)` entry per bundle end, sorted, so each
+    /// wafer's bundles form one run grouped by neighbour in ascending
+    /// wafer id, each group in ascending link index. Built on first use,
+    /// and rebuilt when [`attach_fiber`](Self::attach_fiber) has grown the
+    /// plant since, so construction allocates nothing for it. Never
+    /// serialized.
+    incidence: Vec<(WaferId, WaferId, usize)>,
     cross: BTreeMap<CrossCircuitId, CrossCircuit>,
     next_id: u64,
     /// Each wafer's snapshot text, by wafer id, for
@@ -226,12 +290,15 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A fabric of `n` identical wafers with no fiber links yet.
+    /// A fabric of `n` identical wafers with no fiber links yet. Every
+    /// wafer is built from the one `cfg`, so all share one stitch-loss
+    /// table — what lets [`CrossPlans`] relocate a plan between wafers.
     pub fn new(n: usize, cfg: WaferConfig) -> Self {
         assert!(n >= 1, "a fabric needs at least one wafer");
         Fabric {
             wafers: (0..n).map(|_| Wafer::new(cfg.clone())).collect(),
             fibers: Vec::new(),
+            incidence: Vec::new(),
             cross: BTreeMap::new(),
             next_id: 0,
             snap_text: Vec::new(),
@@ -282,52 +349,55 @@ impl Fabric {
     /// index on ties; neighbours are visited in ascending wafer id. Returns
     /// the fiber link indices in hop order.
     ///
-    /// Each popped wafer costs one pass over the bundles, and the search
+    /// Each popped wafer costs its degree: its bundles are one run of the
+    /// incidence index, (re)built here when it lags the plant. The search
     /// returns as soon as `to` is discovered: its `prev` entry is final at
     /// discovery, so the path is the one a return-at-pop BFS builds.
     fn fiber_route(
-        &self,
+        &mut self,
         from: WaferId,
         to: WaferId,
         respect_capacity: bool,
     ) -> Option<Vec<usize>> {
-        let n = self.wafers.len();
+        if self.incidence.len() != 2 * self.fibers.len() {
+            self.incidence.clear();
+            for (i, f) in self.fibers.iter().enumerate() {
+                self.incidence.push((f.link.a.0, f.link.b.0, i));
+                self.incidence.push((f.link.b.0, f.link.a.0, i));
+            }
+            self.incidence.sort_unstable();
+        }
         // `prev[b]`: the wafer `b` was discovered from and the link taken.
-        let mut prev: Vec<Option<(WaferId, usize)>> = vec![None; n];
-        // `best[b]`: the chosen link from the popped wafer to undiscovered
-        // neighbour `b`, with its free fibers.
-        let mut best: Vec<Option<(usize, u32)>> = vec![None; n];
+        let mut prev: Vec<Option<(WaferId, usize)>> = vec![None; self.wafers.len()];
         let mut q = VecDeque::new();
         q.push_back(from);
         'search: while let Some(w) = q.pop_front() {
-            for (i, f) in self.fibers.iter().enumerate() {
-                let free = f.free();
-                if respect_capacity && free == 0 {
-                    continue;
-                }
-                let b = if f.link.a.0 == w {
-                    f.link.b.0
-                } else if f.link.b.0 == w {
-                    f.link.a.0
-                } else {
+            let tail = self
+                .incidence
+                .get(self.incidence.partition_point(|&(a, _, _)| a < w)..)
+                .unwrap_or_default();
+            let run = tail
+                .get(..tail.partition_point(|&(a, _, _)| a == w))
+                .unwrap_or_default();
+            for group in run.chunk_by(|x, y| x.1 == y.1) {
+                let Some(&(_, b, _)) = group.first() else {
                     continue;
                 };
-                if b == from || prev.get(b.0).is_some_and(Option::is_some) {
+                let Some(slot) = prev.get_mut(b.0).filter(|p| b != from && p.is_none()) else {
                     continue;
-                }
-                if let Some(slot) = best.get_mut(b.0) {
-                    if slot.is_none_or(|(_, most)| most < free) {
-                        *slot = Some((i, free));
-                    }
-                }
-            }
-            for (b, (slot, p)) in best.iter_mut().zip(prev.iter_mut()).enumerate() {
-                let Some((i, _)) = slot.take() else { continue };
-                *p = Some((w, i));
-                if b == to.0 {
+                };
+                // The first of the most-free links: the lowest index on ties.
+                let best = group
+                    .iter()
+                    .filter_map(|&(_, _, i)| Some((i, self.fibers.get(i)?.free())))
+                    .filter(|&(_, free)| !respect_capacity || free > 0)
+                    .min_by_key(|&(_, free)| Reverse(free));
+                let Some((i, _)) = best else { continue };
+                *slot = Some((w, i));
+                if b == to {
                     break 'search;
                 }
-                q.push_back(WaferId(b));
+                q.push_back(b);
             }
         }
         // Walk back from `to`; an undiscovered `to` means no path.
@@ -342,6 +412,74 @@ impl Fabric {
         Some(path)
     }
 
+    /// The fiber route a fresh establish takes from `src` to `dst`, or the
+    /// error it raises when no route has a free fiber on every hop.
+    fn cross_route(&mut self, src: WaferId, dst: WaferId) -> Result<Vec<usize>, CircuitError> {
+        assert_ne!(
+            src, dst,
+            "use Wafer::establish for circuits within one wafer"
+        );
+        if let Some(fibers) = self.fiber_route(src, dst, true) {
+            return Ok(fibers);
+        }
+        // Distinguish "no fiber plant" from "plant exhausted", and report
+        // the total capacity of the first saturated hop's wafer pair.
+        let Some(unconstrained) = self.fiber_route(src, dst, false) else {
+            return Err(CircuitError::NoFiberLink);
+        };
+        let mut wafer = src;
+        let mut capacity = 0;
+        for f in unconstrained.iter().filter_map(|&fi| self.fibers.get(fi)) {
+            let next = f.other_end(wafer);
+            let pair = || self.fibers.iter().filter(|g| g.joins(wafer, next));
+            if pair().map(FiberState::free).sum::<u32>() == 0 {
+                capacity = pair().map(|g| g.link.capacity).sum();
+                break;
+            }
+            wafer = next;
+        }
+        Err(CircuitError::FiberExhausted { capacity })
+    }
+
+    /// The class of a request over `fibers`, and the wafers the route
+    /// visits in hop order (source first).
+    fn cross_class(
+        &self,
+        src: (WaferId, TileCoord),
+        dst: (WaferId, TileCoord),
+        fibers: &[usize],
+    ) -> (CrossClass, Vec<WaferId>) {
+        let mut wafer = src.0;
+        let mut wafers = vec![wafer];
+        let mut hops = Vec::with_capacity(fibers.len());
+        for f in fibers.iter().filter_map(|&fi| self.fibers.get(fi)) {
+            let (near, far) = f.oriented(wafer);
+            hops.push((near, far, f.link.length_m.to_bits()));
+            wafer = f.other_end(wafer);
+            wafers.push(wafer);
+        }
+        let class = CrossClass {
+            src: src.1,
+            dst: dst.1,
+            hops,
+        };
+        (class, wafers)
+    }
+
+    /// Whether every witness load of `plan` holds on the route's wafers.
+    fn witnesses_hold(&self, wafers: &[WaferId], plan: &CrossPlan) -> bool {
+        plan.segments.iter().all(|sp| {
+            let wafer = wafers.get(sp.hop).and_then(|w| self.wafers.get(w.0));
+            wafer.is_some_and(|w| sp.witnesses.iter().all(|&(e, load)| w.edge_used(e) == load))
+        })
+    }
+
+    /// A wafer of this fabric, or [`CircuitError::NoFiberLink`] for an id
+    /// outside it (no fiber reaches such a wafer).
+    fn wafer_at(&mut self, id: WaferId) -> Result<&mut Wafer, CircuitError> {
+        self.wafers.get_mut(id.0).ok_or(CircuitError::NoFiberLink)
+    }
+
     /// End-to-end loss budget of a prospective multi-hop circuit.
     fn cross_budget(
         &self,
@@ -352,8 +490,7 @@ impl Fabric {
         let mut b = LossBudget::new();
         let mut wafer = src.0;
         let mut at = src.1;
-        for &fi in fibers {
-            let f = &self.fibers[fi];
+        for f in fibers.iter().filter_map(|&fi| self.fibers.get(fi)) {
             let (near, far) = f.oriented(wafer);
             if at != near {
                 b.extend(&self.wafer(wafer).path_loss_budget(&Path::xy(at, near)));
@@ -386,133 +523,64 @@ impl Fabric {
         dst: (WaferId, TileCoord),
         lanes: usize,
     ) -> Result<(CrossCircuitId, SimDuration), CircuitError> {
-        let (id, setup, _) = self.cross_impl(src, dst, lanes, CrossMode::Fresh)?;
+        let fibers = self.cross_route(src.0, dst.0)?;
+        let (id, setup, _) = self.cross_commit(src, dst, lanes, fibers, CrossMode::Fresh)?;
         Ok((id, setup))
     }
 
-    /// [`establish_cross`](Self::establish_cross), additionally capturing a
-    /// [`CrossPlan`] image of every routing and budgeting decision so later
-    /// identical admissions can [`stamp_cross`](Self::stamp_cross) instead
-    /// of searching. The fabric mutation is bit-identical to a plain
-    /// establish — capture only reads.
-    pub fn establish_cross_captured(
+    /// [`establish_cross`](Self::establish_cross) through a class-keyed
+    /// plan cache. The fiber route is probed once and defines the
+    /// request's class; the first captured image of that class whose
+    /// witness loads hold on the route's wafers is stamped, with no link
+    /// budget evaluated. Otherwise the circuit is established fresh over
+    /// the same route and its image captured. Results, errors and every
+    /// byte of fabric state equal a plain establish: an error out of a
+    /// stamp is the one a fresh establish would raise, as the witnesses
+    /// pin the same paths.
+    pub fn establish_cross_planned(
         &mut self,
+        plans: &mut CrossPlans,
         src: (WaferId, TileCoord),
         dst: (WaferId, TileCoord),
         lanes: usize,
-    ) -> Result<(CrossCircuitId, SimDuration, CrossPlan), CircuitError> {
+    ) -> Result<(CrossCircuitId, SimDuration), CircuitError> {
+        let fibers = self.cross_route(src.0, dst.0).inspect_err(|_| {
+            plans.stats.misses += 1;
+        })?;
+        let (class, wafers) = self.cross_class(src, dst, &fibers);
+        if let Some(images) = plans.classes.get(&class) {
+            match images.iter().find(|p| self.witnesses_hold(&wafers, p)) {
+                Some(plan) => {
+                    let (id, setup, _) =
+                        self.cross_commit(src, dst, lanes, fibers, CrossMode::Stamp(plan))?;
+                    plans.stats.hits += 1;
+                    return Ok((id, setup));
+                }
+                None => plans.stats.fallbacks += 1,
+            }
+        }
+        plans.stats.misses += 1;
         let mut segments = Vec::new();
         let (id, setup, link) =
-            self.cross_impl(src, dst, lanes, CrossMode::Capture(&mut segments))?;
-        let fibers = self
-            .cross
-            .get(&id)
-            .map(|c| c.fibers.clone())
-            .unwrap_or_default();
-        Ok((
-            id,
-            setup,
-            CrossPlan {
-                src,
-                dst,
-                lanes,
-                fibers,
-                link,
-                segments,
-            },
-        ))
+            self.cross_commit(src, dst, lanes, fibers, CrossMode::Capture(&mut segments))?;
+        plans.retain(class, CrossPlan { link, segments });
+        Ok((id, setup))
     }
 
-    /// Replay a captured [`CrossPlan`]: re-run the cheap fiber-route probe
-    /// and the per-segment load witnesses, and — when everything still
-    /// matches the capture — commit the identical circuit without any BFS
-    /// or link-budget evaluation. Returns `Ok(None)` when the fabric has
-    /// drifted from the captured image (the caller falls back to a fresh
-    /// [`establish_cross`](Self::establish_cross)); establish-time errors
-    /// (SerDes exhaustion, failed tiles) surface exactly as a fresh
-    /// admission would raise them.
-    pub fn stamp_cross(
-        &mut self,
-        plan: &CrossPlan,
-    ) -> Result<Option<(CrossCircuitId, SimDuration)>, CircuitError> {
-        match self.fiber_route(plan.src.0, plan.dst.0, true) {
-            Some(f) if f == plan.fibers => {}
-            _ => return Ok(None),
-        }
-        for sp in &plan.segments {
-            for &(e, load) in &sp.witnesses {
-                if self.wafer(sp.wafer).edge_used(e) != load {
-                    return Ok(None);
-                }
-            }
-        }
-        let (id, setup, _) =
-            self.cross_impl(plan.src, plan.dst, plan.lanes, CrossMode::Stamp(plan))?;
-        Ok(Some((id, setup)))
-    }
-
-    fn cross_impl(
+    /// Budget, build and record a cross circuit over the probed `fibers`.
+    fn cross_commit(
         &mut self,
         src: (WaferId, TileCoord),
         dst: (WaferId, TileCoord),
         lanes: usize,
+        fibers: Vec<usize>,
         mut mode: CrossMode<'_>,
     ) -> Result<(CrossCircuitId, SimDuration, LinkReport), CircuitError> {
-        assert_ne!(
-            src.0, dst.0,
-            "use Wafer::establish for circuits within one wafer"
-        );
-        let fibers = if let CrossMode::Stamp(plan) = &mode {
-            // `stamp_cross` verified the route is still the one a fresh
-            // admission would choose.
-            debug_assert_eq!(
-                self.fiber_route(src.0, dst.0, true).as_deref(),
-                Some(plan.fibers.as_slice()),
-                "stamped fiber route diverged from a fresh probe"
-            );
-            plan.fibers.clone()
-        } else {
-            match self.fiber_route(src.0, dst.0, true) {
-                Some(p) => p,
-                None => {
-                    // Distinguish "no fiber plant" from "plant exhausted".
-                    return match self.fiber_route(src.0, dst.0, false) {
-                        Some(unconstrained) => {
-                            // Report the total capacity of the first saturated
-                            // hop's wafer pair.
-                            let mut wafer = src.0;
-                            let mut cap = 0;
-                            for &fi in &unconstrained {
-                                let next = self.fibers[fi].other_end(wafer);
-                                let pair_free: u32 = self
-                                    .fibers
-                                    .iter()
-                                    .filter(|f| f.joins(wafer, next))
-                                    .map(FiberState::free)
-                                    .sum();
-                                if pair_free == 0 {
-                                    cap = self
-                                        .fibers
-                                        .iter()
-                                        .filter(|f| f.joins(wafer, next))
-                                        .map(|f| f.link.capacity)
-                                        .sum();
-                                    break;
-                                }
-                                wafer = next;
-                            }
-                            Err(CircuitError::FiberExhausted { capacity: cap })
-                        }
-                        None => Err(CircuitError::NoFiberLink),
-                    };
-                }
-            }
-        };
-
-        // Budget check before any commitment. A verified stamp reuses the
-        // captured report: the witnesses pin every load the budget reads,
-        // so a fresh evaluation would reproduce it bit-for-bit (asserted in
-        // debug builds).
+        let rate = self.wafer_at(src.0)?.config().wdm.rate;
+        // Budget check before any commitment. A stamp reuses the captured
+        // report: its class pins every fiber length and its witnesses every
+        // load the budget reads, so a fresh evaluation would reproduce it
+        // bit for bit (asserted in debug builds).
         let link = if let CrossMode::Stamp(plan) = &mode {
             debug_assert_eq!(
                 plan.link.to_bits(),
@@ -541,20 +609,25 @@ impl Fabric {
             for (w, id) in build.segments.into_iter().rev() {
                 // Just-established segments cannot fail to tear down; keep
                 // the rollback panic-free regardless.
-                let _ = self.wafers[w.0].teardown(id);
+                if let Ok(wafer) = self.wafer_at(w) {
+                    let _ = wafer.teardown(id);
+                }
             }
             if let Some(set) = build.manual_src_claim {
-                self.wafers[src.0 .0].tile_mut(src.1).serdes.release_tx(set);
+                if let Ok(wafer) = self.wafer_at(src.0) {
+                    wafer.tile_mut(src.1).serdes.release_tx(set);
+                }
             }
             return Err(e);
         }
 
         for &fi in &fibers {
-            self.fibers[fi].used += 1;
+            if let Some(f) = self.fibers.get_mut(fi) {
+                f.used += 1;
+            }
         }
         let id = CrossCircuitId(self.next_id);
         self.next_id += 1;
-        let rate = self.wafers[src.0 .0].config().wdm.rate;
         self.cross.insert(
             id,
             CrossCircuit {
@@ -573,7 +646,7 @@ impl Fabric {
         Ok((id, SimDuration::from_secs_f64(RECONFIG_LATENCY_S), link))
     }
 
-    /// The segment-building pass of [`cross_impl`](Self::cross_impl):
+    /// The segment-building pass of [`cross_commit`](Self::cross_commit):
     /// establishes every intra-wafer hop (or performs the degenerate
     /// attach-tile SerDes claims), recording handles and manual claims into
     /// `build` so the caller can roll back on failure.
@@ -586,21 +659,21 @@ impl Fabric {
         mode: &mut CrossMode<'_>,
         build: &mut CrossBuild,
     ) -> Result<(), CircuitError> {
-        let mut seg_cursor = 0usize;
         let mut wafer = src.0;
         let mut at = src.1;
         for (hop, &fi) in fibers.iter().enumerate() {
-            let (near, far) = self.fibers[fi].oriented(wafer);
+            let f = self.fibers.get(fi).ok_or(CircuitError::NoFiberLink)?;
+            let ((near, far), next) = (f.oriented(wafer), f.other_end(wafer));
             let first = hop == 0;
             if at != near {
                 let mut req = CircuitRequest::new(at, near, lanes);
                 req.claim_src_serdes = first;
                 req.claim_dst_serdes = false;
-                let id = self.establish_segment(wafer, req, mode, &mut seg_cursor)?;
+                let id = self.establish_segment(wafer, hop, req, mode)?;
                 build.segments.push((wafer, id));
             } else if first {
                 // Source sits on the attach tile: claim tx manually.
-                let tile = self.wafers[wafer.0].tile_mut(at);
+                let tile = self.wafer_at(wafer)?.tile_mut(at);
                 if tile.is_failed() {
                     return Err(CircuitError::TileFailed(at));
                 }
@@ -621,7 +694,7 @@ impl Fabric {
                 }
                 build.manual_src_claim = Some(set);
             }
-            wafer = self.fibers[fi].other_end(wafer);
+            wafer = next;
             at = far;
         }
         // Final wafer: attach tile → destination.
@@ -629,10 +702,10 @@ impl Fabric {
             let mut req = CircuitRequest::new(at, dst.1, lanes);
             req.claim_src_serdes = false;
             req.claim_dst_serdes = true;
-            let id = self.establish_segment(wafer, req, mode, &mut seg_cursor)?;
+            let id = self.establish_segment(wafer, fibers.len(), req, mode)?;
             build.segments.push((wafer, id));
         } else {
-            let tile = self.wafers[wafer.0].tile_mut(at);
+            let tile = self.wafer_at(wafer)?.tile_mut(at);
             if tile.is_failed() {
                 return Err(CircuitError::TileFailed(at));
             }
@@ -656,59 +729,47 @@ impl Fabric {
         Ok(())
     }
 
-    /// One intra-wafer segment establish, honouring the mode: fresh routes
-    /// search and budget from scratch, capture additionally records the
-    /// decision image, stamp replays it via the prebudgeted fast path. A
-    /// stamp whose recorded segment no longer lines up with the traversal
-    /// falls back to a fresh establish — identical behaviour, just slower.
+    /// One intra-wafer segment establish at route position `hop`, honouring
+    /// the mode: fresh routes search and budget from scratch, capture
+    /// additionally records the decision image, stamp replays it via the
+    /// prebudgeted fast path. The class pins which positions have a
+    /// segment and their endpoints, so a stamp finds an image at each;
+    /// were one missing, the segment would be established fresh —
+    /// identical behaviour, just slower.
     fn establish_segment(
         &mut self,
         wafer: WaferId,
+        hop: usize,
         req: CircuitRequest,
         mode: &mut CrossMode<'_>,
-        seg_cursor: &mut usize,
     ) -> Result<CircuitId, CircuitError> {
         let (src, dst) = (req.src, req.dst);
+        let w = self.wafer_at(wafer)?;
         match mode {
-            CrossMode::Fresh => Ok(self.wafer_mut(wafer).establish(req)?.id),
+            CrossMode::Fresh => Ok(w.establish(req)?.id),
             CrossMode::Capture(segs) => {
                 let mut witnesses: Vec<(EdgeId, u32)> = Vec::new();
-                {
-                    let w = self.wafer(wafer);
-                    for e in Path::xy(src, dst).edges().chain(Path::yx(src, dst).edges()) {
-                        if !witnesses.iter().any(|&(seen, _)| seen == e) {
-                            witnesses.push((e, w.edge_used(e)));
-                        }
+                for e in Path::xy(src, dst).edges().chain(Path::yx(src, dst).edges()) {
+                    if !witnesses.iter().any(|&(seen, _)| seen == e) {
+                        witnesses.push((e, w.edge_used(e)));
                     }
                 }
-                let rep = self.wafer_mut(wafer).establish(req)?;
-                let ckt = self
-                    .wafer(wafer)
-                    .circuit(rep.id)
-                    .ok_or(CircuitError::UnknownCircuit(rep.id))?;
+                let id = w.establish(req)?.id;
+                let ckt = w.circuit(id).ok_or(CircuitError::UnknownCircuit(id))?;
                 segs.push(CrossSegmentPlan {
-                    wafer,
+                    hop,
                     path: ckt.path.clone(),
                     link: ckt.link,
                     witnesses,
                 });
-                Ok(rep.id)
+                Ok(id)
             }
-            CrossMode::Stamp(plan) => {
-                let sp = plan.segments.get(*seg_cursor);
-                *seg_cursor += 1;
-                match sp {
-                    Some(sp)
-                        if sp.wafer == wafer && sp.path.src() == src && sp.path.dst() == dst =>
-                    {
-                        Ok(self
-                            .wafer_mut(wafer)
-                            .establish_prebudgeted(req.via(sp.path.clone()), sp.link)?
-                            .id)
-                    }
-                    _ => Ok(self.wafer_mut(wafer).establish(req)?.id),
-                }
-            }
+            CrossMode::Stamp(plan) => match plan.segments.iter().find(|sp| sp.hop == hop) {
+                Some(sp) => Ok(w
+                    .establish_prebudgeted(req.via(sp.path.clone()), sp.link)?
+                    .id),
+                None => Ok(w.establish(req)?.id),
+            },
         }
     }
 
@@ -718,17 +779,17 @@ impl Fabric {
             .cross
             .remove(&id)
             .ok_or(CircuitError::UnknownCircuit(CircuitId(id.0)))?;
-        for (w, seg) in &ckt.segments {
-            self.wafers[w.0].teardown(*seg)?;
+        for &(w, seg) in &ckt.segments {
+            self.wafer_at(w)?.teardown(seg)?;
         }
         if let Some(set) = ckt.manual_src_claim {
-            self.wafers[ckt.src.0 .0]
+            self.wafer_at(ckt.src.0)?
                 .tile_mut(ckt.src.1)
                 .serdes
                 .release_tx(set);
         }
         if let Some(lanes) = ckt.manual_dst_claim {
-            let tile = self.wafers[ckt.dst.0 .0].tile_mut(ckt.dst.1);
+            let tile = self.wafer_at(ckt.dst.0)?.tile_mut(ckt.dst.1);
             let all = LambdaSet::first_n(tile.serdes.lanes());
             let in_use = all.difference(tile.serdes.rx_available());
             // The claim is recorded on the circuit, so the lanes are in
@@ -737,7 +798,9 @@ impl Fabric {
             tile.serdes.release_rx(set);
         }
         for &fi in &ckt.fibers {
-            self.fibers[fi].used -= 1;
+            if let Some(f) = self.fibers.get_mut(fi) {
+                f.used -= 1;
+            }
         }
         Ok(())
     }
@@ -895,6 +958,9 @@ impl Fabric {
                          ck: &str|
              -> Result<(WaferId, TileCoord), String> {
                 let wid = r.u64(wk)? as usize;
+                if wid >= wafers {
+                    return Err(format!("fabric restore: {wk} {wid} out of range"));
+                }
                 let row = u8::try_from(r.u64(rk)?)
                     .map_err(|_| "fabric restore: tile row exceeds u8".to_string())?;
                 let col = u8::try_from(r.u64(ck)?)
@@ -1261,6 +1327,46 @@ mod tests {
         assert_eq!(cached_write(&mut g), (claimed, vec![0, 1]));
     }
 
+    /// Relocating a cross plan reuses its budgets on other wafers, which
+    /// is sound only while every wafer of a fabric has one config and so
+    /// one stitch-loss table.
+    #[test]
+    fn every_wafer_shares_one_config_and_stitch_table() {
+        let cfg = WaferConfig {
+            fab_seed: 0x5eed,
+            ..WaferConfig::default()
+        };
+        let f = Fabric::new(5, cfg);
+        let first = f.wafer(WaferId(0));
+        let edges: Vec<EdgeId> = first
+            .coords()
+            .flat_map(|a| {
+                [(0, 1), (1, 0)]
+                    .into_iter()
+                    .filter_map(move |(dr, dc)| a.offset(dr, dc))
+                    .filter(|b| b.row < 4 && b.col < 8)
+                    .map(move |b| EdgeId::between(a, b))
+            })
+            .collect();
+        assert_eq!(edges.len(), first.edge_index().len(), "every bus once");
+        let losses: Vec<u64> = edges
+            .iter()
+            .map(|&e| first.stitch_loss_db(e).to_bits())
+            .collect();
+        assert!(
+            losses.iter().any(|&l| l != losses[0]),
+            "a fabricated wafer has varied stitch losses"
+        );
+        for w in (1..f.wafer_count()).map(|i| f.wafer(WaferId(i))) {
+            assert_eq!(format!("{:?}", w.config()), format!("{:?}", first.config()));
+            let here: Vec<u64> = edges
+                .iter()
+                .map(|&e| w.stitch_loss_db(e).to_bits())
+                .collect();
+            assert_eq!(here, losses);
+        }
+    }
+
     #[test]
     fn pass_through_over_failed_tiles_is_allowed() {
         // Light transits a wafer whose chips all failed: the photonic layer
@@ -1381,6 +1487,118 @@ mod oracle_tests {
         }
     }
 
+    fn snap(f: &Fabric) -> String {
+        let mut w = desim::SnapWriter::new();
+        f.write_snap(&mut w);
+        w.finish()
+    }
+
+    /// Every field of a cross circuit, floats as bits.
+    type CircuitBits = (
+        (WaferId, TileCoord),
+        (WaferId, TileCoord),
+        Vec<usize>,
+        Vec<(WaferId, CircuitId)>,
+        usize,
+        u64,
+        [u64; 5],
+    );
+
+    fn circuit_bits(c: &CrossCircuit) -> CircuitBits {
+        (
+            c.src,
+            c.dst,
+            c.fibers.clone(),
+            c.segments.clone(),
+            c.lanes,
+            c.bandwidth.0.to_bits(),
+            c.link.to_bits(),
+        )
+    }
+
+    /// Twin fabrics under one request sequence: `fresh` establishes every
+    /// cross circuit from scratch, `cached` through `plans`.
+    struct Twins {
+        fresh: Fabric,
+        cached: Fabric,
+        plans: CrossPlans,
+        /// The wafer pair that captured each image, per class and in
+        /// image order.
+        captured_at: BTreeMap<CrossClass, Vec<(WaferId, WaferId)>>,
+        /// Stamps of an image captured at another wafer pair.
+        relocated: usize,
+        /// Lookups whose class was known but where no image held.
+        refused: usize,
+    }
+
+    impl Twins {
+        /// One request on both twins: the same result, the same circuit
+        /// and the same snapshot bytes. The lookup alone — route probe,
+        /// class and witness check — must leave the cached twin
+        /// byte-identical, whether it finds an image or refuses them all.
+        /// Returns whether the request was admitted.
+        fn request(
+            &mut self,
+            src: (WaferId, TileCoord),
+            dst: (WaferId, TileCoord),
+            lanes: usize,
+        ) -> Result<bool, TestCaseError> {
+            let before = snap(&self.cached);
+            let lookup = self.cached.fiber_route(src.0, dst.0, true).map(|fibers| {
+                let (class, wafers) = self.cached.cross_class(src, dst, &fibers);
+                let image = self.plans.classes.get(&class).map(|images| {
+                    images
+                        .iter()
+                        .position(|p| self.cached.witnesses_hold(&wafers, p))
+                });
+                (class, image)
+            });
+            prop_assert_eq!(
+                snap(&self.cached),
+                before,
+                "a lookup changed the cached twin"
+            );
+
+            let stats = self.plans.stats();
+            let want = self.fresh.establish_cross(src, dst, lanes);
+            let got = self
+                .cached
+                .establish_cross_planned(&mut self.plans, src, dst, lanes);
+            prop_assert_eq!(&got, &want);
+            if let Ok((id, _)) = want {
+                prop_assert_eq!(
+                    self.cached.cross_circuit(id).map(circuit_bits),
+                    self.fresh.cross_circuit(id).map(circuit_bits)
+                );
+            }
+            prop_assert_eq!(snap(&self.cached), snap(&self.fresh));
+
+            let now = self.plans.stats();
+            let pair = (src.0, dst.0);
+            match lookup {
+                Some((class, Some(Some(image)))) => {
+                    prop_assert_eq!(now.hits, stats.hits + u64::from(want.is_ok()));
+                    let at = self.captured_at.get(&class).and_then(|p| p.get(image));
+                    if want.is_ok() && at != Some(&pair) {
+                        self.relocated += 1;
+                    }
+                }
+                Some((class, known)) => {
+                    prop_assert_eq!(now.misses, stats.misses + 1);
+                    if known.is_some() {
+                        prop_assert_eq!(now.fallbacks, stats.fallbacks + 1);
+                        self.refused += 1;
+                    }
+                    if want.is_ok() {
+                        self.captured_at.entry(class).or_default().push(pair);
+                    }
+                }
+                None => prop_assert_eq!(now.misses, stats.misses + 1),
+            }
+            Ok(want.is_ok())
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1447,6 +1665,8 @@ mod oracle_tests {
                 capacity: 1,
                 length_m: fiber_m,
             });
+            // Through the plan cache, so stamped reports meet the oracle too.
+            let mut plans = CrossPlans::default();
             for (wa, a, wb, b, lanes) in requests {
                 if wa == wb {
                     continue;
@@ -1455,9 +1675,8 @@ mod oracle_tests {
                 let want = f
                     .fiber_route(src.0, dst.0, true)
                     .map(|fibers| oracle(f.cross_budget(src, dst, &fibers)));
-                match f.establish_cross_captured(src, dst, lanes) {
-                    Ok((id, _, plan)) => {
-                        prop_assert_eq!(Some(plan.link.to_bits()), want);
+                match f.establish_cross_planned(&mut plans, src, dst, lanes) {
+                    Ok((id, _)) => {
                         let stored = f.cross_circuit(id).map(|c| c.link.to_bits());
                         prop_assert_eq!(stored, want);
                     }
@@ -1499,6 +1718,12 @@ mod oracle_tests {
                 });
                 f.fibers[i].used = used.min(capacity);
                 last = Some((a, b));
+                // A probe between attaches: the index must follow the plant.
+                let to = WaferId(a);
+                prop_assert_eq!(
+                    f.fiber_route(WaferId(0), to, true),
+                    f.fiber_route_oracle(WaferId(0), to, true)
+                );
             }
             for from in (0..wafers).map(WaferId) {
                 for to in (0..wafers).map(WaferId) {
@@ -1512,6 +1737,138 @@ mod oracle_tests {
                             respect_capacity
                         );
                     }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        // More cases than the oracles above: a stale stamp needs a
+        // capture and a later lookup whose witness loads differ on one
+        // bus only, which a case meets rarely.
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Twin fabrics on random plants of 6–7 wafers whose bundles share
+        /// two (attach tiles, length) templates, so classes repeat across
+        /// wafer pairs; a third of the cases give both templates the same
+        /// tiles, and a third the same near tile and length, so only one
+        /// field of the class tells them apart. Random fab seed,
+        /// crosstalk and bus capacity (1–2, so XY routes fill up and fall
+        /// back to YX). Pairs 0–1 and 2–3 each have one bundle of the
+        /// first template, pair 4–5 one of the second.
+        ///
+        /// A plan captured at 0 → 1 must stamp at 2 → 3, and be refused at
+        /// 0 → 1 once its own circuit loads the buses it witnessed. Then
+        /// one random sequence of cross requests, teardowns and intra-wafer
+        /// pre-loads (XY or YX) runs on pair 0–1 and is replayed on pairs
+        /// 2–3 and 4–5, skipping a quarter of its steps, so plans relocate
+        /// under the loads the sequence builds up, are refused where the
+        /// replays diverge, and must not stamp across templates.
+        #[test]
+        fn relocated_stamps_equal_fresh_establishes(
+            fab_seed in any::<u64>(),
+            crosstalk in 0.0f64..2.0,
+            waveguides_per_edge in 1u32..=2,
+            wafers in 6usize..=7,
+            templates in (
+                (0u8..32, 0u8..32, 0.5f64..10.0),
+                (0u8..32, 0u8..32, 0.5f64..10.0),
+                0u8..3,
+            ),
+            bundles in prop::collection::vec((0usize..7, 0usize..7, any::<bool>(), 1u32..=4), 0..10),
+            first in (0u8..32, 0u8..32, 1usize..=4),
+            pool in (0u8..32, 0u8..32),
+            ops in prop::collection::vec(
+                ((0u8..10, 0u8..4), any::<bool>(), 0usize..4, 0usize..4, 1usize..=2, any::<bool>()),
+                1..40,
+            ),
+        ) {
+            let (t0, t1, shared) = templates;
+            let t1 = match shared {
+                0 => t1,
+                1 => (t0.0, t0.1, t1.2),
+                _ => (t0.0, t1.1, t0.2),
+            };
+            let cfg = WaferConfig {
+                waveguides_per_edge,
+                ..config(fab_seed, crosstalk)
+            };
+            let mut twins = Twins {
+                fresh: Fabric::new(wafers, cfg.clone()),
+                cached: Fabric::new(wafers, cfg),
+                plans: CrossPlans::default(),
+                captured_at: BTreeMap::new(),
+                relocated: 0,
+                refused: 0,
+            };
+            let pairs = [(0, t0), (2, t0), (4, t1)];
+            let extra = bundles
+                .into_iter()
+                .map(|(a, b, second, cap)| (a % wafers, b % wafers, if second { t1 } else { t0 }, cap))
+                .filter(|&(a, b, _, _)| a / 2 != b / 2);
+            for (a, b, (near, far, length_m), capacity) in
+                pairs.map(|(w, t)| (w, w + 1, t, 4)).into_iter().chain(extra)
+            {
+                for f in [&mut twins.fresh, &mut twins.cached] {
+                    f.attach_fiber(FiberLink {
+                        a: (WaferId(a), tile(near)),
+                        b: (WaferId(b), tile(far)),
+                        capacity,
+                        length_m,
+                    });
+                }
+            }
+
+            // Off the attach tiles, so both ends have a segment.
+            let (src, dst, lanes) = first;
+            let off = |t: u8, attach: u8| tile(if t == attach { (t + 1) % 32 } else { t });
+            let (src, dst) = (off(src, t0.0), off(dst, t0.1));
+            let admitted = twins.request((WaferId(0), src), (WaferId(1), dst), lanes)?;
+            twins.request((WaferId(2), src), (WaferId(3), dst), lanes)?;
+            prop_assert_eq!(twins.relocated, usize::from(admitted), "no stamp at 2 -> 3");
+            twins.request((WaferId(0), src), (WaferId(1), dst), lanes)?;
+            prop_assert_eq!(twins.refused, usize::from(admitted), "no refusal at 0 -> 1");
+            let live: Vec<CrossCircuitId> = twins.fresh.cross_circuits().map(|c| c.id).collect();
+            for id in live {
+                prop_assert_eq!(twins.cached.teardown_cross(id), twins.fresh.teardown_cross(id));
+            }
+
+            for (base, t) in pairs {
+                let pool = [pool.0, pool.1, t.0, t.1].map(tile);
+                let in_pair = |w: WaferId| w.0 / 2 == base / 2;
+                for &((kind, replay), forward, a, b, lanes, xy) in &ops {
+                    if base > 0 && replay == 0 {
+                        continue;
+                    }
+                    let (ta, tb) = (pool[a], pool[b]);
+                    let (wa, wb) = if forward { (base, base + 1) } else { (base + 1, base) };
+                    let (wa, wb) = (WaferId(wa), WaferId(wb));
+                    match kind {
+                        0..=4 => {
+                            twins.request((wa, ta), (wb, tb), lanes)?;
+                        }
+                        5..=7 => {
+                            let live: Vec<CrossCircuitId> = twins
+                                .fresh
+                                .cross_circuits()
+                                .filter(|c| in_pair(c.src.0))
+                                .map(|c| c.id)
+                                .collect();
+                            if let Some(&id) = live.get(a % live.len().max(1)) {
+                                prop_assert_eq!(
+                                    twins.cached.teardown_cross(id),
+                                    twins.fresh.teardown_cross(id)
+                                );
+                            }
+                        }
+                        _ if ta != tb => {
+                            let req = CircuitRequest::new(ta, tb, lanes).via(route(ta, tb, xy));
+                            let want = twins.fresh.wafer_mut(wa).establish(req.clone()).map(|r| r.id);
+                            prop_assert_eq!(twins.cached.wafer_mut(wa).establish(req).map(|r| r.id), want);
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(snap(&twins.cached), snap(&twins.fresh));
                 }
             }
         }

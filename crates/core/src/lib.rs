@@ -44,7 +44,8 @@ pub mod wafer;
 pub use circuit::{Circuit, CircuitError, CircuitId, CircuitRequest};
 pub use config::WaferConfig;
 pub use fabric::{
-    CrossCircuit, CrossCircuitId, CrossPlan, Fabric, FabricCircuit, FiberLink, WaferId,
+    CrossCircuit, CrossCircuitId, CrossPlanStats, CrossPlans, Fabric, FabricCircuit, FiberLink,
+    WaferId,
 };
 pub use fault::{
     CircuitFault, CollectiveFault, CtrlFault, EntityRef, FabricError, FaultKind, Layer, PhyFault,

@@ -11,14 +11,11 @@
 //! placed, so admission control sees exact all-or-nothing semantics.
 
 use collectives::snake_order;
-use desim::SimDuration;
-use lightpath::{
-    CircuitError, CrossCircuitId, CrossPlan, CtrlFault, Fabric, FabricCircuit, FabricError,
-    TileCoord, WaferId,
-};
+pub use lightpath::CrossPlanStats;
+use lightpath::{CrossPlans, CtrlFault, Fabric, FabricCircuit, FabricError};
 use resilience::chip_to_tile;
 use route::{allocate_non_overlapping_with, Demand, PlanLibrary, PlanStats, Searcher, StampAudit};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use topo::{Cluster, Slice};
 
 /// The circuits a slice's ring needs, split by execution mechanism.
@@ -42,49 +39,19 @@ impl CircuitPlan {
     }
 }
 
-/// Bound on cached cross-wafer plans (FIFO eviction).
-const CROSS_PLAN_CAPACITY: usize = 256;
-
-/// Cross-wafer plan cache counters. Telemetry only — never journaled or
-/// fingerprinted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrossPlanStats {
-    /// Cross circuits established by stamping a cached [`CrossPlan`].
-    pub hits: u64,
-    /// Cross circuits established fresh (and captured for next time).
-    pub misses: u64,
-    /// Stamps refused because a witness or the fiber route drifted; the
-    /// circuit was then established fresh and re-captured.
-    pub fallbacks: u64,
-    /// Plans dropped by the FIFO capacity bound.
-    pub evictions: u64,
-}
-
-/// Identity of a cross-wafer hop: endpoints and lane count.
-type CrossKey = ((usize, u8, u8), (usize, u8, u8), usize);
-
-fn cross_key(src: (WaferId, TileCoord), dst: (WaferId, TileCoord), lanes: usize) -> CrossKey {
-    (
-        (src.0 .0, src.1.row, src.1.col),
-        (dst.0 .0, dst.1.row, dst.1.col),
-        lanes,
-    )
-}
-
 /// The routing scratch and plan caches a control plane holds across every
 /// plan it commits: one reusable A* [`Searcher`] (so retried and replayed
 /// programs never allocate a fresh scratch per call), the intra-wafer
-/// [`PlanLibrary`] of relocatable batch templates, and a FIFO cache of
-/// captured [`CrossPlan`]s. All caches are pure accelerators: a warm and a
-/// cold engine produce byte-identical fabric state, which is why none of
-/// this is journaled, snapshotted, or fingerprinted.
+/// [`PlanLibrary`] of relocatable batch templates, and the class-keyed
+/// [`CrossPlans`] of relocatable cross-wafer plans. All caches are pure
+/// accelerators: a warm and a cold engine produce byte-identical fabric
+/// state, which is why none of this is journaled, snapshotted, or
+/// fingerprinted.
 #[derive(Debug, Clone)]
 pub struct PlanEngine {
     searcher: Searcher,
     library: PlanLibrary,
-    cross: BTreeMap<CrossKey, CrossPlan>,
-    cross_order: VecDeque<CrossKey>,
-    cross_stats: CrossPlanStats,
+    cross: CrossPlans,
 }
 
 impl Default for PlanEngine {
@@ -99,9 +66,7 @@ impl PlanEngine {
         PlanEngine {
             searcher: Searcher::new(),
             library: PlanLibrary::new(),
-            cross: BTreeMap::new(),
-            cross_order: VecDeque::new(),
-            cross_stats: CrossPlanStats::default(),
+            cross: CrossPlans::default(),
         }
     }
 
@@ -112,7 +77,7 @@ impl PlanEngine {
 
     /// Cross-wafer plan cache counters.
     pub fn cross_stats(&self) -> CrossPlanStats {
-        self.cross_stats
+        self.cross.stats()
     }
 
     /// Recent stamped-batch audit records (boundary contracts), for
@@ -128,45 +93,7 @@ impl PlanEngine {
 
     /// Cross-wafer plans currently resident.
     pub fn resident_cross_plans(&self) -> usize {
-        self.cross.len()
-    }
-
-    /// Establish one cross-wafer circuit, stamping a cached plan when its
-    /// witnesses still hold and falling back to (and re-capturing) a fresh
-    /// establish otherwise.
-    fn establish_cross(
-        &mut self,
-        fabric: &mut Fabric,
-        src: (WaferId, TileCoord),
-        dst: (WaferId, TileCoord),
-        lanes: usize,
-    ) -> Result<(CrossCircuitId, SimDuration), CircuitError> {
-        let key = cross_key(src, dst, lanes);
-        if let Some(plan) = self.cross.get(&key) {
-            // An error out of a stamp is exactly the error a fresh
-            // establish would raise (the witnesses pin the same paths), so
-            // it propagates rather than falling back.
-            match fabric.stamp_cross(plan)? {
-                Some(done) => {
-                    self.cross_stats.hits += 1;
-                    return Ok(done);
-                }
-                None => self.cross_stats.fallbacks += 1,
-            }
-        }
-        self.cross_stats.misses += 1;
-        let (id, setup, plan) = fabric.establish_cross_captured(src, dst, lanes)?;
-        if self.cross.insert(key, plan).is_none() {
-            self.cross_order.push_back(key);
-            while self.cross_order.len() > CROSS_PLAN_CAPACITY {
-                if let Some(old) = self.cross_order.pop_front() {
-                    if self.cross.remove(&old).is_some() {
-                        self.cross_stats.evictions += 1;
-                    }
-                }
-            }
-        }
-        Ok((id, setup))
+        self.cross.resident()
     }
 }
 
@@ -310,7 +237,7 @@ pub fn program_planned(
         }
     }
     for (i, &(src, dst, lanes)) in plan.cross.iter().enumerate() {
-        match engine.establish_cross(fabric, src, dst, lanes) {
+        match fabric.establish_cross_planned(&mut engine.cross, src, dst, lanes) {
             Ok((id, _)) => handles.push(FabricCircuit::Cross(id)),
             Err(e) => {
                 let rolled_back = rollback(fabric, handles);
@@ -328,6 +255,7 @@ pub fn program_planned(
 mod tests {
     use super::*;
     use resilience::PhotonicRack;
+    use std::collections::BTreeSet;
     use topo::{Coord3, Shape3};
 
     #[test]
@@ -381,7 +309,9 @@ mod tests {
 
     /// Legacy oracle for the plan engine: programming the same ring plans
     /// through a warm [`PlanEngine`] must leave the fabric byte-identical
-    /// to the scratch-routed path, cross-wafer circuits included.
+    /// to the scratch-routed path, cross-wafer circuits included. One
+    /// engine programs the shape at three origins on different servers,
+    /// so the cross plans captured at the first stamp at the others.
     #[test]
     fn planned_program_equals_scratch_program_bit_for_bit() {
         let snap = |rack: &PhotonicRack| -> String {
@@ -394,30 +324,41 @@ mod tests {
         let mut searcher = Searcher::new();
         let mut engine = PlanEngine::new();
         // 4×2×1 spans two servers: intra-wafer batches + cross hops. Three
-        // cycles so the second and third run against a warm engine.
-        let slice = Slice::new(1, Coord3::new(0, 0, 0), Shape3::new(4, 2, 1));
-        for cycle in 0..3 {
+        // cycles per origin so later ones run against a warm engine.
+        let shape = Shape3::new(4, 2, 1);
+        let origins = [(0, 0, 0), (0, 2, 1), (0, 0, 3)];
+        let mut first_misses = None;
+        for (x, y, z) in origins {
+            let slice = Slice::new(1, Coord3::new(x, y, z), shape);
             let plan = ring_plan(&scratch_rack.cluster, &slice, 2);
-            let a = program_with(&mut scratch_rack.fabric, &plan, &mut searcher)
-                .unwrap_or_else(|e| panic!("scratch cycle {cycle}: {e}"));
-            let b = program_planned(&mut planned_rack.fabric, &plan, &mut engine)
-                .unwrap_or_else(|f| panic!("planned cycle {cycle}: {}", f.error));
-            assert_eq!(a, b, "cycle {cycle}: handles diverged");
-            assert_eq!(snap(&scratch_rack), snap(&planned_rack), "cycle {cycle}");
-            for h in a.iter().rev() {
-                scratch_rack.fabric.teardown_handle(*h).unwrap();
-            }
-            for h in b.iter().rev() {
-                planned_rack.fabric.teardown_handle(*h).unwrap();
+            let servers: BTreeSet<_> = plan.cross.iter().map(|(s, _, _)| s.0).collect();
+            assert_eq!(servers.len(), 2, "origin ({x}, {y}, {z}) spans two servers");
+            for cycle in 0..3 {
+                let a = program_with(&mut scratch_rack.fabric, &plan, &mut searcher)
+                    .unwrap_or_else(|e| panic!("scratch cycle {cycle}: {e}"));
+                let b = program_planned(&mut planned_rack.fabric, &plan, &mut engine)
+                    .unwrap_or_else(|f| panic!("planned cycle {cycle}: {}", f.error));
+                assert_eq!(a, b, "cycle {cycle}: handles diverged");
+                assert_eq!(snap(&scratch_rack), snap(&planned_rack), "cycle {cycle}");
+                for h in a.iter().rev() {
+                    scratch_rack.fabric.teardown_handle(*h).unwrap();
+                }
+                for h in b.iter().rev() {
+                    planned_rack.fabric.teardown_handle(*h).unwrap();
+                }
+                first_misses.get_or_insert(engine.cross_stats().misses);
             }
         }
         let stats = engine.plan_stats();
         assert!(stats.hits >= 2, "warm cycles must stamp: {stats:?}");
         let cross = engine.cross_stats();
-        assert!(
-            cross.hits >= 2,
-            "warm cycles must stamp cross plans: {cross:?}"
+        assert_eq!(
+            Some(cross.misses),
+            first_misses,
+            "after the first cycle every cross hop stamps, at every origin: {cross:?}"
         );
+        assert!(cross.hits >= 16, "cross plans relocate: {cross:?}");
+        assert_eq!(engine.resident_cross_plans() as u64, cross.misses);
     }
 
     #[test]

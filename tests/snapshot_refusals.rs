@@ -175,6 +175,40 @@ fn huge_handles(lines: &[&str]) -> Vec<String> {
     out
 }
 
+/// The first cross-wafer circuit's `key` wafer (`src_wafer` or
+/// `dst_wafer`), moved one past the fabric's last wafer inside the state
+/// body of the first fabric capture that holds such a circuit, re-sealed
+/// like [`huge_handles`]. Restored, the circuit's teardown could not reach
+/// that wafer.
+fn cross_wafer_out_of_range(lines: &[&str], key: &str) -> Vec<String> {
+    let at = (0..lines.len())
+        .find(|&i| value(lines[i], "fabric").is_some_and(|f| f.contains("\\nsrc_wafer\\e")))
+        .expect("a fabric capture with a cross-wafer circuit");
+    let inner = SnapReader::new(lines[at]).str("fabric").unwrap();
+    let mut fabric = FabricSnapshot::parse(&inner).unwrap();
+    let state: Vec<&str> = fabric.state.lines().collect();
+    let section = (0..state.len()).find(|&i| state[i] == "[fabric]").unwrap();
+    let wafers = value(state[find(&state, section, "wafers")], "wafers").unwrap();
+    let endpoint = find(&state, section, key);
+    let mut edited = owned(&state);
+    edited[endpoint] = format!("{key}={wafers}");
+    fabric.state = edited.join("\n") + "\n";
+    fabric.fingerprint = desim::snap::fingerprint(&fabric.state);
+    let mut w = SnapWriter::new();
+    w.str("fabric", &fabric.to_text());
+    let mut out = owned(lines);
+    out[at] = w.finish().trim_end_matches('\n').to_string();
+    out
+}
+
+fn src_wafer_out_of_range(lines: &[&str]) -> Vec<String> {
+    cross_wafer_out_of_range(lines, "src_wafer")
+}
+
+fn dst_wafer_out_of_range(lines: &[&str]) -> Vec<String> {
+    cross_wafer_out_of_range(lines, "dst_wafer")
+}
+
 type Edit = fn(&[&str]) -> Vec<String>;
 
 const CASES: [(&str, Edit, &str); 10] = [
@@ -196,6 +230,22 @@ const CASES: [(&str, Edit, &str); 10] = [
     ("CRLF body", crlf_body, "line 1: carriage return"),
     ("wait_bins=2^61", huge_wait_bins, "expected key bin"),
     ("handles=2^61", huge_handles, "expected key kind"),
+];
+
+/// Edits of a cross-wafer circuit, made on the first bench-campaign
+/// capture that holds one: a circuit's endpoint wafers must lie in the
+/// fabric, as its fiber and segment wafers must.
+const CROSS_CASES: [(&str, Edit, &str); 2] = [
+    (
+        "src_wafer out of range",
+        src_wafer_out_of_range,
+        "fabric restore: src_wafer",
+    ),
+    (
+        "dst_wafer out of range",
+        dst_wafer_out_of_range,
+        "fabric restore: dst_wafer",
+    ),
 ];
 
 /// The pod's completed-epoch count, one lower than its capture instant closes.
@@ -253,33 +303,53 @@ const POD_CASES: [(&str, Edit, &str); 4] = [
     ("groups=2^61", huge_groups, "expected key free"),
 ];
 
-/// The bench campaign's middle snapshot artifact.
-fn ctrl_snapshot() -> (String, CampaignOptions) {
+/// The bench campaign's snapshot artifacts, in capture order.
+fn ctrl_snapshots() -> (Vec<String>, CampaignOptions) {
     let (cfg, every) = bench_config();
     let opts = CampaignOptions {
         snapshot_every: Some(every),
         ..CampaignOptions::default()
     };
     let out = run_campaign(&cfg, &opts).expect("campaign runs");
-    let mid = out
-        .snapshots
-        .get(out.snapshots.len() / 2)
-        .expect("the campaign captured snapshots");
-    (mid.to_text(), opts)
+    let texts = out.snapshots.iter().map(CtrlSnapshot::to_text).collect();
+    (texts, opts)
+}
+
+/// The bench campaign's middle snapshot artifact.
+fn ctrl_snapshot() -> (String, CampaignOptions) {
+    let (mut texts, opts) = ctrl_snapshots();
+    assert!(!texts.is_empty(), "the campaign captured snapshots");
+    (texts.swap_remove(texts.len() / 2), opts)
+}
+
+fn assert_ctrl_refusals(text: &str, opts: &CampaignOptions, cases: &[(&str, Edit, &str)]) {
+    let clean = CtrlSnapshot::parse(text).and_then(|s| resume_campaign(&s, opts));
+    assert!(clean.is_ok(), "the unedited artifact resumes");
+    for &(name, edit, want) in cases {
+        let bad = reseal(text, edit);
+        match CtrlSnapshot::parse(&bad).and_then(|s| resume_campaign(&s, opts)) {
+            Ok(_) => panic!("{name}: a corrupt ctrl snapshot resumed"),
+            Err(e) => assert!(e.contains(want), "{name}: unexpected refusal {e:?}"),
+        }
+    }
 }
 
 #[test]
 fn ctrl_resume_refuses_corrupt_queues_and_events() {
     let (text, opts) = ctrl_snapshot();
-    let clean = CtrlSnapshot::parse(&text).and_then(|s| resume_campaign(&s, &opts));
-    assert!(clean.is_ok(), "the unedited artifact resumes");
-    for (name, edit, want) in CASES {
-        let bad = reseal(&text, edit);
-        match CtrlSnapshot::parse(&bad).and_then(|s| resume_campaign(&s, &opts)) {
-            Ok(_) => panic!("{name}: a corrupt ctrl snapshot resumed"),
-            Err(e) => assert!(e.contains(want), "{name}: unexpected refusal {e:?}"),
-        }
-    }
+    assert_ctrl_refusals(&text, &opts, &CASES);
+}
+
+/// The middle capture holds no cross-wafer circuit, so these edits take
+/// the first one that does.
+#[test]
+fn ctrl_resume_refuses_cross_endpoints_off_the_fabric() {
+    let (texts, opts) = ctrl_snapshots();
+    let text = texts
+        .iter()
+        .find(|t| t.contains("\\nsrc_wafer\\e"))
+        .expect("a capture holds a cross-wafer circuit");
+    assert_ctrl_refusals(text, &opts, &CROSS_CASES);
 }
 
 /// A mid-run capture of `spsim pod --chips 512 --jobs 96 --failures 2
