@@ -1479,6 +1479,81 @@ mod oracle_tests {
         OracleBudget::lightpath_default(path).evaluate().to_bits()
     }
 
+    /// Whether an oracle report's margin bits close the budget.
+    fn closes(margin: u64) -> bool {
+        f64::from_bits(margin) >= 0.0
+    }
+
+    /// The oracle margin bits of each segment of a cross circuit over
+    /// `fibers`, in route order, on the wafers as they are now. A segment
+    /// is a wafer circuit, so its budget is its own: its default route (XY,
+    /// or YX when an XY bus is full) with no amplifier gain.
+    fn segment_margins(
+        f: &Fabric,
+        src: (WaferId, TileCoord),
+        dst: (WaferId, TileCoord),
+        fibers: &[usize],
+    ) -> Vec<u64> {
+        let mut hops = Vec::new();
+        let (mut wafer, mut at) = src;
+        for link in fibers.iter().filter_map(|&fi| f.fibers.get(fi)) {
+            let (near, far) = link.oriented(wafer);
+            hops.push((wafer, at, near));
+            wafer = link.other_end(wafer);
+            at = far;
+        }
+        hops.push((wafer, at, dst.1));
+        hops.into_iter()
+            .filter(|&(_, a, b)| a != b)
+            .map(|(w, a, b)| {
+                let wafer = f.wafer(w);
+                let xy_full = Path::xy(a, b)
+                    .edges()
+                    .any(|e| wafer.edge_used(e) >= wafer.edge_capacity());
+                oracle(wafer.path_loss_budget(&route(a, b, !xy_full)))[2]
+            })
+            .collect()
+    }
+
+    /// A cross circuit whose end-to-end budget closes on the amplifier's
+    /// gain while its first segment, budgeted on its own, does not: the
+    /// request is refused with that segment's margin, and nothing is
+    /// committed.
+    #[test]
+    fn a_segment_that_does_not_close_refuses_the_circuit() {
+        let mut f = Fabric::new(2, config(0xC0FFEE, 1.25));
+        f.attach_fiber(FiberLink {
+            a: (WaferId(0), TileCoord::new(0, 7)),
+            b: (WaferId(1), TileCoord::new(0, 0)),
+            capacity: 1,
+            length_m: 2.0,
+        });
+        // Thirteen co-propagating circuits on one bus of the segment's XY
+        // route raise its crosstalk by 13 × 1.25 dB.
+        for _ in 0..13 {
+            let req = CircuitRequest::new(TileCoord::new(0, 3), TileCoord::new(0, 4), 1);
+            assert!(f.wafer_mut(WaferId(0)).establish(req).is_ok());
+        }
+        let src = (WaferId(0), TileCoord::new(0, 0));
+        let dst = (WaferId(1), TileCoord::new(0, 0));
+        let fibers = f.fiber_route(src.0, dst.0, true).expect("a fiber route");
+        let end_to_end = oracle(f.cross_budget(src, dst, &fibers));
+        let wafer = f.wafer(WaferId(0));
+        let segment = oracle(wafer.path_loss_budget(&Path::xy(src.1, TileCoord::new(0, 7))));
+        assert!(closes(end_to_end[2]), "the end-to-end budget closes");
+        assert!(!closes(segment[2]), "the segment's own budget does not");
+        assert_eq!(segment_margins(&f, src, dst, &fibers), vec![segment[2]]);
+
+        let before = snap(&f);
+        match f.establish_cross(src, dst, 1) {
+            Err(CircuitError::BudgetFailed { margin_db }) => {
+                assert_eq!(margin_db.to_bits(), segment[2]);
+            }
+            other => panic!("expected the segment's refusal, got {other:?}"),
+        }
+        assert_eq!(snap(&f), before, "a refused request commits nothing");
+    }
+
     fn config(fab_seed: u64, crosstalk_per_cochannel_db: f64) -> WaferConfig {
         WaferConfig {
             fab_seed,
@@ -1666,22 +1741,36 @@ mod oracle_tests {
                 length_m: fiber_m,
             });
             // Through the plan cache, so stamped reports meet the oracle too.
+            // Both the end-to-end budget (amplifier gain included) and each
+            // segment's own budget must close; a refusal carries the
+            // end-to-end margin when that budget fails, else the margin of
+            // the first segment, in route order, that does not close.
             let mut plans = CrossPlans::default();
             for (wa, a, wb, b, lanes) in requests {
                 if wa == wb {
                     continue;
                 }
                 let (src, dst) = ((WaferId(wa), tile(a)), (WaferId(wb), tile(b)));
-                let want = f
-                    .fiber_route(src.0, dst.0, true)
-                    .map(|fibers| oracle(f.cross_budget(src, dst, &fibers)));
+                let fibers = f.fiber_route(src.0, dst.0, true);
+                let want = fibers
+                    .as_ref()
+                    .map(|fibers| oracle(f.cross_budget(src, dst, fibers)));
+                let segments = fibers
+                    .as_ref()
+                    .map(|fibers| segment_margins(&f, src, dst, fibers))
+                    .unwrap_or_default();
                 match f.establish_cross_planned(&mut plans, src, dst, lanes) {
                     Ok((id, _)) => {
                         let stored = f.cross_circuit(id).map(|c| c.link.to_bits());
                         prop_assert_eq!(stored, want);
+                        prop_assert!(segments.iter().all(|&m| closes(m)));
                     }
                     Err(CircuitError::BudgetFailed { margin_db }) => {
-                        prop_assert_eq!(Some(margin_db.to_bits()), want.map(|w| w[2]));
+                        let refusal = match want {
+                            Some(w) if !closes(w[2]) => Some(w[2]),
+                            _ => segments.iter().copied().find(|&m| !closes(m)),
+                        };
+                        prop_assert_eq!(Some(margin_db.to_bits()), refusal);
                     }
                     Err(_) => {}
                 }

@@ -417,8 +417,9 @@ fn read_queued(r: &mut SnapReader<'_>) -> Result<Queued, String> {
 
 impl AdmitterSnapshot {
     /// Encode into a section stream: `timeout_ps, retries, backoff_ps,
-    /// event_seq`, the queue, the pending events, then the metrics and
-    /// fabric texts. The caller writes the section header.
+    /// event_seq`, the queue, the pending events, the metrics text, then
+    /// the fabric capture's `[fabric]` section. The caller writes the
+    /// section header.
     pub fn write_snap(&self, w: &mut SnapWriter) {
         w.u64("timeout_ps", self.timeout.as_ps());
         w.u64("retries", self.retries as u64);
@@ -454,7 +455,7 @@ impl AdmitterSnapshot {
             }
         }
         w.str("metrics", &self.metrics);
-        w.str("fabric", &self.fabric.to_text());
+        self.fabric.write_snap(w);
     }
 
     /// Decode one [`write_snap`](Self::write_snap) block. Counts are not
@@ -488,7 +489,7 @@ impl AdmitterSnapshot {
             events.push((at, seq, ev));
         }
         let metrics = r.str("metrics")?;
-        let fabric = FabricSnapshot::parse(&r.str("fabric")?)?;
+        let fabric = FabricSnapshot::read_snap(r)?;
         Ok(AdmitterSnapshot {
             fabric,
             timeout,

@@ -258,16 +258,29 @@ pub fn run_campaign(cfg: &CtrlConfig, opts: &CampaignOptions) -> Result<Campaign
 /// The resumed run re-executes exactly the decisions the uninterrupted run
 /// would have taken from the snapshot instant on: final state fingerprint,
 /// journal hash, logical journal length, metrics, and horizon all match
-/// bit for bit (pinned by `tests/restart.rs`).
+/// bit for bit (pinned by `tests/restart.rs`). A campaign captures only at
+/// whole multiples of its cadence, counted from instant 0, so with
+/// [`CampaignOptions::snapshot_every`] set a capture whose instant is not a
+/// positive multiple of it is refused: the resumed run would capture off
+/// the uninterrupted run's instants.
 pub fn resume_campaign(
     snap: &CtrlSnapshot,
     opts: &CampaignOptions,
 ) -> Result<CampaignOutcome, String> {
+    let at = snap.fabric.at.as_ps();
+    if let Some(every) = opts.snapshot_every.map(|d| d.as_ps()).filter(|&d| d > 0) {
+        if at == 0 || !at.is_multiple_of(every) {
+            return Err(format!(
+                "ctrl snapshot: capture instant {at} ps is not a positive multiple of the \
+                 snapshot cadence {every} ps"
+            ));
+        }
+    }
     drive_campaign(Admitter::restore(snap)?, snap.fabric.at, opts)
 }
 
 /// Artifact format tag; bump on any incompatible layout change.
-const CTRL_MAGIC: &str = "spsim-ctrl-snapshot v1";
+const CTRL_MAGIC: &str = "spsim-ctrl-snapshot v2";
 
 /// A whole campaign captured mid-flight. Arrivals, failures and samples
 /// are all pre-seeded events, so the campaign is exactly its admission

@@ -12,7 +12,7 @@ use crate::plan::CrossPlanStats;
 use crate::state::{FabricState, Utilization};
 use desim::stats::{Histogram, OnlineStats, TimeSeries};
 use desim::{SimTime, SnapReader, SnapWriter};
-use route::{CacheStats, PlanStats};
+use route::PlanStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -66,11 +66,10 @@ fn static_code(code: &str) -> Result<&'static str, String> {
         .ok_or_else(|| format!("metrics restore: unknown fault code {code:?}"))
 }
 
-/// Routing-cache telemetry in one place: the plan library, the cross-plan
-/// cache, and optionally a [`route::PathCache`] when the caller drives one.
-/// Telemetry only — read from the live engine at report time, never
-/// journaled, snapshotted, or folded into fingerprints (a cold cache must
-/// replay bit-identically to a warm one).
+/// Routing-cache telemetry in one place: the plan library and the
+/// cross-plan cache. Telemetry only — read from the live engine at report
+/// time, never journaled, snapshotted, or folded into fingerprints (a cold
+/// cache must replay bit-identically to a warm one).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RouteTelemetry {
     /// Intra-wafer plan-library counters.
@@ -81,8 +80,6 @@ pub struct RouteTelemetry {
     pub cross: CrossPlanStats,
     /// Cross plans resident at report time.
     pub cross_resident: usize,
-    /// `PathCache` counters, when one is in play.
-    pub path_cache: Option<CacheStats>,
 }
 
 impl RouteTelemetry {
@@ -94,12 +91,11 @@ impl RouteTelemetry {
             plan_resident: engine.resident_instances(),
             cross: engine.cross_stats(),
             cross_resident: engine.resident_cross_plans(),
-            path_cache: None,
         }
     }
 
     /// Fold another telemetry snapshot into this one (pod aggregation).
-    /// Counters add; `path_cache` sums when either side carries one.
+    /// Counters add.
     pub fn merge(&mut self, other: &RouteTelemetry) {
         self.plan.hits += other.plan.hits;
         self.plan.misses += other.plan.misses;
@@ -112,12 +108,6 @@ impl RouteTelemetry {
         self.cross.fallbacks += other.cross.fallbacks;
         self.cross.evictions += other.cross.evictions;
         self.cross_resident += other.cross_resident;
-        if let Some(o) = &other.path_cache {
-            let c = self.path_cache.get_or_insert(CacheStats::default());
-            c.hits += o.hits;
-            c.misses += o.misses;
-            c.invalidations += o.invalidations;
-        }
     }
 
     /// Fixed-key-order JSON object (no trailing newline). Key order is
@@ -148,14 +138,6 @@ impl RouteTelemetry {
             self.cross.evictions,
             self.cross_resident,
         );
-        if let Some(c) = &self.path_cache {
-            let _ = write!(
-                out,
-                ",\n{inner}\"path_cache\": {{ \"hits\": {}, \"misses\": {}, \
-                 \"invalidations\": {} }}",
-                c.hits, c.misses, c.invalidations,
-            );
-        }
         let _ = write!(out, "\n{pad}}}");
         out
     }
@@ -182,16 +164,6 @@ impl RouteTelemetry {
             self.cross.evictions,
             self.cross_resident,
         );
-        if let Some(c) = &self.path_cache {
-            let _ = writeln!(
-                out,
-                "path cache:    hits={} misses={} invalidations={} hit_rate={:.3}",
-                c.hits,
-                c.misses,
-                c.invalidations,
-                c.hit_rate(),
-            );
-        }
         out
     }
 }

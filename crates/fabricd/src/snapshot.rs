@@ -23,15 +23,18 @@
 //! *before* the `Snapshot` record itself. [`FabricSnapshot::restore`]
 //! therefore re-pushes the identical `Snapshot` record first, so the resumed
 //! journal occupies exactly the hash-chain position the original did.
+//!
+//! A capture has no artifact of its own: it travels as the `[fabric]`
+//! section ([`FabricSnapshot::write_snap`]) of a ctrl `[campaign]` block or
+//! a pod `[shard]` block, inside the one [`desim::snap::seal`] of that
+//! artifact. Restore's re-fingerprint of the decoded state is the one
+//! state check.
 
 use crate::journal::{Journal, JournalEntry, JournalHeader};
 use crate::state::FabricState;
 use desim::{SimTime, SnapReader, SnapWriter};
 use lightpath::{CtrlFault, FabricError};
 use topo::Shape3;
-
-/// Artifact format tag; bump on any incompatible layout change.
-const MAGIC: &str = "spsim-snapshot v1";
 
 /// A point-in-time capture of the control plane, sufficient to resume a
 /// campaign without the journal prefix it summarizes.
@@ -92,14 +95,13 @@ impl FabricSnapshot {
         Ok(st)
     }
 
-    /// Serialize the snapshot as a self-describing text artifact (the
-    /// `--snapshot-every` output format; the workspace carries no serde).
-    /// The state body travels verbatim after a `---` separator, length-
-    /// prefixed so truncation is detected before fingerprinting.
-    pub fn to_text(&self) -> String {
-        let mut w = SnapWriter::new();
-        w.section("snapshot");
-        w.str("magic", MAGIC);
+    /// Encode as a `[fabric]` section of an enclosing snapshot body: the
+    /// capture instant, the journal resume point and state fingerprint,
+    /// the campaign binding, then the state text as one escaped `state=`
+    /// value. The enclosing artifact's seal is the only envelope; the
+    /// state is checked against `fingerprint` by [`restore`](Self::restore).
+    pub fn write_snap(&self, w: &mut SnapWriter) {
+        w.section("fabric");
         w.u64("at_ps", self.at.as_ps());
         w.u64("seq", self.seq);
         w.u64("base_fnv", self.base_fnv);
@@ -111,29 +113,14 @@ impl FabricSnapshot {
         w.u64("sx", sx as u64);
         w.u64("sy", sy as u64);
         w.u64("sz", sz as u64);
-        w.u64("state_len", self.state.len() as u64);
-        let mut out = w.finish();
-        out.push_str("---\n");
-        out.push_str(&self.state);
-        out
+        w.str("state", &self.state);
     }
 
-    /// Parse a [`to_text`](Self::to_text) artifact. Header fields, the
-    /// length prefix, and the state fingerprint are all verified; any
-    /// mismatch is an `Err` naming what broke, never a resumed campaign on
-    /// corrupt state.
-    pub fn parse(text: &str) -> Result<FabricSnapshot, String> {
-        let (head, body) = text
-            .split_once("---\n")
-            .ok_or_else(|| "snapshot artifact: missing ----separated state body".to_string())?;
-        let mut r = SnapReader::new(head);
-        r.section("snapshot")?;
-        let magic = r.str("magic")?;
-        if magic != MAGIC {
-            return Err(format!(
-                "snapshot artifact: magic {magic:?} is not {MAGIC:?}"
-            ));
-        }
+    /// Decode one [`write_snap`](Self::write_snap) section. The state text
+    /// is not decoded here: [`restore`](Self::restore) decodes it and
+    /// refuses any state whose fingerprint is not the committed one.
+    pub fn read_snap(r: &mut SnapReader<'_>) -> Result<FabricSnapshot, String> {
+        r.section("fabric")?;
         let at = SimTime::from_ps(r.u64("at_ps")?);
         let seq = r.u64("seq")?;
         let base_fnv = r.u64("base_fnv")?;
@@ -144,21 +131,7 @@ impl FabricSnapshot {
         let sx = r.u64("sx")? as usize;
         let sy = r.u64("sy")? as usize;
         let sz = r.u64("sz")? as usize;
-        let state_len = r.u64("state_len")? as usize;
-        r.done()?;
-        if body.len() != state_len {
-            return Err(format!(
-                "snapshot artifact: state body is {} bytes, header promises {state_len}",
-                body.len()
-            ));
-        }
-        let fp = desim::snap::fingerprint(body);
-        if fp != fingerprint {
-            return Err(format!(
-                "snapshot artifact: state fingerprint {fp:#018x} does not match the \
-                 header's {fingerprint:#018x}"
-            ));
-        }
+        let state = r.str("state")?;
         Ok(FabricSnapshot {
             at,
             seq,
@@ -170,7 +143,7 @@ impl FabricSnapshot {
                 seed,
                 shape: Shape3::new(sx, sy, sz),
             },
-            state: body.to_string(),
+            state,
         })
     }
 }
@@ -238,23 +211,28 @@ mod tests {
     }
 
     #[test]
-    fn artifact_round_trips_and_rejects_tampering() {
+    fn section_round_trips_and_restore_rejects_tampering() {
         let mut st = busy_state();
         let snap = st.capture_snapshot(SimTime::from_ps(1 << 40));
-        let text = snap.to_text();
-        let back = FabricSnapshot::parse(&text).expect("parse");
+        let mut w = SnapWriter::new();
+        snap.write_snap(&mut w);
+        let text = w.finish();
+        let read = |text: &str| {
+            let mut r = SnapReader::new(text);
+            let back = FabricSnapshot::read_snap(&mut r)?;
+            r.done().map(|()| back)
+        };
+        let back = read(&text).expect("read");
         assert_eq!(back, snap);
         assert!(back.restore().is_ok());
 
-        // Truncated body: length check trips.
-        let truncated = &text[..text.len() - 2];
-        assert!(FabricSnapshot::parse(truncated)
-            .unwrap_err()
-            .contains("bytes"));
+        // Truncated section: the strict reader trips.
+        assert!(read(&text[..text.len() - 2]).is_err());
 
-        // Flipped state byte: fingerprint check trips.
-        let tampered = text.replacen("[occupancy]", "[occupancyX]", 1);
-        assert!(FabricSnapshot::parse(&tampered).is_err());
+        // Edited state byte: the section reads, restore refuses it.
+        let tampered = read(&text.replacen("[occupancy", "[occupancyX", 1)).expect("read");
+        assert_ne!(tampered.state, snap.state);
+        assert!(tampered.restore().is_err());
 
         // Forged fingerprint on an otherwise-valid capture: restore refuses.
         let mut forged = snap.clone();

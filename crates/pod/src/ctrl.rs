@@ -26,11 +26,15 @@
 //! the run captures a [`PodSnapshot`] at every N-th epoch barrier: each
 //! domain journals a `Snapshot` record (folded to the pod journal like any
 //! other record, so the hash chain commits to the capture), and the pod
-//! level records its delegation cursors, capacity view, digest state, and
-//! journal watermark. [`resume_pod`] rebuilds the run from a snapshot and
-//! drives it to completion; the resumed outcome is bit-identical to the
-//! uninterrupted run's — same fingerprint, journal hash, logical length,
-//! and metrics — because every fingerprint input is restored. With
+//! level records its delegation cursors, digest state, and journal
+//! watermark. What restore can derive is not stored: the capture instant
+//! (the end of the last window), the journal header (from the config),
+//! the capacity view (each restored domain's free chips, which the
+//! barrier copied in just before the capture), and the delegation count.
+//! [`resume_pod`] rebuilds the run from a snapshot and drives it to
+//! completion; the resumed outcome is bit-identical to the uninterrupted
+//! run's — same fingerprint, journal hash, logical length, and metrics —
+//! because every fingerprint input is restored. With
 //! [`PodOptions::compact`], shard and pod journals are truncated below
 //! each snapshot watermark; [`Journal::compact_to`] folds the dropped
 //! records into the base hash, so compaction is invisible to the chain.
@@ -133,7 +137,8 @@ pub struct PodOutcome {
     pub shards: usize,
     /// Shard domains in the partition.
     pub groups: usize,
-    /// Commands delegated across the shard boundary.
+    /// Commands delegated across the shard boundary: one per job and one
+    /// per failure.
     pub delegations: u64,
     /// Simulated horizon reached (end of the last epoch window).
     pub horizon: SimTime,
@@ -230,7 +235,6 @@ struct PodRun {
     journal: Journal,
     free_est: Vec<usize>,
     deleg: Fnv,
-    delegations: u64,
     next_job: usize,
     next_fail: usize,
     epoch: u64,
@@ -269,12 +273,7 @@ impl PodRun {
             })
             .collect();
         let (trace, failures) = demand(cfg, groups);
-        let journal = Journal::new(JournalHeader {
-            racks: layout.racks(),
-            lanes: cfg.lanes,
-            seed: cfg.seed,
-            shape: layout.pod_shape(),
-        });
+        let journal = Journal::new(header(&layout, cfg));
         let free_est = vec![layout.group_chips(); groups];
         Ok(PodRun {
             cfg: *cfg,
@@ -285,7 +284,6 @@ impl PodRun {
             journal,
             free_est,
             deleg: Fnv::new(),
-            delegations: 0,
             next_job: 0,
             next_fail: 0,
             epoch: 0,
@@ -299,75 +297,61 @@ impl PodRun {
 
     /// Rebuild the run a [`PodSnapshot`] captured: restored domains, a
     /// pod journal resuming mid-chain at the recorded watermark, and the
-    /// delegation cursors/digest exactly where the capture left them.
+    /// delegation cursors/digest exactly where the capture left them. The
+    /// capture instant, journal header and capacity view are derived.
     fn from_snapshot(snap: &PodSnapshot) -> Result<PodRun, String> {
         let cfg = snap.config;
         let layout = PodLayout::new(cfg.chips).map_err(|e| e.to_string())?;
         let groups = layout.groups();
-        let header = JournalHeader {
-            racks: layout.racks(),
-            lanes: cfg.lanes,
-            seed: cfg.seed,
-            shape: layout.pod_shape(),
-        };
-        if header != snap.header {
-            return Err("pod snapshot: header does not match its config".to_string());
-        }
         // A capture is taken at the barrier that closes an epoch window:
         // after `epoch ≥ 1` windows, at the end of the last one, with
         // every domain captured at that same instant.
         let epochs = EpochConfig::new(cfg.epoch)
             .ok_or_else(|| "pod snapshot: epoch length must be positive".to_string())?;
-        if snap.epoch.checked_sub(1).map(|last| epochs.end_of(last)) != Some(snap.at) {
-            return Err(format!(
-                "pod snapshot: capture instant {} ps is not the barrier after {} epochs",
-                snap.at.as_ps(),
-                snap.epoch
-            ));
-        }
+        let at = snap
+            .epoch
+            .checked_sub(1)
+            .map(|last| epochs.end_of(last))
+            .ok_or_else(|| "pod snapshot: no epoch completed before the capture".to_string())?;
         if snap.domains.len() != groups {
             return Err(format!(
                 "pod snapshot: {} domain captures for a {groups}-group layout",
                 snap.domains.len()
             ));
         }
-        if snap.free_est.len() != groups {
-            return Err(format!(
-                "pod snapshot: capacity view has {} entries for {groups} groups",
-                snap.free_est.len()
-            ));
-        }
         let mut domains = Vec::with_capacity(groups);
         for (g, ds) in snap.domains.iter().enumerate() {
-            if ds.group as usize != g {
+            if ds.engine.fabric.at != at {
                 return Err(format!(
-                    "pod snapshot: domain capture {g} claims group {}",
-                    ds.group
-                ));
-            }
-            if ds.engine.fabric.at != snap.at {
-                return Err(format!(
-                    "pod snapshot: domain capture {g} taken at {} ps, not at the barrier {} ps",
+                    "pod snapshot: domain capture {g} taken at {} ps, not at the barrier \
+                     {} ps after {} epochs",
                     ds.engine.fabric.at.as_ps(),
-                    snap.at.as_ps()
+                    at.as_ps(),
+                    snap.epoch
                 ));
             }
-            domains.push(ShardDomain::restore(ds)?);
+            domains.push(ShardDomain::restore(ds, g as u32)?);
         }
         let (trace, failures) = demand(&cfg, groups);
         if snap.next_job > trace.len() || snap.next_fail > failures.len() {
             return Err("pod snapshot: delegation cursor beyond the demand schedule".to_string());
         }
+        // Barrier part 2 copied every domain's free chips into the view
+        // just before the capture.
+        let free_est = domains.iter().map(ShardDomain::free_chips).collect();
         Ok(PodRun {
             cfg,
+            journal: Journal::with_base(
+                header(&layout, &cfg),
+                snap.journal_next_seq,
+                snap.journal_fnv,
+            ),
             layout,
             domains,
             trace,
             failures,
-            journal: Journal::with_base(snap.header, snap.journal_next_seq, snap.journal_fnv),
-            free_est: snap.free_est.clone(),
+            free_est,
             deleg: Fnv::from_state(snap.deleg_state),
-            delegations: snap.delegations,
             next_job: snap.next_job,
             next_fail: snap.next_fail,
             epoch: snap.epoch,
@@ -401,16 +385,12 @@ impl PodRun {
         }
         let snap = PodSnapshot {
             epoch: self.epoch,
-            at,
             config: self.cfg,
-            header: *self.journal.header(),
             journal_next_seq: self.journal.next_seq(),
             journal_fnv: self.journal.seal(),
             deleg_state: self.deleg.state(),
-            delegations: self.delegations,
             next_job: self.next_job,
             next_fail: self.next_fail,
-            free_est: self.free_est.clone(),
             frag_sum: self.frag_sum,
             frag_samples: self.frag_samples,
             occ_sum: self.occ_sum,
@@ -480,7 +460,6 @@ impl PodRun {
                     }
                     self.deleg.write_u64(self.next_job as u64);
                     self.deleg.write_u64(g as u64);
-                    self.delegations += 1;
                     let ev = PodEvent::Arrival {
                         job: self.next_job as u32,
                         shape: job.shape,
@@ -497,7 +476,6 @@ impl PodRun {
                 }
                 self.deleg.write_u64(u64::MAX);
                 self.deleg.write_u64(g as u64);
-                self.delegations += 1;
                 deliver(&mut self.domains, g, at, PodEvent::InjectFailure)?;
                 self.next_fail += 1;
             }
@@ -626,7 +604,7 @@ impl PodRun {
             epochs: self.epoch,
             shards: workers,
             groups,
-            delegations: self.delegations,
+            delegations: (self.next_job + self.next_fail) as u64,
             horizon,
             wall_s,
             events_per_sec,
@@ -724,7 +702,6 @@ impl PodRun {
             self.deleg.write_u64(rec.group);
             self.deleg.write_u64(rec.extent.volume() as u64);
         }
-        self.delegations += 1;
 
         // Boundary-major stitch-port assignment: the same deterministic
         // port set on every crossed rack face.
@@ -799,40 +776,45 @@ pub fn resume_pod(
     PodRun::from_snapshot(snap)?.drive(shards, opts)
 }
 
+/// The pod journal header: a pure function of the config.
+fn header(layout: &PodLayout, cfg: &PodConfig) -> JournalHeader {
+    JournalHeader {
+        racks: layout.racks(),
+        lanes: cfg.lanes,
+        seed: cfg.seed,
+        shape: layout.pod_shape(),
+    }
+}
+
 /// First line of the pod snapshot artifact.
-const POD_SNAP_MAGIC: &str = "spsim-pod-snapshot v2";
+const POD_SNAP_MAGIC: &str = "spsim-pod-snapshot v3";
 
 /// A consistent capture of a whole pod run at an epoch barrier: one
-/// [`ShardSnapshot`] per rack-group domain plus the pod-level control
-/// state (delegation cursors and digest, capacity view, journal
-/// watermark). Serializable with [`to_text`](Self::to_text) /
-/// [`parse`](Self::parse); the artifact is integrity-checked by an FNV
-/// fingerprint on its first line.
+/// [`ShardSnapshot`] per rack-group domain, in group order, plus the
+/// pod-level control state (delegation cursors and digest, journal
+/// watermark, telemetry accumulators). Serializable with
+/// [`to_text`](Self::to_text) / [`parse`](Self::parse); the artifact is
+/// integrity-checked by an FNV fingerprint on its first line. The capture
+/// instant, journal header, capacity view and delegation count are
+/// derived on restore, not stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PodSnapshot {
-    /// Epochs completed when the capture was taken.
+    /// Epochs completed when the capture was taken; the capture instant
+    /// is the end of window `epoch − 1`.
     pub epoch: u64,
-    /// Capture instant (end of the last executed epoch window).
-    pub at: SimTime,
-    /// The run's configuration; demand schedules are regenerated from it
-    /// on restore (they are pure functions of the config).
+    /// The run's configuration; demand schedules and the journal header
+    /// are rebuilt from it on restore (they are pure functions of it).
     pub config: PodConfig,
-    /// Pod journal header (validated against `config` on restore).
-    pub header: JournalHeader,
     /// Pod journal watermark: sequence the next record will take.
     pub journal_next_seq: u64,
     /// Pod journal hash at the watermark (resumes the chain).
     pub journal_fnv: u64,
     /// Delegation digest state at the capture.
     pub deleg_state: u64,
-    /// Commands delegated before the capture.
-    pub delegations: u64,
     /// Next trace index to delegate.
     pub next_job: usize,
     /// Next failure-schedule index to delegate.
     pub next_fail: usize,
-    /// Per-group capacity view at the capture.
-    pub free_est: Vec<usize>,
     /// Fragmentation accumulator at the capture (see
     /// [`PodOutcome::frag_mean`]).
     pub frag_sum: f64,
@@ -852,24 +834,12 @@ impl PodSnapshot {
         let mut w = SnapWriter::new();
         w.section("pod");
         w.u64("epoch", self.epoch);
-        w.u64("at_ps", self.at.as_ps());
         w.u64("journal_next_seq", self.journal_next_seq);
         w.u64("journal_fnv", self.journal_fnv);
-        w.u64("racks", self.header.racks as u64);
-        w.u64("hdr_lanes", self.header.lanes as u64);
-        w.u64("hdr_seed", self.header.seed);
-        let [sx, sy, sz] = self.header.shape.dims;
-        w.u64("sx", sx as u64);
-        w.u64("sy", sy as u64);
-        w.u64("sz", sz as u64);
         w.u64("deleg_state", self.deleg_state);
-        w.u64("delegations", self.delegations);
         w.u64("next_job", self.next_job as u64);
         w.u64("next_fail", self.next_fail as u64);
-        w.u64("groups", self.free_est.len() as u64);
-        for &f in &self.free_est {
-            w.u64("free", f as u64);
-        }
+        w.u64("groups", self.domains.len() as u64);
         w.f64("frag_sum", self.frag_sum);
         w.u64("frag_samples", self.frag_samples);
         w.f64("occ_sum", self.occ_sum);
@@ -912,24 +882,12 @@ impl PodSnapshot {
         let mut r = SnapReader::new(body);
         r.section("pod")?;
         let epoch = r.u64("epoch")?;
-        let at = SimTime::from_ps(r.u64("at_ps")?);
         let journal_next_seq = r.u64("journal_next_seq")?;
         let journal_fnv = r.u64("journal_fnv")?;
-        let racks = r.u64("racks")? as usize;
-        let hdr_lanes = r.u64("hdr_lanes")? as usize;
-        let hdr_seed = r.u64("hdr_seed")?;
-        let sx = r.u64("sx")? as usize;
-        let sy = r.u64("sy")? as usize;
-        let sz = r.u64("sz")? as usize;
         let deleg_state = r.u64("deleg_state")?;
-        let delegations = r.u64("delegations")?;
         let next_job = r.u64("next_job")? as usize;
         let next_fail = r.u64("next_fail")? as usize;
-        let groups = r.u64("groups")? as usize;
-        let mut free_est = Vec::new();
-        for _ in 0..groups {
-            free_est.push(r.u64("free")? as usize);
-        }
+        let groups = r.u64("groups")?;
         let frag_sum = r.f64("frag_sum")?;
         let frag_samples = r.u64("frag_samples")?;
         let occ_sum = r.f64("occ_sum")?;
@@ -957,33 +915,19 @@ impl PodSnapshot {
         };
         let mut domains = Vec::new();
         for g in 0..groups {
-            let d = ShardSnapshot::read_snap(&mut r)?;
-            if d.group as usize != g {
-                return Err(format!(
-                    "pod snapshot: domain capture {g} claims group {}",
-                    d.group
-                ));
-            }
+            let d = ShardSnapshot::read_snap(&mut r)
+                .map_err(|e| format!("pod snapshot: shard {g} of {groups}: {e}"))?;
             domains.push(d);
         }
         r.done()?;
         Ok(PodSnapshot {
             epoch,
-            at,
             config,
-            header: JournalHeader {
-                racks,
-                lanes: hdr_lanes,
-                seed: hdr_seed,
-                shape: topo::Shape3::new(sx, sy, sz),
-            },
             journal_next_seq,
             journal_fnv,
             deleg_state,
-            delegations,
             next_job,
             next_fail,
-            free_est,
             frag_sum,
             frag_samples,
             occ_sum,
@@ -1127,47 +1071,54 @@ mod tests {
             ..PodOptions::default()
         };
         let full = run_pod_with(&cfg, 2, &opts).expect("uninterrupted");
-        assert!(full.epochs >= 2, "need room to crash mid-run");
+        assert!(full.epochs >= 4, "need room to crash mid-run");
         assert!(!full.crashed);
 
         // Crash mid-run — with compaction on, so the restart also proves
-        // truncated journals lose nothing.
-        let crashed = run_pod_with(
-            &cfg,
-            2,
-            &PodOptions {
-                snapshot_every: 1,
-                compact: true,
-                crash_after_epochs: Some(full.epochs / 2),
-            },
-        )
-        .expect("crashed run");
-        assert!(crashed.crashed);
-        assert!(crashed.epochs < full.epochs);
+        // truncated journals lose nothing. Epoch 2 falls inside the
+        // arrival trace, so that resumed run delegates against the
+        // capacity view restore derives from its domains.
+        for crash in [2, full.epochs / 2] {
+            let crashed = run_pod_with(
+                &cfg,
+                2,
+                &PodOptions {
+                    snapshot_every: 1,
+                    compact: true,
+                    crash_after_epochs: Some(crash),
+                },
+            )
+            .expect("crashed run");
+            assert!(crashed.crashed);
+            assert!(crashed.epochs < full.epochs);
 
-        let snap = crashed.snapshots.last().expect("snapshot before crash");
-        let resumed = resume_pod(
-            snap,
-            3,
-            &PodOptions {
-                snapshot_every: 1,
-                compact: true,
-                crash_after_epochs: None,
-            },
-        )
-        .expect("resumed run");
-        assert!(!resumed.crashed);
-        assert_eq!(resumed.epochs, full.epochs);
-        assert_eq!(resumed.fingerprint, full.fingerprint, "fingerprint");
-        assert_eq!(resumed.journal.hash(), full.journal.hash(), "journal hash");
-        assert_eq!(resumed.journal.len(), full.journal.len(), "logical length");
-        assert_eq!(resumed.events, full.events);
-        assert_eq!(resumed.delegations, full.delegations);
-        assert_eq!(resumed.horizon, full.horizon);
-        assert_eq!(
-            resumed.metrics.rejection_report_json(),
-            full.metrics.rejection_report_json()
-        );
+            let snap = crashed.snapshots.last().expect("snapshot before crash");
+            if crash == 2 {
+                assert!(snap.next_job < cfg.jobs, "arrivals remain to delegate");
+            }
+            let resumed = resume_pod(
+                snap,
+                3,
+                &PodOptions {
+                    snapshot_every: 1,
+                    compact: true,
+                    crash_after_epochs: None,
+                },
+            )
+            .expect("resumed run");
+            assert!(!resumed.crashed);
+            assert_eq!(resumed.epochs, full.epochs, "crash {crash}");
+            assert_eq!(resumed.fingerprint, full.fingerprint, "crash {crash}");
+            assert_eq!(resumed.journal.hash(), full.journal.hash(), "crash {crash}");
+            assert_eq!(resumed.journal.len(), full.journal.len(), "crash {crash}");
+            assert_eq!(resumed.events, full.events);
+            assert_eq!(resumed.delegations, full.delegations);
+            assert_eq!(resumed.horizon, full.horizon);
+            assert_eq!(
+                resumed.metrics.rejection_report_json(),
+                full.metrics.rejection_report_json()
+            );
+        }
     }
 
     #[test]

@@ -37,15 +37,13 @@ pub enum PodEvent {
     InjectFailure,
 }
 
-/// A shard domain captured at an epoch barrier: its group index and
-/// executed-event count, then its admission engine (fabric snapshot with
-/// its journal resume point, queue, pending events, metrics). Content is
-/// a pure function of the delegated command stream, so snapshots are
-/// worker-count invariant.
+/// A shard domain captured at an epoch barrier: its executed-event count,
+/// then its admission engine (fabric snapshot with its journal resume
+/// point, queue, pending events, metrics). Its group index is its position
+/// in the pod snapshot. Content is a pure function of the delegated
+/// command stream, so snapshots are worker-count invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
-    /// The domain's group index.
-    pub group: u32,
     /// Local events executed before the capture.
     pub events_executed: u64,
     /// The domain's admission engine.
@@ -53,11 +51,10 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// Encode into a pod-snapshot section stream: `[shard] group,
+    /// Encode into a pod-snapshot section stream: `[shard]
     /// events_executed`, then the engine block.
     pub fn write_snap(&self, w: &mut SnapWriter) {
         w.section("shard");
-        w.u64("group", self.group as u64);
         w.u64("events_executed", self.events_executed);
         self.engine.write_snap(w);
     }
@@ -65,12 +62,9 @@ impl ShardSnapshot {
     /// Decode one [`write_snap`](Self::write_snap) section.
     pub fn read_snap(r: &mut SnapReader<'_>) -> Result<ShardSnapshot, String> {
         r.section("shard")?;
-        let group = u32::try_from(r.u64("group")?)
-            .map_err(|_| "shard snapshot: group exceeds u32".to_string())?;
         let events_executed = r.u64("events_executed")?;
         let engine = AdmitterSnapshot::read_snap(r)?;
         Ok(ShardSnapshot {
-            group,
             events_executed,
             engine,
         })
@@ -217,21 +211,21 @@ impl ShardDomain {
     /// follow-up `take_delta` so the pod journal commits to the capture.
     pub fn capture(&mut self, at: SimTime) -> ShardSnapshot {
         ShardSnapshot {
-            group: self.group,
             events_executed: self.events_executed,
             engine: self.engine.capture(at),
         }
     }
 
-    /// Rebuild the domain a [`ShardSnapshot`] captured. The restored
-    /// journal resumes mid-chain (hash and logical length unchanged), and
-    /// its single retained `Snapshot` record counts as already folded —
-    /// the pod journal committed to it at the capture barrier.
-    pub fn restore(snap: &ShardSnapshot) -> Result<ShardDomain, String> {
+    /// Rebuild domain `group` from the [`ShardSnapshot`] captured at that
+    /// position. The restored journal resumes mid-chain (hash and logical
+    /// length unchanged), and its single retained `Snapshot` record counts
+    /// as already folded — the pod journal committed to it at the capture
+    /// barrier.
+    pub fn restore(snap: &ShardSnapshot, group: u32) -> Result<ShardDomain, String> {
         let engine = Admitter::restore(&snap.engine)?;
         let folded = engine.state().journal().records().len();
         Ok(ShardDomain {
-            group: snap.group,
+            group,
             engine,
             folded,
             events_executed: snap.events_executed,

@@ -3,7 +3,7 @@
 //! 1. **Worker-count invariance**: `--shards ∈ {1, 2, 4, 8}` produces
 //!    bit-identical fingerprints AND bit-identical journals (hash and
 //!    canonical record encodings), across random seeds and loads.
-//! 2. **Shard containment** (verify CTL405): every admission the pod
+//! 2. **Shard containment** (verify CTL408): every admission the pod
 //!    journal records stays inside one rack-group slab — and a seeded
 //!    violation (a forged straddling admit) is caught.
 
@@ -11,7 +11,8 @@ use desim::SimDuration;
 use fabricd::report::{compare, json_str, BenchFields};
 use pod::{resume_pod, run_pod, run_pod_with, PodBenchReport, PodConfig, PodLayout, PodOptions};
 use proptest::prelude::*;
-use verify::{check_journal, check_shard_containment, Report, RuleId};
+use topo::band;
+use verify::{check_journal, check_multi_group_admission, Report, RuleId};
 use workloads::ArrivalParams;
 
 fn fast(chips: usize, seed: u64, jobs: usize, failures: usize) -> PodConfig {
@@ -31,6 +32,17 @@ fn fast(chips: usize, seed: u64, jobs: usize, failures: usize) -> PodConfig {
         },
         ..PodConfig::default()
     }
+}
+
+/// Audit `journal` with CTL408 over `layout`'s rack groups and faces.
+fn contained(journal: &fabricd::Journal, layout: &PodLayout, report: &mut Report) {
+    let p = layout.partition();
+    check_multi_group_admission(
+        journal,
+        p.group_z(),
+        band::face_ports(p.group_shape()),
+        report,
+    );
 }
 
 /// The ISSUE's acceptance gate, verbatim: shards ∈ {1,2,4,8} replay
@@ -64,14 +76,14 @@ fn shard_counts_1_2_4_8_replay_bit_identically() {
 }
 
 /// The pod journal passes the full control-plane audit (CTL401–404)
-/// plus shard containment (CTL405).
+/// plus shard containment (CTL408).
 #[test]
 fn pod_journal_passes_the_control_plane_audit() {
     let cfg = fast(512, 7, 40, 3);
     let out = run_pod(&cfg, 4).expect("run");
     let layout = PodLayout::new(cfg.chips).expect("layout");
     let mut report = check_journal(&out.journal);
-    check_shard_containment(&out.journal, layout.partition().group_z(), &mut report);
+    contained(&out.journal, &layout, &mut report);
     assert!(
         report.is_clean(),
         "pod journal failed the audit:\n{}",
@@ -80,10 +92,10 @@ fn pod_journal_passes_the_control_plane_audit() {
 }
 
 /// Seeded violation: forging one admission that straddles a shard-domain
-/// boundary trips CTL405 — proof the rule can actually fire on a pod
+/// boundary trips CTL408 — proof the rule can actually fire on a pod
 /// journal, not just on synthetic fixtures.
 #[test]
-fn forged_straddling_admission_trips_ctl405() {
+fn forged_straddling_admission_trips_ctl408() {
     use fabricd::{Journal, JournalEntry};
     use topo::{Coord3, Shape3};
 
@@ -110,9 +122,9 @@ fn forged_straddling_admission_trips_ctl405() {
     );
 
     let mut report = Report::new();
-    check_shard_containment(&forged, group_z, &mut report);
-    assert!(report.has(RuleId::Ctl405), "forged straddle not caught");
-    assert_eq!(report.by_rule(RuleId::Ctl405).len(), 1);
+    contained(&forged, &layout, &mut report);
+    assert!(report.has(RuleId::Ctl408), "forged straddle not caught");
+    assert_eq!(report.by_rule(RuleId::Ctl408).len(), 1);
 }
 
 /// A PodBenchReport built from a real run matches itself through the one
@@ -163,7 +175,7 @@ proptest! {
         let out = run_pod(&cfg, 3).expect("run");
         let layout = PodLayout::new(cfg.chips).expect("layout");
         let mut report = check_journal(&out.journal);
-        check_shard_containment(&out.journal, layout.partition().group_z(), &mut report);
+        contained(&out.journal, &layout, &mut report);
         prop_assert!(report.is_clean(), "audit failed:\n{}", report.render());
     }
 

@@ -191,7 +191,7 @@ impl RackGroupPartition {
 
     /// True when the axis-aligned box `[origin, origin+extent)` lies
     /// entirely inside one group's slab — the containment invariant every
-    /// delegated admission must satisfy (verify CTL405).
+    /// delegated admission must satisfy (verify CTL408).
     pub fn contains(&self, origin: Coord3, extent: Shape3) -> bool {
         let z0 = origin.get(Dim::Z);
         let ez = extent.extent(Dim::Z);

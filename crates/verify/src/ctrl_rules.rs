@@ -331,55 +331,15 @@ pub fn check_compaction_watermark(journal: &Journal, report: &mut Report) {
     }
 }
 
-/// CTL405: in a sharded pod run, every journaled admission must lie
-/// entirely inside one shard domain's Z slab of `group_z` chips — slice
-/// programming is delegated per shard, so a slice straddling a boundary
-/// could never have been programmed by any single per-shard fabricd.
-///
-/// Not part of [`check_journal`]: the shard geometry is a property of the
-/// pod run, not of the journal itself, so the pod harness (and `cargo
-/// xtask lint`) calls this with the partition's `group_z` explicitly.
-pub fn check_shard_containment(journal: &Journal, group_z: usize, report: &mut Report) {
-    if group_z == 0 {
-        return;
-    }
-    for r in journal.records() {
-        if let JournalEntry::Admit {
-            job,
-            origin,
-            extent,
-        } = &r.entry
-        {
-            let z0 = origin.get(topo::Dim::Z);
-            let ez = extent.extent(topo::Dim::Z);
-            let straddles = ez == 0 || z0 / group_z != (z0 + ez - 1) / group_z;
-            if straddles {
-                report.push(Diagnostic {
-                    rule: RuleId::Ctl405,
-                    severity: Severity::Error,
-                    location: Location::JournalEntry(r.seq),
-                    message: format!(
-                        "admit of job {job} at {origin} extent {extent} straddles a \
-                         shard-domain boundary (group Z extent {group_z})"
-                    ),
-                    hint: Some(
-                        "the pod control plane must delegate each admission to exactly \
-                         one rack-group shard"
-                            .into(),
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// CTL408: cross-group admission audit — CTL405 relaxed for pod runs that
+/// CTL408: cross-group admission audit for sharded pod runs, which may
 /// stitch slices over the rack-face OCS banks.
 ///
-/// Single-group `Admit` records must still lie inside one shard domain's
-/// Z slab (the CTL405 predicate; stitched legs are journaled as per-group
-/// `Admit`s, so they are in-band by construction). A `MultiGroupAdmit`
-/// record must additionally be **well-formed**:
+/// Every `Admit` record must lie inside one shard domain's Z slab of
+/// `group_z` chips: slice programming is delegated per shard, so a slice
+/// straddling a boundary could never have been programmed by any single
+/// per-shard fabricd (stitched legs are journaled as per-group `Admit`s,
+/// so they are in-band by construction). A `MultiGroupAdmit` record must
+/// additionally be **well-formed**:
 ///
 /// * it carries at least two legs over *consecutive, ascending* rack
 ///   groups;
@@ -392,9 +352,9 @@ pub fn check_shard_containment(journal: &Journal, group_z: usize, report: &mut R
 /// * teardown is atomic: by journal end a stitched job's legs are either
 ///   all evicted or none (a partially-released stitch leaks capacity).
 ///
-/// Like [`check_shard_containment`], this is not part of
-/// [`check_journal`]: the shard geometry and face width are properties of
-/// the pod run, so the pod harness passes them explicitly.
+/// Not part of [`check_journal`]: the shard geometry and face width are
+/// properties of the pod run, not of the journal itself, so the pod
+/// harness (and `cargo xtask lint`) passes them explicitly.
 pub fn check_multi_group_admission(
     journal: &Journal,
     group_z: usize,
@@ -783,58 +743,6 @@ mod tests {
         assert!(check_journal(&j).has(RuleId::Ctl403));
     }
 
-    #[test]
-    fn straddling_admit_trips_ctl405_and_contained_admits_pass() {
-        // A pod journal over 2 groups of Z extent 8 (header shape 4×4×16).
-        let mut j = Journal::new(JournalHeader {
-            racks: 4,
-            lanes: 2,
-            seed: 0,
-            shape: Shape3::new(4, 4, 16),
-        });
-        // Contained: entirely inside group 0's slab [0, 8).
-        j.push(
-            SimTime::ZERO,
-            JournalEntry::Admit {
-                job: 0,
-                origin: Coord3::new(0, 0, 4),
-                extent: Shape3::new(4, 4, 4),
-            },
-        );
-        // Contained: entirely inside group 1's slab [8, 16).
-        j.push(
-            SimTime::from_ps(1),
-            JournalEntry::Admit {
-                job: 1,
-                origin: Coord3::new(0, 0, 8),
-                extent: Shape3::new(2, 2, 2),
-            },
-        );
-        let mut clean = Report::new();
-        check_shard_containment(&j, 8, &mut clean);
-        assert!(clean.is_clean(), "{clean}");
-
-        // Seeded violation: an admit spanning Z [6, 10) crosses the
-        // boundary at Z=8 — no single shard could have programmed it.
-        j.push(
-            SimTime::from_ps(2),
-            JournalEntry::Admit {
-                job: 2,
-                origin: Coord3::new(0, 0, 6),
-                extent: Shape3::new(4, 4, 4),
-            },
-        );
-        let mut report = Report::new();
-        check_shard_containment(&j, 8, &mut report);
-        assert!(report.has(RuleId::Ctl405));
-        assert_eq!(report.error_count(), 1, "{report}");
-        // The straddling record is the one flagged.
-        assert!(matches!(
-            report.by_rule(RuleId::Ctl405).first().map(|d| &d.location),
-            Some(Location::JournalEntry(2))
-        ));
-    }
-
     /// A real campaign journal with snapshot records, produced by the
     /// production control plane.
     fn snapshotted_journal() -> Journal {
@@ -1085,15 +993,34 @@ mod tests {
 
     #[test]
     fn forged_straddling_admit_trips_ctl408() {
-        // An Admit spanning Z [6, 10) with no covering stitch record.
+        // A pod journal over 2 groups of Z extent 8 (header shape 4×4×16).
         let mut j = Journal::new(JournalHeader {
             racks: 4,
             lanes: 2,
             seed: 0,
             shape: Shape3::new(4, 4, 16),
         });
+        // Contained: entirely inside group 0's slab [0, 8), then entirely
+        // inside group 1's slab [8, 16).
+        for (job, z, e) in [(0, 4, 4), (1, 8, 2)] {
+            j.push(
+                SimTime::from_ps(job as u64),
+                JournalEntry::Admit {
+                    job,
+                    origin: Coord3::new(0, 0, z),
+                    extent: Shape3::new(e, e, e),
+                },
+            );
+        }
+        let mut clean = Report::new();
+        check_multi_group_admission(&j, 8, 16, &mut clean);
+        assert!(clean.is_clean(), "{clean}");
+
+        // An Admit spanning Z [6, 10) with no covering stitch record
+        // crosses the boundary at Z=8: no single shard could have
+        // programmed it.
         j.push(
-            SimTime::ZERO,
+            SimTime::from_ps(2),
             JournalEntry::Admit {
                 job: 2,
                 origin: Coord3::new(0, 0, 6),
@@ -1104,6 +1031,11 @@ mod tests {
         check_multi_group_admission(&j, 8, 16, &mut report);
         assert!(report.has(RuleId::Ctl408), "{report}");
         assert_eq!(report.error_count(), 1, "{report}");
+        // The straddling record is the one flagged.
+        assert!(matches!(
+            report.by_rule(RuleId::Ctl408).first().map(|d| &d.location),
+            Some(Location::JournalEntry(2))
+        ));
     }
 
     #[test]

@@ -59,10 +59,6 @@ pub enum RuleId {
     /// and attempt immediately pending, or a `Reject` was never rolled
     /// back.
     Ctl404,
-    /// A journaled admission straddles a shard-domain boundary: the slice
-    /// leaves the rack group its programming was delegated to, so no
-    /// single per-shard fabricd could have programmed it.
-    Ctl405,
     /// A journaled `Snapshot` record's committed fingerprint disagrees
     /// with the fingerprint of the state replayed from the records before
     /// it — the snapshot does not describe the state it claims to.
@@ -86,7 +82,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in catalog order.
-    pub const ALL: [RuleId; 18] = [
+    pub const ALL: [RuleId; 17] = [
         RuleId::Sch001,
         RuleId::Sch002,
         RuleId::Sch003,
@@ -100,7 +96,6 @@ impl RuleId {
         RuleId::Ctl402,
         RuleId::Ctl403,
         RuleId::Ctl404,
-        RuleId::Ctl405,
         RuleId::Ctl406,
         RuleId::Ctl407,
         RuleId::Ctl408,
@@ -123,7 +118,6 @@ impl RuleId {
             RuleId::Ctl402 => "CTL402",
             RuleId::Ctl403 => "CTL403",
             RuleId::Ctl404 => "CTL404",
-            RuleId::Ctl405 => "CTL405",
             RuleId::Ctl406 => "CTL406",
             RuleId::Ctl407 => "CTL407",
             RuleId::Ctl408 => "CTL408",
@@ -147,7 +141,6 @@ impl RuleId {
             RuleId::Ctl402 => "journaled repair references an unknown incident",
             RuleId::Ctl403 => "journaled rejection carries an unregistered reason code",
             RuleId::Ctl404 => "journaled rollback unpaired with its originating reject",
-            RuleId::Ctl405 => "journaled admission straddles a shard-domain boundary",
             RuleId::Ctl406 => "journaled snapshot fingerprint contradicts the replayed state",
             RuleId::Ctl407 => "compaction watermark corrupt: a live record was truncated",
             RuleId::Ctl408 => "cross-group admission malformed or torn down non-atomically",

@@ -24,7 +24,6 @@
 //! | CTL402 | journal   | every journaled repair references an earlier Fail record |
 //! | CTL403 | journal   | journaled rejections carry registered fault-taxonomy codes |
 //! | CTL404 | journal   | every Rollback pairs adjacently with its originating Reject |
-//! | CTL405 | journal   | pod admissions stay inside one shard domain's rack group |
 //! | CTL406 | journal   | journaled snapshot fingerprints match the replayed state |
 //! | CTL407 | journal   | compaction watermarks retain every live record |
 //! | CTL408 | journal   | cross-group stitches are well-formed and torn down atomically |
@@ -55,7 +54,7 @@ pub use circuit_rules::{
 };
 pub use ctrl_rules::{
     check_admission_capacity, check_journal, check_multi_group_admission, check_rejection_codes,
-    check_repair_references, check_rollback_pairing, check_shard_containment,
+    check_repair_references, check_rollback_pairing,
 };
 pub use diag::{Diagnostic, Location, Report, RuleId, Severity};
 pub use plan_rules::check_stamp_audit;

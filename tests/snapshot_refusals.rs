@@ -1,20 +1,17 @@
 //! Restored queues are refused, never resumed and never a panic, and so are
-//! a pod capture off its epoch barrier and a list count larger than the
-//! entries that follow it. Each case edits one field, or
-//! every line ending, of a real snapshot artifact's body and re-seals it,
-//! so the structural checks of the snapshot reader,
-//! the admission engine's codec and restore — not the integrity
-//! fingerprint — must catch it. Both
-//! artifact kinds carry the same engine block: the ctrl campaign's
+//! a ctrl capture off its cadence, a pod capture off its epoch barrier and
+//! a list count larger than the entries that follow it. Each case edits
+//! one line, or every line ending, of a real snapshot artifact's body and
+//! re-seals it, so the structural checks of the snapshot reader, the
+//! admission engine's codec and restore — not the integrity fingerprint —
+//! must catch it. Both artifact kinds carry the same engine block, with
+//! its fabric capture as a `[fabric]` section: the ctrl campaign's
 //! `[campaign]` section and every `[shard]` section of a pod snapshot.
 //! Both also share one header, `<tag> fnv=<16 hex>`, and a header spelled
-//! any way the writer never prints it is refused too.
+//! any way the writer never prints it, or naming an older layout, is
+//! refused too.
 
-use desim::{SnapReader, SnapWriter};
-use fabricd::{
-    report::bench_config, resume_campaign, run_campaign, CampaignOptions, CtrlSnapshot,
-    FabricSnapshot,
-};
+use fabricd::{report::bench_config, resume_campaign, run_campaign, CampaignOptions, CtrlSnapshot};
 use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot, PolicyKind};
 
 /// Apply `edit` to the artifact body and re-seal the header FNV.
@@ -114,20 +111,40 @@ fn queue_leading_zero(lines: &[&str]) -> Vec<String> {
     out
 }
 
+/// The line holding the first `key` at or after line `from` inside an
+/// escaped text value (`metrics=` or a fabric capture's `state=`), as
+/// `(line, text up to the value, value, text after it)`.
+fn escaped<'a>(lines: &[&'a str], from: usize, key: &str) -> (usize, &'a str, &'a str, &'a str) {
+    let key = format!("\\n{key}\\e");
+    let at = (from..lines.len())
+        .find(|&i| lines[i].contains(&key))
+        .unwrap_or_else(|| panic!("no escaped {key} after line {from}"));
+    let start = lines[at].find(&key).unwrap() + key.len();
+    let end = start + lines[at][start..].find('\\').unwrap();
+    let line = lines[at];
+    (at, &line[..start], &line[start..end], &line[end..])
+}
+
+/// The first escaped `key` at or after line `from`, its value replaced by
+/// `value(old)`.
+fn edit_escaped(
+    lines: &[&str],
+    from: usize,
+    key: &str,
+    value: impl Fn(&str) -> String,
+) -> Vec<String> {
+    let (at, head, old, rest) = escaped(lines, from, key);
+    let mut out = owned(lines);
+    out[at] = format!("{head}{}{rest}", value(old));
+    out
+}
+
 /// A float's bit pattern in upper-case hex, which `from_str_radix`
 /// accepts: the admission-wait histogram's `wait_hi`, inside the escaped
 /// metrics block. Its `wait_lo` is always `0.0`, whose hex has no letter
 /// to raise.
 fn wait_hi_upper_case(lines: &[&str]) -> Vec<String> {
-    const KEY: &str = "\\nwait_hi\\e";
-    let at = (0..lines.len())
-        .find(|&i| lines[i].contains(KEY))
-        .expect("a metrics block");
-    let (head, tail) = lines[at].split_once(KEY).unwrap();
-    let (hex, rest) = tail.split_at(16);
-    let mut out = owned(lines);
-    out[at] = format!("{head}{KEY}{}{rest}", hex.to_uppercase());
-    out
+    edit_escaped(lines, 0, "wait_hi", str::to_uppercase)
 }
 
 /// Every line ended with `\r\n`, as an editor that saves CRLF writes it.
@@ -142,63 +159,28 @@ const HUGE_COUNT: u64 = 1 << 61;
 /// The admission-wait histogram's bin count, raised to [`HUGE_COUNT`]
 /// inside the first escaped metrics block.
 fn huge_wait_bins(lines: &[&str]) -> Vec<String> {
-    const KEY: &str = "\\nwait_bins\\e";
-    let at = (0..lines.len())
-        .find(|&i| lines[i].contains(KEY))
-        .expect("a metrics block");
-    let (head, tail) = lines[at].split_once(KEY).unwrap();
-    let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
-    let mut out = owned(lines);
-    out[at] = format!("{head}{KEY}{HUGE_COUNT}{}", &tail[digits..]);
-    out
+    edit_escaped(lines, 0, "wait_bins", |_| HUGE_COUNT.to_string())
 }
 
 /// One tenant's circuit-handle count, raised to [`HUGE_COUNT`] inside the
-/// state body of the first fabric capture that holds a tenant. That body
-/// is length-prefixed and fingerprinted, so both are re-sealed too.
+/// state text of the first fabric capture that holds a tenant. The state
+/// fingerprint is left as it was: restore's decoding refuses the count
+/// before it compares fingerprints.
 fn huge_handles(lines: &[&str]) -> Vec<String> {
-    let at = (0..lines.len())
-        .find(|&i| value(lines[i], "fabric").is_some_and(|f| f.contains("\\nhandles\\e")))
-        .expect("a fabric capture with a tenant");
-    let inner = SnapReader::new(lines[at]).str("fabric").unwrap();
-    let mut fabric = FabricSnapshot::parse(&inner).unwrap();
-    let state: Vec<&str> = fabric.state.lines().collect();
-    let handles = find(&state, 0, "handles");
-    let mut edited = owned(&state);
-    edited[handles] = format!("handles={HUGE_COUNT}");
-    fabric.state = edited.join("\n") + "\n";
-    fabric.fingerprint = desim::snap::fingerprint(&fabric.state);
-    let mut w = SnapWriter::new();
-    w.str("fabric", &fabric.to_text());
-    let mut out = owned(lines);
-    out[at] = w.finish().trim_end_matches('\n').to_string();
-    out
+    edit_escaped(lines, 0, "handles", |_| HUGE_COUNT.to_string())
 }
 
 /// The first cross-wafer circuit's `key` wafer (`src_wafer` or
 /// `dst_wafer`), moved one past the fabric's last wafer inside the state
-/// body of the first fabric capture that holds such a circuit, re-sealed
-/// like [`huge_handles`]. Restored, the circuit's teardown could not reach
-/// that wafer.
+/// text of the first fabric capture that holds such a circuit, like
+/// [`huge_handles`]. Restored, the circuit's teardown could not reach that
+/// wafer.
 fn cross_wafer_out_of_range(lines: &[&str], key: &str) -> Vec<String> {
-    let at = (0..lines.len())
-        .find(|&i| value(lines[i], "fabric").is_some_and(|f| f.contains("\\nsrc_wafer\\e")))
-        .expect("a fabric capture with a cross-wafer circuit");
-    let inner = SnapReader::new(lines[at]).str("fabric").unwrap();
-    let mut fabric = FabricSnapshot::parse(&inner).unwrap();
-    let state: Vec<&str> = fabric.state.lines().collect();
-    let section = (0..state.len()).find(|&i| state[i] == "[fabric]").unwrap();
-    let wafers = value(state[find(&state, section, "wafers")], "wafers").unwrap();
-    let endpoint = find(&state, section, key);
-    let mut edited = owned(&state);
-    edited[endpoint] = format!("{key}={wafers}");
-    fabric.state = edited.join("\n") + "\n";
-    fabric.fingerprint = desim::snap::fingerprint(&fabric.state);
-    let mut w = SnapWriter::new();
-    w.str("fabric", &fabric.to_text());
-    let mut out = owned(lines);
-    out[at] = w.finish().trim_end_matches('\n').to_string();
-    out
+    let (at, ..) = escaped(lines, 0, "src_wafer");
+    let fabric = lines[at].find("[fabric\\b").expect("a fabric section");
+    let tail = [&lines[at][fabric..]];
+    let (_, _, wafers, _) = escaped(&tail, 0, "wafers");
+    edit_escaped(lines, at, key, |_| wafers.to_string())
 }
 
 fn src_wafer_out_of_range(lines: &[&str]) -> Vec<String> {
@@ -248,17 +230,9 @@ const CROSS_CASES: [(&str, Edit, &str); 2] = [
     ),
 ];
 
-/// The pod's completed-epoch count, one lower than its capture instant closes.
-fn epoch_minus_one(lines: &[&str]) -> Vec<String> {
-    let epoch = find(lines, 0, "epoch");
-    let n: u64 = value(lines[epoch], "epoch").unwrap().parse().unwrap();
-    let mut out = owned(lines);
-    out[epoch] = format!("epoch={}", n - 1);
-    out
-}
-
-/// The pod-level capture instant, 1 ps late.
-fn pod_at_plus_one(lines: &[&str]) -> Vec<String> {
+/// The first fabric capture's instant, 1 ps late: the ctrl capture, or
+/// group 0's in a pod snapshot.
+fn at_ps_plus_one(lines: &[&str]) -> Vec<String> {
     let at = find(lines, 0, "at_ps");
     let ps: u64 = value(lines[at], "at_ps").unwrap().parse().unwrap();
     let mut out = owned(lines);
@@ -266,18 +240,20 @@ fn pod_at_plus_one(lines: &[&str]) -> Vec<String> {
     out
 }
 
-/// Group 0's fabric capture instant, 1 ps late, inside the escaped
-/// fabric block of its `[shard]` section.
-fn group0_at_plus_one(lines: &[&str]) -> Vec<String> {
-    const KEY: &str = "\\nat_ps\\e";
-    let fabric = find(lines, find(lines, 0, "group"), "fabric");
-    let (head, tail) = lines[fabric]
-        .split_once(KEY)
-        .expect("a fabric capture instant");
-    let (ps, rest) = tail.split_once('\\').unwrap();
-    let ps: u64 = ps.parse().unwrap();
+/// Ctrl-only edits: a campaign captures only at multiples of its cadence.
+const CTRL_CASES: [(&str, Edit, &str); 1] = [(
+    "at_ps + 1",
+    at_ps_plus_one,
+    "is not a positive multiple of the snapshot cadence",
+)];
+
+/// The pod's completed-epoch count, one lower than its domains' capture
+/// instant closes.
+fn epoch_minus_one(lines: &[&str]) -> Vec<String> {
+    let epoch = find(lines, 0, "epoch");
+    let n: u64 = value(lines[epoch], "epoch").unwrap().parse().unwrap();
     let mut out = owned(lines);
-    out[fabric] = format!("{head}{KEY}{}\\{rest}", ps + 1);
+    out[epoch] = format!("epoch={}", n - 1);
     out
 }
 
@@ -289,18 +265,16 @@ fn huge_groups(lines: &[&str]) -> Vec<String> {
     out
 }
 
-/// Pod-only edits: a capture must sit on the barrier its epoch count
-/// closes, every domain must be captured at that same instant, and a
-/// group count is read as far as its entries go.
-const POD_CASES: [(&str, Edit, &str); 4] = [
-    ("epoch - 1", epoch_minus_one, "is not the barrier after"),
-    ("pod at_ps + 1", pod_at_plus_one, "is not the barrier after"),
+/// Pod-only edits: every domain must be captured on the barrier the
+/// epoch count closes, and a group count is read as far as its shards go.
+const POD_CASES: [(&str, Edit, &str); 3] = [
+    ("epoch - 1", epoch_minus_one, "domain capture 0 taken at"),
     (
         "group 0 at_ps + 1",
-        group0_at_plus_one,
+        at_ps_plus_one,
         "domain capture 0 taken at",
     ),
-    ("groups=2^61", huge_groups, "expected key free"),
+    ("groups=2^61", huge_groups, "unexpected end of input"),
 ];
 
 /// The bench campaign's snapshot artifacts, in capture order.
@@ -337,7 +311,7 @@ fn assert_ctrl_refusals(text: &str, opts: &CampaignOptions, cases: &[(&str, Edit
 #[test]
 fn ctrl_resume_refuses_corrupt_queues_and_events() {
     let (text, opts) = ctrl_snapshot();
-    assert_ctrl_refusals(&text, &opts, &CASES);
+    assert_ctrl_refusals(&text, &opts, &[CASES.as_slice(), &CTRL_CASES].concat());
 }
 
 /// The middle capture holds no cross-wafer circuit, so these edits take
@@ -390,31 +364,32 @@ fn pod_resume_refuses_corrupt_shard_queues_and_events() {
     }
 }
 
-/// The v2 shard layout reuses the v1 field names with new kind codes, so
-/// only the format tag tells a v1 reader's artifact from a v2 one.
+/// Every pod layout reuses its predecessor's field names, so only the
+/// format tag tells a v1 reader's artifact from a v3 one; no reader for
+/// an older layout is kept.
 #[test]
 fn pod_artifact_relabelled_v1_is_refused() {
     let (text, _) = pod_snapshot();
     let (head, body) = text.split_once('\n').expect("artifact has a header line");
-    assert!(head.starts_with("spsim-pod-snapshot v2 fnv="), "{head}");
-    let relabelled = format!(
-        "spsim-pod-snapshot v1 fnv={:016x}\n{body}",
-        desim::snap::fingerprint(body)
-    );
-    match PodSnapshot::parse(&relabelled) {
-        Ok(_) => panic!("a v1-tagged artifact parsed as v2"),
-        Err(e) => assert!(e.contains("spsim-pod-snapshot v2"), "{e}"),
+    assert!(head.starts_with("spsim-pod-snapshot v3 fnv="), "{head}");
+    match PodSnapshot::parse(&desim::snap::seal("spsim-pod-snapshot v1", body)) {
+        Ok(_) => panic!("a v1-tagged artifact parsed as v3"),
+        Err(e) => assert!(e.contains("spsim-pod-snapshot v3"), "{e}"),
     }
 }
 
 /// The artifact's header respelled in ways the writer never prints, each
 /// still carrying the body's true fingerprint, so only a strict header
-/// check refuses them.
+/// check refuses them. The previous layout's tag is one of them: its
+/// reader is not kept.
 fn header_respellings(text: &str) -> Vec<(&'static str, String)> {
     let (head, body) = text.split_once('\n').expect("artifact has a header line");
     let (tag, hex) = head.split_once(" fnv=").expect("header carries an fnv");
     assert_ne!(hex, hex.to_uppercase(), "the fingerprint has a hex letter");
+    let (family, version) = tag.rsplit_once(" v").expect("a versioned tag");
+    let previous = version.parse::<u32>().expect("a version number") - 1;
     vec![
+        ("previous layout", format!("{family} v{previous} fnv={hex}")),
         (
             "upper-case fnv",
             format!("{tag} fnv={}", hex.to_uppercase()),
@@ -440,7 +415,7 @@ fn header_spellings_the_writer_never_prints_are_refused() {
     for (name, bad) in header_respellings(&ctrl) {
         match CtrlSnapshot::parse(&bad) {
             Ok(_) => panic!("{name}: a respelled ctrl header parsed"),
-            Err(e) => assert!(e.contains("spsim-ctrl-snapshot v1"), "{name}: {e}"),
+            Err(e) => assert!(e.contains("spsim-ctrl-snapshot v2"), "{name}: {e}"),
         }
     }
     let (pod, _) = pod_snapshot();
@@ -451,7 +426,7 @@ fn header_spellings_the_writer_never_prints_are_refused() {
     for (name, bad) in header_respellings(&pod) {
         match PodSnapshot::parse(&bad) {
             Ok(_) => panic!("{name}: a respelled pod header parsed"),
-            Err(e) => assert!(e.contains("spsim-pod-snapshot v2"), "{name}: {e}"),
+            Err(e) => assert!(e.contains("spsim-pod-snapshot v3"), "{name}: {e}"),
         }
     }
 }
