@@ -13,7 +13,7 @@
 //! switch.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use desim::SimDuration;
 use phy::link_budget::{LinkModel, LinkReport};
@@ -159,17 +159,19 @@ struct CrossClass {
     hops: Vec<(TileCoord, TileCoord, u64)>,
 }
 
-/// A captured, relocatable image of one successful cross-wafer establish:
-/// each intra-wafer segment's path and link report, stored by its hop
-/// position rather than its wafer, the edge loads those decisions were
-/// made under (witnesses), and the end-to-end link report.
+/// A cross-wafer circuit planned over one fiber route before any of it is
+/// built: each intra-wafer segment's route, link report and witness loads,
+/// stored by hop position rather than by wafer, and the end-to-end link
+/// report over those same routes, the fibers and the amplifier gain.
+/// [`Fabric::commit_cross`] builds exactly this, and [`CrossPlans`] keeps
+/// it to stamp at any wafer pair of its class.
 #[derive(Debug, Clone)]
 struct CrossPlan {
     link: LinkReport,
     segments: Vec<CrossSegmentPlan>,
 }
 
-/// One intra-wafer segment image inside a [`CrossPlan`].
+/// One intra-wafer segment inside a [`CrossPlan`].
 #[derive(Debug, Clone)]
 struct CrossSegmentPlan {
     /// Position along the route: 0 is the source wafer, `i` the wafer
@@ -177,11 +179,27 @@ struct CrossSegmentPlan {
     hop: usize,
     path: Path,
     link: LinkReport,
-    /// `(edge, load)` pairs for every bus the fresh admission read while
-    /// routing and budgeting this segment: the XY probe of the default
-    /// route, the YX alternative, and the chosen path. Equal loads imply
-    /// the fresh decisions replay bit-identically.
+    /// `(edge, load)` for every bus of the segment's XY and YX routes:
+    /// every load the route choice and the budget read. Equal loads imply
+    /// the plan replays bit-identically.
     witnesses: Vec<(EdgeId, u32)>,
+}
+
+/// Plans are equal when they agree bit for bit: every route, witness load
+/// and report.
+impl PartialEq for CrossPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.link.to_bits() == other.link.to_bits() && self.segments == other.segments
+    }
+}
+
+impl PartialEq for CrossSegmentPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.hop == other.hop
+            && self.path == other.path
+            && self.link.to_bits() == other.link.to_bits()
+            && self.witnesses == other.witnesses
+    }
 }
 
 /// Bound on the cross-wafer plans a [`CrossPlans`] retains.
@@ -206,10 +224,11 @@ pub struct CrossPlanStats {
 
 /// Captured cross-wafer plans for [`Fabric::establish_cross_planned`],
 /// keyed by a wafer-relative class: the source and destination tiles, and
-/// per fiber hop the (near, far) attach tiles and the fiber length. Each class keeps one plan per distinct witness image, in
-/// capture order, and a plan stamps at any wafer pair whose route has the
-/// class. A pure accelerator: a stamp commits exactly what a fresh
-/// establish would, so the cache is never serialized.
+/// per fiber hop the (near, far) attach tiles and the fiber length. Each
+/// class keeps one plan per distinct witness image, in capture order, and a
+/// plan stamps at any wafer pair whose route has the class. A pure
+/// accelerator: a stamp commits exactly the plan a fresh establish would
+/// make, so the cache is never serialized.
 ///
 /// Relocation is sound because every wafer of a [`Fabric`] is built from
 /// one [`WaferConfig`] (one stitch-loss table), the class pins the attach
@@ -241,16 +260,6 @@ impl CrossPlans {
         self.resident += 1;
         self.classes.entry(class).or_default().push(plan);
     }
-}
-
-/// How [`Fabric::cross_commit`] should treat the plan cache.
-enum CrossMode<'a> {
-    /// Budget and establish from scratch.
-    Fresh,
-    /// Fresh, plus record each segment's decision image.
-    Capture(&'a mut Vec<CrossSegmentPlan>),
-    /// Replay a verified [`CrossPlan`] via the prebudgeted fast path.
-    Stamp(&'a CrossPlan),
 }
 
 /// Segment handles and manual SerDes claims accumulated while building a
@@ -480,37 +489,60 @@ impl Fabric {
         self.wafers.get_mut(id.0).ok_or(CircuitError::NoFiberLink)
     }
 
-    /// End-to-end loss budget of a prospective multi-hop circuit.
-    fn cross_budget(
+    /// Plan a cross circuit over the probed `fibers` without changing the
+    /// fabric. Each intra-wafer segment takes the route
+    /// [`Wafer::default_route`] chooses and is budgeted once: that budget is
+    /// the segment's own report, and it extends the end-to-end budget,
+    /// which adds both fiber couplings, the fiber and the amplifier gain of
+    /// every hop. A fiber route is a BFS shortest path, so it visits each
+    /// wafer once: building one segment moves no load that another
+    /// segment's plan read, and planning every segment first is exact.
+    fn plan_cross(
         &self,
         src: (WaferId, TileCoord),
         dst: (WaferId, TileCoord),
         fibers: &[usize],
-    ) -> LossBudget {
-        let mut b = LossBudget::new();
-        let mut wafer = src.0;
-        let mut at = src.1;
-        for f in fibers.iter().filter_map(|&fi| self.fibers.get(fi)) {
-            let (near, far) = f.oriented(wafer);
-            if at != near {
-                b.extend(&self.wafer(wafer).path_loss_budget(&Path::xy(at, near)));
+    ) -> Result<CrossPlan, CircuitError> {
+        let model = LinkModel::lightpath_default();
+        let mut end_to_end = LossBudget::new();
+        let mut segments = Vec::new();
+        let (mut wafer, mut at) = src;
+        for hop in 0..=fibers.len() {
+            let fiber = fibers
+                .get(hop)
+                .map(|&fi| self.fibers.get(fi).ok_or(CircuitError::NoFiberLink))
+                .transpose()?;
+            let to = fiber.map_or(dst.1, |f| f.oriented(wafer).0);
+            if at != to {
+                let w = self.wafers.get(wafer.0).ok_or(CircuitError::NoFiberLink)?;
+                let path = w.default_route(at, to);
+                let budget = w.path_loss_budget(&path);
+                end_to_end.extend(&budget);
+                segments.push(CrossSegmentPlan {
+                    hop,
+                    path,
+                    link: model.evaluate(&budget),
+                    witnesses: witnesses(w, at, to),
+                });
             }
-            b.push(LossElement::FiberCoupling);
-            b.push(LossElement::Fiber {
-                length_m: f.link.length_m,
-            });
-            b.push(LossElement::FiberCoupling);
-            b.push(LossElement::Amplifier {
-                gain_db: FIBER_AMP_GAIN_DB,
-            });
-            wafer = f.other_end(wafer);
-            at = far;
+            if let Some(f) = fiber {
+                end_to_end.push(LossElement::FiberCoupling);
+                end_to_end.push(LossElement::Fiber {
+                    length_m: f.link.length_m,
+                });
+                end_to_end.push(LossElement::FiberCoupling);
+                end_to_end.push(LossElement::Amplifier {
+                    gain_db: FIBER_AMP_GAIN_DB,
+                });
+                at = f.oriented(wafer).1;
+                wafer = f.other_end(wafer);
+            }
         }
         debug_assert_eq!(wafer, dst.0);
-        if at != dst.1 {
-            b.extend(&self.wafer(wafer).path_loss_budget(&Path::xy(at, dst.1)));
-        }
-        b
+        Ok(CrossPlan {
+            link: model.evaluate(&end_to_end),
+            segments,
+        })
     }
 
     /// Establish a circuit between tiles on *different* wafers, routing
@@ -524,19 +556,17 @@ impl Fabric {
         lanes: usize,
     ) -> Result<(CrossCircuitId, SimDuration), CircuitError> {
         let fibers = self.cross_route(src.0, dst.0)?;
-        let (id, setup, _) = self.cross_commit(src, dst, lanes, fibers, CrossMode::Fresh)?;
-        Ok((id, setup))
+        let plan = self.plan_cross(src, dst, &fibers)?;
+        self.commit_cross(src, dst, lanes, fibers, &plan)
     }
 
     /// [`establish_cross`](Self::establish_cross) through a class-keyed
     /// plan cache. The fiber route is probed once and defines the
-    /// request's class; the first captured image of that class whose
-    /// witness loads hold on the route's wafers is stamped, with no link
-    /// budget evaluated. Otherwise the circuit is established fresh over
-    /// the same route and its image captured. Results, errors and every
-    /// byte of fabric state equal a plain establish: an error out of a
-    /// stamp is the one a fresh establish would raise, as the witnesses
-    /// pin the same paths.
+    /// request's class; the first held plan of that class whose witness
+    /// loads hold on the route's wafers is committed, with no link budget
+    /// evaluated. Otherwise the route is planned fresh, committed, and its
+    /// plan retained. Results, errors and every byte of fabric state equal
+    /// a plain establish: the witnesses pin every load a fresh plan reads.
     pub fn establish_cross_planned(
         &mut self,
         plans: &mut CrossPlans,
@@ -548,64 +578,53 @@ impl Fabric {
             plans.stats.misses += 1;
         })?;
         let (class, wafers) = self.cross_class(src, dst, &fibers);
-        if let Some(images) = plans.classes.get(&class) {
-            match images.iter().find(|p| self.witnesses_hold(&wafers, p)) {
+        if let Some(held) = plans.classes.get(&class) {
+            match held.iter().find(|p| self.witnesses_hold(&wafers, p)) {
                 Some(plan) => {
-                    let (id, setup, _) =
-                        self.cross_commit(src, dst, lanes, fibers, CrossMode::Stamp(plan))?;
+                    let done = self.commit_cross(src, dst, lanes, fibers, plan)?;
                     plans.stats.hits += 1;
-                    return Ok((id, setup));
+                    return Ok(done);
                 }
                 None => plans.stats.fallbacks += 1,
             }
         }
         plans.stats.misses += 1;
-        let mut segments = Vec::new();
-        let (id, setup, link) =
-            self.cross_commit(src, dst, lanes, fibers, CrossMode::Capture(&mut segments))?;
-        plans.retain(class, CrossPlan { link, segments });
-        Ok((id, setup))
+        let plan = self.plan_cross(src, dst, &fibers)?;
+        let done = self.commit_cross(src, dst, lanes, fibers, &plan)?;
+        plans.retain(class, plan);
+        Ok(done)
     }
 
-    /// Budget, build and record a cross circuit over the probed `fibers`.
-    fn cross_commit(
+    /// Build `plan` over the probed `fibers` and record the circuit: the
+    /// end-to-end check before anything is built, then the segments, all
+    /// rolled back on any failure. Debug builds check that `plan` equals a
+    /// fresh plan of the same route, bit for bit.
+    fn commit_cross(
         &mut self,
         src: (WaferId, TileCoord),
         dst: (WaferId, TileCoord),
         lanes: usize,
         fibers: Vec<usize>,
-        mut mode: CrossMode<'_>,
-    ) -> Result<(CrossCircuitId, SimDuration, LinkReport), CircuitError> {
+        plan: &CrossPlan,
+    ) -> Result<(CrossCircuitId, SimDuration), CircuitError> {
         let rate = self.wafer_at(src.0)?.config().wdm.rate;
-        // Budget check before any commitment. A stamp reuses the captured
-        // report: its class pins every fiber length and its witnesses every
-        // load the budget reads, so a fresh evaluation would reproduce it
-        // bit for bit (asserted in debug builds).
-        let link = if let CrossMode::Stamp(plan) = &mode {
-            debug_assert_eq!(
-                plan.link.to_bits(),
-                LinkModel::lightpath_default()
-                    .evaluate(&self.cross_budget(src, dst, &fibers))
-                    .to_bits(),
-                "stamped cross link report diverged from a fresh evaluation"
-            );
-            plan.link
-        } else {
-            LinkModel::lightpath_default().evaluate(&self.cross_budget(src, dst, &fibers))
-        };
-        if !link.closes() {
+        debug_assert_eq!(
+            self.plan_cross(src, dst, &fibers).as_ref(),
+            Ok(plan),
+            "a committed cross plan diverged from a fresh plan of its route"
+        );
+        if !plan.link.closes() {
             return Err(CircuitError::BudgetFailed {
-                margin_db: link.margin.0,
+                margin_db: plan.link.margin.0,
             });
         }
 
-        // Build segments wafer by wafer, rolling back on any failure.
         let mut build = CrossBuild {
             segments: Vec::new(),
             manual_src_claim: None,
             manual_dst_claim: None,
         };
-        if let Err(e) = self.cross_segments(src, dst, lanes, &fibers, &mut mode, &mut build) {
+        if let Err(e) = self.build_cross(src, dst, lanes, &fibers, plan, &mut build) {
             for (w, id) in build.segments.into_iter().rev() {
                 // Just-established segments cannot fail to tear down; keep
                 // the rollback panic-free regardless.
@@ -638,88 +657,85 @@ impl Fabric {
                 segments: build.segments,
                 lanes,
                 bandwidth: Gbps(rate.0 * lanes as f64),
-                link,
+                link: plan.link,
                 manual_src_claim: build.manual_src_claim,
                 manual_dst_claim: build.manual_dst_claim,
             },
         );
-        Ok((id, SimDuration::from_secs_f64(RECONFIG_LATENCY_S), link))
+        Ok((id, SimDuration::from_secs_f64(RECONFIG_LATENCY_S)))
     }
 
-    /// The segment-building pass of [`cross_commit`](Self::cross_commit):
-    /// establishes every intra-wafer hop (or performs the degenerate
-    /// attach-tile SerDes claims), recording handles and manual claims into
+    /// The building pass of [`commit_cross`](Self::commit_cross), in route
+    /// order: the source's SerDes claim when it sits on the attach tile
+    /// (the plan has no segment there), each planned segment on its planned
+    /// route with its planned report, and the destination's claim when it
+    /// sits on the attach tile. Handles and manual claims are recorded into
     /// `build` so the caller can roll back on failure.
-    fn cross_segments(
+    fn build_cross(
         &mut self,
         src: (WaferId, TileCoord),
         dst: (WaferId, TileCoord),
         lanes: usize,
         fibers: &[usize],
-        mode: &mut CrossMode<'_>,
+        plan: &CrossPlan,
         build: &mut CrossBuild,
     ) -> Result<(), CircuitError> {
-        let mut wafer = src.0;
-        let mut at = src.1;
-        for (hop, &fi) in fibers.iter().enumerate() {
-            let f = self.fibers.get(fi).ok_or(CircuitError::NoFiberLink)?;
-            let ((near, far), next) = (f.oriented(wafer), f.other_end(wafer));
-            let first = hop == 0;
-            if at != near {
-                let mut req = CircuitRequest::new(at, near, lanes);
-                req.claim_src_serdes = first;
-                req.claim_dst_serdes = false;
-                let id = self.establish_segment(wafer, hop, req, mode)?;
-                build.segments.push((wafer, id));
-            } else if first {
-                // Source sits on the attach tile: claim tx manually.
-                let tile = self.wafer_at(wafer)?.tile_mut(at);
-                if tile.is_failed() {
-                    return Err(CircuitError::TileFailed(at));
-                }
-                let avail = tile.serdes.tx_available();
-                let set = avail
-                    .take_lowest(lanes)
-                    .ok_or(CircuitError::InsufficientTxLanes {
-                        tile: at,
-                        free: avail.len(),
-                        requested: lanes,
-                    })?;
-                if tile.serdes.claim_tx(set).is_none() {
-                    return Err(CircuitError::InsufficientTxLanes {
-                        tile: at,
-                        free: tile.serdes.tx_available().len(),
-                        requested: lanes,
-                    });
-                }
-                build.manual_src_claim = Some(set);
-            }
-            wafer = next;
-            at = far;
-        }
-        // Final wafer: attach tile → destination.
-        if at != dst.1 {
-            let mut req = CircuitRequest::new(at, dst.1, lanes);
-            req.claim_src_serdes = false;
-            req.claim_dst_serdes = true;
-            let id = self.establish_segment(wafer, fibers.len(), req, mode)?;
-            build.segments.push((wafer, id));
-        } else {
-            let tile = self.wafer_at(wafer)?.tile_mut(at);
+        let last = fibers.len();
+        if plan.segments.first().is_none_or(|sp| sp.hop != 0) {
+            let tile = self.wafer_at(src.0)?.tile_mut(src.1);
             if tile.is_failed() {
-                return Err(CircuitError::TileFailed(at));
+                return Err(CircuitError::TileFailed(src.1));
+            }
+            let avail = tile.serdes.tx_available();
+            let set = avail
+                .take_lowest(lanes)
+                .ok_or(CircuitError::InsufficientTxLanes {
+                    tile: src.1,
+                    free: avail.len(),
+                    requested: lanes,
+                })?;
+            if tile.serdes.claim_tx(set).is_none() {
+                return Err(CircuitError::InsufficientTxLanes {
+                    tile: src.1,
+                    free: tile.serdes.tx_available().len(),
+                    requested: lanes,
+                });
+            }
+            build.manual_src_claim = Some(set);
+        }
+        let (mut wafer, mut hop) = (src.0, 0);
+        for sp in &plan.segments {
+            // Walk the route on to the segment's wafer.
+            for &fi in fibers.get(hop..sp.hop).unwrap_or_default() {
+                let f = self.fibers.get(fi).ok_or(CircuitError::NoFiberLink)?;
+                wafer = f.other_end(wafer);
+            }
+            hop = sp.hop;
+            let mut req = CircuitRequest::new(sp.path.src(), sp.path.dst(), lanes);
+            req.claim_src_serdes = hop == 0;
+            req.claim_dst_serdes = hop == last;
+            let w = self.wafer_at(wafer)?;
+            let id = w
+                .establish_prebudgeted(req.via(sp.path.clone()), sp.link)?
+                .id;
+            build.segments.push((wafer, id));
+        }
+        if plan.segments.last().is_none_or(|sp| sp.hop != last) {
+            let tile = self.wafer_at(dst.0)?.tile_mut(dst.1);
+            if tile.is_failed() {
+                return Err(CircuitError::TileFailed(dst.1));
             }
             let avail = tile.serdes.rx_available();
             let set = avail
                 .take_lowest(lanes)
                 .ok_or(CircuitError::InsufficientRxLanes {
-                    tile: at,
+                    tile: dst.1,
                     free: avail.len(),
                     requested: lanes,
                 })?;
             if tile.serdes.claim_rx(set).is_none() {
                 return Err(CircuitError::InsufficientRxLanes {
-                    tile: at,
+                    tile: dst.1,
                     free: tile.serdes.rx_available().len(),
                     requested: lanes,
                 });
@@ -727,50 +743,6 @@ impl Fabric {
             build.manual_dst_claim = Some(lanes);
         }
         Ok(())
-    }
-
-    /// One intra-wafer segment establish at route position `hop`, honouring
-    /// the mode: fresh routes search and budget from scratch, capture
-    /// additionally records the decision image, stamp replays it via the
-    /// prebudgeted fast path. The class pins which positions have a
-    /// segment and their endpoints, so a stamp finds an image at each;
-    /// were one missing, the segment would be established fresh —
-    /// identical behaviour, just slower.
-    fn establish_segment(
-        &mut self,
-        wafer: WaferId,
-        hop: usize,
-        req: CircuitRequest,
-        mode: &mut CrossMode<'_>,
-    ) -> Result<CircuitId, CircuitError> {
-        let (src, dst) = (req.src, req.dst);
-        let w = self.wafer_at(wafer)?;
-        match mode {
-            CrossMode::Fresh => Ok(w.establish(req)?.id),
-            CrossMode::Capture(segs) => {
-                let mut witnesses: Vec<(EdgeId, u32)> = Vec::new();
-                for e in Path::xy(src, dst).edges().chain(Path::yx(src, dst).edges()) {
-                    if !witnesses.iter().any(|&(seen, _)| seen == e) {
-                        witnesses.push((e, w.edge_used(e)));
-                    }
-                }
-                let id = w.establish(req)?.id;
-                let ckt = w.circuit(id).ok_or(CircuitError::UnknownCircuit(id))?;
-                segs.push(CrossSegmentPlan {
-                    hop,
-                    path: ckt.path.clone(),
-                    link: ckt.link,
-                    witnesses,
-                });
-                Ok(id)
-            }
-            CrossMode::Stamp(plan) => match plan.segments.iter().find(|sp| sp.hop == hop) {
-                Some(sp) => Ok(w
-                    .establish_prebudgeted(req.via(sp.path.clone()), sp.link)?
-                    .id),
-                None => Ok(w.establish(req)?.id),
-            },
-        }
     }
 
     /// Tear a cross-wafer circuit down.
@@ -918,6 +890,9 @@ impl Fabric {
 
     /// Apply a [`write_snap`](Self::write_snap) snapshot onto a freshly
     /// constructed fabric with the identical wafer configs and fiber plant.
+    /// Every cross-circuit segment must name a live circuit on its wafer,
+    /// and no circuit may be a segment of two cross circuits: the teardown
+    /// of such a circuit would fail, or release what another still holds.
     pub fn read_snap(&mut self, r: &mut desim::SnapReader<'_>) -> Result<(), String> {
         r.section("fabric")?;
         self.next_id = r.u64("next_id")?;
@@ -950,6 +925,8 @@ impl Fabric {
             f.used = used;
         }
         let cross = r.u64("cross")? as usize;
+        // Every (wafer, circuit) some cross circuit holds as a segment.
+        let mut held = BTreeSet::new();
         for _ in 0..cross {
             let id = CrossCircuitId(r.u64("id")?);
             let coord = |r: &mut desim::SnapReader<'_>,
@@ -982,10 +959,23 @@ impl Fabric {
             let mut segments = Vec::new();
             for _ in 0..nseg {
                 let wid = r.u64("seg_wafer")? as usize;
-                if wid >= self.wafers.len() {
+                let Some(wafer) = self.wafers.get(wid) else {
                     return Err(format!("fabric restore: segment wafer {wid} out of range"));
+                };
+                let ckt = CircuitId::from_raw(r.u64("seg_ckt")?);
+                if wafer.circuit(ckt).is_none() {
+                    return Err(format!(
+                        "fabric restore: cross circuit {} segment names {ckt} on wafer {wid}, \
+                         which is not live",
+                        id.0
+                    ));
                 }
-                segments.push((WaferId(wid), CircuitId::from_raw(r.u64("seg_ckt")?)));
+                if !held.insert((wid, ckt)) {
+                    return Err(format!(
+                        "fabric restore: {ckt} on wafer {wid} is a segment of two cross circuits"
+                    ));
+                }
+                segments.push((WaferId(wid), ckt));
             }
             let lanes = r.u64("lanes")? as usize;
             let bandwidth = Gbps(r.f64("bandwidth")?);
@@ -1037,6 +1027,19 @@ fn wafer_text(wafer: &Wafer) -> String {
     let mut w = desim::SnapWriter::new();
     wafer.write_snap(&mut w);
     w.finish()
+}
+
+/// `(edge, load)` once for every bus of the XY and the YX route from `a` to
+/// `b` on `wafer`: every load that [`Wafer::default_route`]'s choice and
+/// the budget of either route read.
+fn witnesses(wafer: &Wafer, a: TileCoord, b: TileCoord) -> Vec<(EdgeId, u32)> {
+    let mut seen: Vec<(EdgeId, u32)> = Vec::new();
+    for e in Path::xy(a, b).edges().chain(Path::yx(a, b).edges()) {
+        if !seen.iter().any(|&(s, _)| s == e) {
+            seen.push((e, wafer.edge_used(e)));
+        }
+    }
+    seen
 }
 
 #[cfg(test)]
@@ -1264,6 +1267,41 @@ mod tests {
         assert_eq!(g.wafer(WaferId(1)).tile(t(3, 5)).serdes.rx_free(), 16);
     }
 
+    /// A restored cross circuit's segments must be live circuits of their
+    /// wafers, each a segment of one cross circuit only.
+    #[test]
+    fn restore_refuses_segments_not_live_or_held_twice() {
+        let (mut f, _) = two_wafer_fabric();
+        for (a, b) in [(t(2, 1), t(3, 5)), (t(2, 2), t(3, 6))] {
+            f.establish_cross((WaferId(0), a), (WaferId(1), b), 1)
+                .expect("cross circuit");
+        }
+        let mut sw = desim::SnapWriter::new();
+        f.write_snap(&mut sw);
+        let text = sw.finish();
+        let restore = |text: &str| {
+            two_wafer_fabric()
+                .0
+                .read_snap(&mut desim::SnapReader::new(text))
+        };
+        assert_eq!(restore(&text), Ok(()));
+        // The second circuit's first segment, wafer 0's circuit 1, renamed
+        // to the first circuit's segment there, then to no circuit at all.
+        let line = "seg_ckt=1\n";
+        let at = text.find(line).expect("a segment");
+        let (head, tail) = (&text[..at], &text[at + line.len()..]);
+        for (ckt, want) in [
+            (0, "ckt#0 on wafer 0 is a segment of two cross circuits"),
+            (7, "segment names ckt#7 on wafer 0, which is not live"),
+        ] {
+            let forged = format!("{head}seg_ckt={ckt}\n{tail}");
+            match restore(&forged) {
+                Err(e) => assert!(e.contains(want), "{e}"),
+                Ok(()) => panic!("a forged segment {ckt} restored"),
+            }
+        }
+    }
+
     /// Serialize `f` fresh and through its cache; the bytes must agree.
     /// Returns the cached text and the ids of the wafers it re-serialized.
     fn cached_write(f: &mut Fabric) -> (String, Vec<usize>) {
@@ -1484,35 +1522,49 @@ mod oracle_tests {
         f64::from_bits(margin) >= 0.0
     }
 
-    /// The oracle margin bits of each segment of a cross circuit over
-    /// `fibers`, in route order, on the wafers as they are now. A segment
-    /// is a wafer circuit, so its budget is its own: its default route (XY,
-    /// or YX when an XY bus is full) with no amplifier gain.
-    fn segment_margins(
+    /// The oracle's reports for a cross circuit over `fibers`, on the wafers
+    /// as they are now: the end-to-end report, then each segment's own, in
+    /// route order. A segment is a wafer circuit on its default route (XY,
+    /// or YX when an XY bus is full), budgeted with no amplifier gain; the
+    /// end-to-end budget runs over those same routes, both fiber couplings,
+    /// the fiber and the gain of every hop.
+    fn oracle_reports(
         f: &Fabric,
         src: (WaferId, TileCoord),
         dst: (WaferId, TileCoord),
         fibers: &[usize],
-    ) -> Vec<u64> {
-        let mut hops = Vec::new();
+    ) -> ([u64; 5], Vec<[u64; 5]>) {
+        let mut end_to_end = LossBudget::new();
+        let mut segments = Vec::new();
+        let mut segment = |end_to_end: &mut LossBudget, w: WaferId, a: TileCoord, b: TileCoord| {
+            if a == b {
+                return;
+            }
+            let wafer = f.wafer(w);
+            let xy_full = Path::xy(a, b)
+                .edges()
+                .any(|e| wafer.edge_used(e) >= wafer.edge_capacity());
+            let budget = wafer.path_loss_budget(&route(a, b, !xy_full));
+            end_to_end.extend(&budget);
+            segments.push(oracle(budget));
+        };
         let (mut wafer, mut at) = src;
         for link in fibers.iter().filter_map(|&fi| f.fibers.get(fi)) {
             let (near, far) = link.oriented(wafer);
-            hops.push((wafer, at, near));
+            segment(&mut end_to_end, wafer, at, near);
+            end_to_end.push(LossElement::FiberCoupling);
+            end_to_end.push(LossElement::Fiber {
+                length_m: link.link.length_m,
+            });
+            end_to_end.push(LossElement::FiberCoupling);
+            end_to_end.push(LossElement::Amplifier {
+                gain_db: FIBER_AMP_GAIN_DB,
+            });
             wafer = link.other_end(wafer);
             at = far;
         }
-        hops.push((wafer, at, dst.1));
-        hops.into_iter()
-            .filter(|&(_, a, b)| a != b)
-            .map(|(w, a, b)| {
-                let wafer = f.wafer(w);
-                let xy_full = Path::xy(a, b)
-                    .edges()
-                    .any(|e| wafer.edge_used(e) >= wafer.edge_capacity());
-                oracle(wafer.path_loss_budget(&route(a, b, !xy_full)))[2]
-            })
-            .collect()
+        segment(&mut end_to_end, wafer, at, dst.1);
+        (oracle(end_to_end), segments)
     }
 
     /// A cross circuit whose end-to-end budget closes on the amplifier's
@@ -1537,12 +1589,12 @@ mod oracle_tests {
         let src = (WaferId(0), TileCoord::new(0, 0));
         let dst = (WaferId(1), TileCoord::new(0, 0));
         let fibers = f.fiber_route(src.0, dst.0, true).expect("a fiber route");
-        let end_to_end = oracle(f.cross_budget(src, dst, &fibers));
+        let (end_to_end, segments) = oracle_reports(&f, src, dst, &fibers);
         let wafer = f.wafer(WaferId(0));
         let segment = oracle(wafer.path_loss_budget(&Path::xy(src.1, TileCoord::new(0, 7))));
         assert!(closes(end_to_end[2]), "the end-to-end budget closes");
         assert!(!closes(segment[2]), "the segment's own budget does not");
-        assert_eq!(segment_margins(&f, src, dst, &fibers), vec![segment[2]]);
+        assert_eq!(segments, vec![segment]);
 
         let before = snap(&f);
         match f.establish_cross(src, dst, 1) {
@@ -1552,6 +1604,62 @@ mod oracle_tests {
             other => panic!("expected the segment's refusal, got {other:?}"),
         }
         assert_eq!(snap(&f), before, "a refused request commits nothing");
+    }
+
+    /// A segment whose XY bus is full is built on YX, and the circuit's
+    /// stored end-to-end report is budgeted over that YX route, not over
+    /// the XY route the light does not take.
+    #[test]
+    fn a_segment_built_on_yx_is_budgeted_on_yx() {
+        let cfg = WaferConfig {
+            waveguides_per_edge: 1,
+            crosstalk_per_cochannel_db: 1.0,
+            ..WaferConfig::default()
+        };
+        let mut f = Fabric::new(2, cfg);
+        let attach = TileCoord::new(0, 7);
+        f.attach_fiber(FiberLink {
+            a: (WaferId(0), attach),
+            b: (WaferId(1), TileCoord::new(0, 0)),
+            capacity: 1,
+            length_m: 2.0,
+        });
+        // Fills the (1,3)–(1,4) bus of the segment's XY route.
+        let req = CircuitRequest::new(TileCoord::new(1, 3), TileCoord::new(1, 4), 1);
+        assert!(f.wafer_mut(WaferId(0)).establish(req).is_ok());
+        let src = (WaferId(0), TileCoord::new(1, 0));
+        let dst = (WaferId(1), TileCoord::new(0, 0));
+        let fibers = f.fiber_route(src.0, dst.0, true).expect("a fiber route");
+        let (end_to_end, segments) = oracle_reports(&f, src, dst, &fibers);
+        let yx = Path::yx(src.1, attach);
+        let mut want = f.wafer(WaferId(0)).path_loss_budget(&yx);
+        assert_eq!(segments, vec![oracle(want.clone())]);
+        for e in [
+            LossElement::FiberCoupling,
+            LossElement::Fiber { length_m: 2.0 },
+            LossElement::FiberCoupling,
+            LossElement::Amplifier {
+                gain_db: FIBER_AMP_GAIN_DB,
+            },
+        ] {
+            want.push(e);
+        }
+        assert_eq!(end_to_end, oracle(want));
+
+        let (id, _) = f.establish_cross(src, dst, 1).expect("the circuit closes");
+        let ckt = f.cross_circuit(id).expect("a live circuit");
+        let [(w, seg)] = ckt.segments[..] else {
+            panic!("one segment, got {:?}", ckt.segments);
+        };
+        let built = f.wafer(w).circuit(seg).expect("a live segment");
+        assert_eq!(built.path, yx, "the segment runs YX");
+        assert_eq!(built.link.to_bits(), segments[0]);
+        assert_eq!(ckt.link.to_bits(), end_to_end);
+        // Taken before the build, as every wafer circuit's report is. The
+        // XY budget reads 16.311 dB (its full bus adds 1 dB of crosstalk);
+        // YX re-read after the build reads 9.757 dB, as the circuit itself
+        // then loads each of its 8 buses.
+        assert_eq!(format!("{:.3}", ckt.link.margin.0), "17.757");
     }
 
     fn config(fab_seed: u64, crosstalk_per_cochannel_db: f64) -> WaferConfig {
@@ -1715,6 +1823,7 @@ mod oracle_tests {
         fn cross_budgets_match_the_oracle(
             fab_seed in any::<u64>(),
             crosstalk in 0.0f64..2.0,
+            narrow in any::<bool>(),
             fiber_m in 0.5f64..50.0,
             requests in prop::collection::vec(
                 (0usize..3, 0u8..32, 0usize..3, 0u8..32, 1usize..=4),
@@ -1723,7 +1832,13 @@ mod oracle_tests {
         ) {
             // A triangle of wafers, so circuits take one or two fiber hops
             // as the direct bundles fill.
-            let mut f = Fabric::new(3, config(fab_seed, crosstalk));
+            // Half the cases give each bus 2 waveguides, so XY buses fill
+            // and segments fall back to YX.
+            let cfg = WaferConfig {
+                waveguides_per_edge: if narrow { 2 } else { WaferConfig::default().waveguides_per_edge },
+                ..config(fab_seed, crosstalk)
+            };
+            let mut f = Fabric::new(3, cfg);
             for (a, b) in [((0, 7), (0, 0)), ((3, 7), (3, 0))] {
                 for (wa, wb) in [(0, 1), (1, 2)] {
                     f.attach_fiber(FiberLink {
@@ -1751,14 +1866,14 @@ mod oracle_tests {
                     continue;
                 }
                 let (src, dst) = ((WaferId(wa), tile(a)), (WaferId(wb), tile(b)));
-                let fibers = f.fiber_route(src.0, dst.0, true);
-                let want = fibers
-                    .as_ref()
-                    .map(|fibers| oracle(f.cross_budget(src, dst, fibers)));
-                let segments = fibers
-                    .as_ref()
-                    .map(|fibers| segment_margins(&f, src, dst, fibers))
-                    .unwrap_or_default();
+                let reports = f
+                    .fiber_route(src.0, dst.0, true)
+                    .map(|fibers| oracle_reports(&f, src, dst, &fibers));
+                let want = reports.as_ref().map(|(end_to_end, _)| *end_to_end);
+                let segments: Vec<u64> = reports
+                    .iter()
+                    .flat_map(|(_, segments)| segments.iter().map(|r| r[2]))
+                    .collect();
                 match f.establish_cross_planned(&mut plans, src, dst, lanes) {
                     Ok((id, _)) => {
                         let stored = f.cross_circuit(id).map(|c| c.link.to_bits());

@@ -247,8 +247,10 @@ impl Wafer {
     }
 
     /// Choose the default route for a request: XY, falling back to YX when
-    /// any XY edge is exhausted.
-    fn default_route(&self, src: TileCoord, dst: TileCoord) -> Path {
+    /// any XY edge is exhausted. The one place that choice is made, for a
+    /// wafer circuit without an explicit route and for every segment of a
+    /// cross-wafer plan.
+    pub(crate) fn default_route(&self, src: TileCoord, dst: TileCoord) -> Path {
         let xy = Path::xy(src, dst);
         let xy_fits = xy
             .edges()

@@ -49,8 +49,8 @@ pub use journal::{
 };
 pub use metrics::{Metrics, RouteTelemetry};
 pub use plan::{
-    program, program_counted, program_planned, program_with, ring_plan, CircuitPlan,
-    CrossPlanStats, PlanEngine, ProgramFailure,
+    program_planned, program_with, ring_plan, CircuitPlan, CrossPlanStats, PlanEngine,
+    ProgramFailure,
 };
 pub use report::{bench_config, run_ctrl_bench, CtrlBenchReport};
 pub use snapshot::FabricSnapshot;

@@ -6,13 +6,17 @@
 //! intra-wafer demands, grouped per wafer and executed through
 //! [`route::allocate_non_overlapping`] — the atomic, mutually
 //! edge-disjoint batch primitive. Hops crossing servers become cross-wafer
-//! circuits over the fiber plant. [`program`] commits the whole plan
-//! atomically: any establishment error rolls back everything this plan
-//! placed, so admission control sees exact all-or-nothing semantics.
+//! circuits over the fiber plant. [`program_with`] and [`program_planned`]
+//! commit the whole plan atomically: any establishment error rolls back
+//! everything this plan placed, so admission control sees exact
+//! all-or-nothing semantics.
 
 use collectives::snake_order;
 pub use lightpath::CrossPlanStats;
-use lightpath::{CrossPlans, CtrlFault, Fabric, FabricCircuit, FabricError};
+use lightpath::{
+    CircuitError, CircuitId, CrossCircuitId, CrossPlans, CtrlFault, Fabric, FabricCircuit,
+    FabricError, TileCoord, WaferId,
+};
 use resilience::chip_to_tile;
 use route::{allocate_non_overlapping_with, Demand, PlanLibrary, PlanStats, Searcher, StampAudit};
 use std::collections::BTreeMap;
@@ -23,13 +27,9 @@ use topo::{Cluster, Slice};
 pub struct CircuitPlan {
     /// Intra-wafer demands, grouped per wafer in wafer-id order. Each
     /// group is established as one atomic edge-disjoint batch.
-    pub batches: Vec<(lightpath::WaferId, Vec<Demand>)>,
+    pub batches: Vec<(WaferId, Vec<Demand>)>,
     /// Cross-wafer hops `(src, dst, lanes)`, in ring order.
-    pub cross: Vec<(
-        (lightpath::WaferId, lightpath::TileCoord),
-        (lightpath::WaferId, lightpath::TileCoord),
-        usize,
-    )>,
+    pub cross: Vec<CrossHop>,
 }
 
 impl CircuitPlan {
@@ -115,7 +115,7 @@ pub struct ProgramFailure {
 /// needs no circuits and yields an empty plan.
 pub fn ring_plan(cluster: &Cluster, slice: &Slice, lanes: usize) -> CircuitPlan {
     let order = snake_order(slice);
-    let mut batches: BTreeMap<lightpath::WaferId, Vec<Demand>> = BTreeMap::new();
+    let mut batches: BTreeMap<WaferId, Vec<Demand>> = BTreeMap::new();
     let mut cross = Vec::new();
     if order.len() >= 2 {
         // Every chip to its snake-order successor, then the last back to
@@ -140,79 +140,68 @@ pub fn ring_plan(cluster: &Cluster, slice: &Slice, lanes: usize) -> CircuitPlan 
     }
 }
 
-/// Execute a plan atomically: per-wafer edge-disjoint batches first, then
-/// cross-wafer circuits in ring order. On any error every circuit this call
-/// established is torn down (in reverse) before the error is returned.
-pub fn program(fabric: &mut Fabric, plan: &CircuitPlan) -> Result<Vec<FabricCircuit>, FabricError> {
-    program_with(fabric, plan, &mut Searcher::new())
-}
-
-/// [`program`] with a caller-provided routing scratch: the daemon holds one
-/// [`Searcher`] across every plan it commits, so steady-state programming
-/// allocates nothing per search.
+/// Execute a plan atomically with a caller-provided routing scratch: the
+/// daemon holds one [`Searcher`] across every plan it commits, so
+/// steady-state programming allocates nothing per search. Per-wafer
+/// edge-disjoint batches go first, then cross-wafer circuits in ring order;
+/// on any error every circuit this call established is torn down (in
+/// reverse) before the error is returned.
 pub fn program_with(
     fabric: &mut Fabric,
     plan: &CircuitPlan,
     searcher: &mut Searcher,
 ) -> Result<Vec<FabricCircuit>, FabricError> {
-    program_counted(fabric, plan, searcher).map_err(|f| f.error)
+    commit(
+        fabric,
+        plan,
+        |fabric, w, demands| allocate_non_overlapping_with(fabric.wafer_mut(w), demands, searcher),
+        |fabric, (src, dst, lanes)| Ok(fabric.establish_cross(src, dst, lanes)?.0),
+    )
+    .map_err(|f| f.error)
 }
 
-/// [`program_with`], but a failure also reports how many circuits were
-/// placed and rolled back before the faulting step — the admission path
-/// journals that count in its `Rollback` record.
-pub fn program_counted(
-    fabric: &mut Fabric,
-    plan: &CircuitPlan,
-    searcher: &mut Searcher,
-) -> Result<Vec<FabricCircuit>, ProgramFailure> {
-    let mut handles: Vec<FabricCircuit> = Vec::new();
-    let rollback = |fabric: &mut Fabric, handles: Vec<FabricCircuit>| -> usize {
-        let n = handles.len();
-        for h in handles.into_iter().rev() {
-            let _ = fabric.teardown_handle(h);
-        }
-        n
-    };
-    for (w, demands) in &plan.batches {
-        match allocate_non_overlapping_with(fabric.wafer_mut(*w), demands, searcher) {
-            Ok(ids) => handles.extend(ids.into_iter().map(|id| FabricCircuit::Wafer(*w, id))),
-            Err(e) => {
-                let rolled_back = rollback(fabric, handles);
-                return Err(ProgramFailure {
-                    error: FabricError::caused_by(CtrlFault::ProgramBatch { wafer: w.0 }, e),
-                    rolled_back,
-                });
-            }
-        }
-    }
-    for (i, &(src, dst, lanes)) in plan.cross.iter().enumerate() {
-        match fabric.establish_cross(src, dst, lanes) {
-            Ok((id, _)) => handles.push(FabricCircuit::Cross(id)),
-            Err(e) => {
-                let rolled_back = rollback(fabric, handles);
-                return Err(ProgramFailure {
-                    error: FabricError::caused_by(CtrlFault::ProgramCross { index: i }, e.into()),
-                    rolled_back,
-                });
-            }
-        }
-    }
-    Ok(handles)
-}
-
-/// [`program_counted`] through a [`PlanEngine`]: per-wafer batches are
+/// [`program_with`] through a [`PlanEngine`]: per-wafer batches are
 /// admitted via the plan library (translate + collision-check + stamp,
 /// falling back to fresh A* on contract mismatch or cache miss) and
-/// cross-wafer hops via the cross-plan cache. Results, errors, rollback
-/// behaviour, and every byte of fabric state are identical to
-/// [`program_counted`] — the engine only removes redundant search and
+/// cross-wafer hops via the cross-plan cache. A failure also reports how
+/// many circuits were placed and rolled back before the faulting step — the
+/// admission path journals that count in its `Rollback` record. Results,
+/// errors, rollback behaviour, and every byte of fabric state are identical
+/// to [`program_with`] — the engine only removes redundant search and
 /// link-budget work.
 pub fn program_planned(
     fabric: &mut Fabric,
     plan: &CircuitPlan,
     engine: &mut PlanEngine,
 ) -> Result<Vec<FabricCircuit>, ProgramFailure> {
+    commit(
+        fabric,
+        plan,
+        |fabric, w, demands| {
+            engine
+                .library
+                .stamp_or_route(fabric.wafer_mut(w), demands, &mut engine.searcher)
+        },
+        |fabric, (src, dst, lanes)| {
+            Ok(fabric
+                .establish_cross_planned(&mut engine.cross, src, dst, lanes)?
+                .0)
+        },
+    )
+}
+
+/// One cross-wafer hop of a [`CircuitPlan`]: source, destination, lanes.
+type CrossHop = ((WaferId, TileCoord), (WaferId, TileCoord), usize);
+
+/// The one commit loop of [`program_with`] and [`program_planned`], which
+/// differ only in how `batch` establishes one wafer's demands and `cross`
+/// one cross-wafer hop.
+fn commit(
+    fabric: &mut Fabric,
+    plan: &CircuitPlan,
+    mut batch: impl FnMut(&mut Fabric, WaferId, &[Demand]) -> Result<Vec<CircuitId>, FabricError>,
+    mut cross: impl FnMut(&mut Fabric, CrossHop) -> Result<CrossCircuitId, CircuitError>,
+) -> Result<Vec<FabricCircuit>, ProgramFailure> {
     let mut handles: Vec<FabricCircuit> = Vec::new();
     let rollback = |fabric: &mut Fabric, handles: Vec<FabricCircuit>| -> usize {
         let n = handles.len();
@@ -222,10 +211,7 @@ pub fn program_planned(
         n
     };
     for (w, demands) in &plan.batches {
-        match engine
-            .library
-            .stamp_or_route(fabric.wafer_mut(*w), demands, &mut engine.searcher)
-        {
+        match batch(fabric, *w, demands) {
             Ok(ids) => handles.extend(ids.into_iter().map(|id| FabricCircuit::Wafer(*w, id))),
             Err(e) => {
                 let rolled_back = rollback(fabric, handles);
@@ -236,9 +222,9 @@ pub fn program_planned(
             }
         }
     }
-    for (i, &(src, dst, lanes)) in plan.cross.iter().enumerate() {
-        match fabric.establish_cross_planned(&mut engine.cross, src, dst, lanes) {
-            Ok((id, _)) => handles.push(FabricCircuit::Cross(id)),
+    for (i, &hop) in plan.cross.iter().enumerate() {
+        match cross(fabric, hop) {
+            Ok(id) => handles.push(FabricCircuit::Cross(id)),
             Err(e) => {
                 let rolled_back = rollback(fabric, handles);
                 return Err(ProgramFailure {
@@ -284,7 +270,7 @@ mod tests {
         // every tx and rx lane on both of its tiles.
         let blocker = Slice::new(1, Coord3::new(2, 0, 0), Shape3::new(2, 1, 1));
         let plan_blocker = ring_plan(&rack.cluster, &blocker, 16);
-        assert!(program(&mut rack.fabric, &plan_blocker).is_ok());
+        assert!(program_with(&mut rack.fabric, &plan_blocker, &mut Searcher::new()).is_ok());
         let count = |rack: &PhotonicRack| -> Vec<usize> {
             (0..rack.fabric.wafer_count())
                 .map(|w| rack.fabric.wafer(lightpath::WaferId(w)).circuits().count())
@@ -298,7 +284,7 @@ mod tests {
         let wide = Slice::new(2, Coord3::new(0, 0, 0), Shape3::new(4, 2, 1));
         let plan_wide = ring_plan(&rack.cluster, &wide, 16);
         assert!(plan_wide.batches.len() > 1, "spans both wafers");
-        assert!(program(&mut rack.fabric, &plan_wide).is_err());
+        assert!(program_with(&mut rack.fabric, &plan_wide, &mut Searcher::new()).is_err());
         assert_eq!(
             count(&rack),
             before,
@@ -367,7 +353,7 @@ mod tests {
         let slice = Slice::new(1, Coord3::new(0, 0, 0), Shape3::new(2, 2, 1));
         let plan = ring_plan(&rack.cluster, &slice, 2);
         assert_eq!(plan.circuits(), 4);
-        match program(&mut rack.fabric, &plan) {
+        match program_with(&mut rack.fabric, &plan, &mut Searcher::new()) {
             Ok(handles) => assert_eq!(handles.len(), 4),
             Err(e) => panic!("programming a lone 2x2x1 ring failed: {e}"),
         }

@@ -476,16 +476,29 @@ impl FabricState {
             let nh = r.u64("handles")? as usize;
             let mut handles = Vec::new();
             for _ in 0..nh {
-                match r.u64("kind")? {
-                    0 => handles.push(FabricCircuit::Wafer(
+                let handle = match r.u64("kind")? {
+                    0 => FabricCircuit::Wafer(
                         WaferId(r.u64("wafer")? as usize),
                         lightpath::CircuitId::from_raw(r.u64("ckt")?),
-                    )),
-                    1 => handles.push(FabricCircuit::Cross(lightpath::CrossCircuitId::from_raw(
-                        r.u64("cross")?,
-                    ))),
+                    ),
+                    1 => FabricCircuit::Cross(lightpath::CrossCircuitId::from_raw(r.u64("cross")?)),
                     k => return Err(format!("state restore: bad handle kind {k}")),
+                };
+                // A tenant tears its handles down on departure, so each must
+                // name a circuit the restored fabric holds.
+                let fabric = &st.rack.fabric;
+                let live = match handle {
+                    FabricCircuit::Wafer(w, id) => {
+                        w.0 < fabric.wafer_count() && fabric.wafer(w).circuit(id).is_some()
+                    }
+                    FabricCircuit::Cross(id) => fabric.cross_circuit(id).is_some(),
+                };
+                if !live {
+                    return Err(format!(
+                        "state restore: job {job} holds {handle:?}, which is not live"
+                    ));
                 }
+                handles.push(handle);
             }
             let ns = r.u64("spares")? as usize;
             let mut spares = Vec::new();

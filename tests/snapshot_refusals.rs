@@ -230,6 +230,69 @@ const CROSS_CASES: [(&str, Edit, &str); 2] = [
     ),
 ];
 
+/// A capture's state text with `edit` applied and its state fingerprint
+/// recomputed, re-sealed by `to_text`: the seal and the fingerprint both
+/// hold, so only restore's own checks of what the state names can refuse
+/// it.
+fn forge(text: &str, edit: Forge) -> String {
+    let mut snap = CtrlSnapshot::parse(text).expect("the unedited artifact parses");
+    let state = edit(&snap.fabric.state);
+    assert_ne!(state, snap.fabric.state, "the edit must change the state");
+    snap.fabric.fingerprint = desim::snap::fingerprint(&state);
+    snap.fabric.state = state;
+    snap.to_text()
+}
+
+/// `state` with line `at` replaced by `line`.
+fn replace_line(state: &str, at: usize, line: &str) -> String {
+    let mut lines: Vec<&str> = state.lines().collect();
+    lines[at] = line;
+    let mut out = lines.join("\n");
+    if state.ends_with('\n') {
+        out.push('\n');
+    }
+    out
+}
+
+/// The first tenant's first intra-wafer circuit handle, moved to wafer
+/// 999, which the fabric does not have. Resumed, the tenant's departure
+/// would tear down a circuit on a wafer that does not exist.
+fn handle_off_the_fabric(state: &str) -> String {
+    let lines: Vec<&str> = state.lines().collect();
+    let kind = (find(&lines, 0, "handles")..lines.len())
+        .find(|&i| lines[i] == "kind=0")
+        .expect("a tenant holds an intra-wafer circuit");
+    assert!(value(lines[kind + 1], "wafer").is_some());
+    replace_line(state, kind + 1, "wafer=999")
+}
+
+/// The first cross-wafer circuit's first segment, renamed to circuit
+/// 999999, which its wafer does not hold. Resumed, that cross circuit's
+/// teardown would fail after removing it, leaving its other segments,
+/// SerDes claims and fiber held.
+fn segment_not_live(state: &str) -> String {
+    let lines: Vec<&str> = state.lines().collect();
+    let seg = find(&lines, 0, "seg_ckt");
+    replace_line(state, seg, "seg_ckt=999999")
+}
+
+type Forge = fn(&str) -> String;
+
+/// Forged references to circuits that do not exist, made on the first
+/// bench-campaign capture that holds a cross-wafer circuit.
+const FORGED_CASES: [(&str, Forge, &str); 2] = [
+    (
+        "tenant handle on wafer 999",
+        handle_off_the_fabric,
+        "holds Wafer(WaferId(999)",
+    ),
+    (
+        "segment circuit 999999",
+        segment_not_live,
+        "segment names ckt#999999",
+    ),
+];
+
 /// The first fabric capture's instant, 1 ps late: the ctrl capture, or
 /// group 0's in a pod snapshot.
 fn at_ps_plus_one(lines: &[&str]) -> Vec<String> {
@@ -324,6 +387,29 @@ fn ctrl_resume_refuses_cross_endpoints_off_the_fabric() {
         .find(|t| t.contains("\\nsrc_wafer\\e"))
         .expect("a capture holds a cross-wafer circuit");
     assert_ctrl_refusals(text, &opts, &CROSS_CASES);
+}
+
+/// A capture whose state names a circuit no wafer holds, with its seal and
+/// state fingerprint recomputed, is refused by name, never resumed.
+#[test]
+fn ctrl_resume_refuses_references_to_circuits_that_are_not_live() {
+    let (texts, opts) = ctrl_snapshots();
+    let text = texts
+        .iter()
+        .find(|t| t.contains("\\nseg_ckt\\e"))
+        .expect("a capture holds a cross-wafer circuit with a segment");
+    let clean = CtrlSnapshot::parse(text).and_then(|s| resume_campaign(&s, &opts));
+    assert!(clean.is_ok(), "the unedited artifact resumes");
+    for (name, edit, want) in FORGED_CASES {
+        let forged = forge(text, edit);
+        match CtrlSnapshot::parse(&forged).and_then(|s| resume_campaign(&s, &opts)) {
+            Ok(_) => panic!("{name}: a forged ctrl snapshot resumed"),
+            Err(e) => {
+                assert!(e.contains(want), "{name}: unexpected refusal {e:?}");
+                assert!(e.contains("which is not live"), "{name}: {e:?}");
+            }
+        }
+    }
 }
 
 /// A mid-run capture of `spsim pod --chips 512 --jobs 96 --failures 2
