@@ -1018,6 +1018,22 @@ impl Fabric {
                 return Err(format!("fabric restore: duplicate cross circuit {}", id.0));
             }
         }
+        // A cross circuit holds one fiber of each bundle it crosses, so the
+        // usage follows from the cross circuits.
+        let mut usage = vec![0u32; self.fibers.len()];
+        for fi in self.cross.values().flat_map(|c| &c.fibers) {
+            if let Some(n) = usage.get_mut(*fi) {
+                *n += 1;
+            }
+        }
+        for (i, (f, want)) in self.fibers.iter().zip(usage).enumerate() {
+            if f.used != want {
+                return Err(format!(
+                    "fabric restore: fiber link {i} reads used={}, but its cross circuits hold {want}",
+                    f.used
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -1045,6 +1061,7 @@ fn witnesses(wafer: &Wafer, a: TileCoord, b: TileCoord) -> Vec<(EdgeId, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geom::Dir;
 
     fn t(r: u8, c: u8) -> TileCoord {
         TileCoord::new(r, c)
@@ -1379,10 +1396,9 @@ mod tests {
         let edges: Vec<EdgeId> = first
             .coords()
             .flat_map(|a| {
-                [(0, 1), (1, 0)]
+                [Dir::East, Dir::South]
                     .into_iter()
-                    .filter_map(move |(dr, dc)| a.offset(dr, dc))
-                    .filter(|b| b.row < 4 && b.col < 8)
+                    .filter_map(move |d| a.step(d, 4, 8))
                     .map(move |b| EdgeId::between(a, b))
             })
             .collect();

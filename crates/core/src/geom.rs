@@ -44,19 +44,6 @@ impl TileCoord {
         self.row.abs_diff(other.row) as u32 + self.col.abs_diff(other.col) as u32
     }
 
-    /// This coordinate shifted by `(dr, dc)`, or `None` when the result
-    /// leaves the `u8` coordinate space. Relocatable plan templates store
-    /// their footprint at a canonical origin and translate with this.
-    pub fn offset(self, dr: i16, dc: i16) -> Option<TileCoord> {
-        let nr = self.row as i16 + dr;
-        let nc = self.col as i16 + dc;
-        if (0..=u8::MAX as i16).contains(&nr) && (0..=u8::MAX as i16).contains(&nc) {
-            Some(TileCoord::new(nr as u8, nc as u8))
-        } else {
-            None
-        }
-    }
-
     /// Direction of travel to an adjacent coordinate.
     ///
     /// Panics if `to` is not a 4-neighbour of `self`.
@@ -430,17 +417,6 @@ impl Path {
         let mine: Vec<EdgeId> = self.edges().collect();
         !other.edges().any(|e| mine.contains(&e))
     }
-
-    /// The path rigidly shifted by `(dr, dc)`, or `None` when any tile
-    /// would leave the `u8` coordinate space. Adjacency and simplicity are
-    /// translation-invariant, so the result needs no re-validation.
-    pub fn translated(&self, dr: i16, dc: i16) -> Option<Path> {
-        let mut tiles = Vec::with_capacity(self.tiles.len());
-        for t in &self.tiles {
-            tiles.push(t.offset(dr, dc)?);
-        }
-        Some(Path { tiles })
-    }
 }
 
 impl fmt::Display for Path {
@@ -658,27 +634,5 @@ mod tests {
         b.insert(129);
         assert!(a.intersects(&b), "shared bit in the last word detected");
         assert!(b.intersects(&a), "intersection is symmetric");
-    }
-
-    #[test]
-    fn tile_offset_translates_and_bounds_checks() {
-        let t = TileCoord::new(2, 3);
-        assert_eq!(t.offset(1, -2), Some(TileCoord::new(3, 1)));
-        assert_eq!(t.offset(0, 0), Some(t));
-        assert_eq!(t.offset(-3, 0), None, "negative row leaves u8 space");
-        assert_eq!(TileCoord::new(255, 0).offset(1, 0), None, "row overflow");
-        assert_eq!(TileCoord::new(0, 255).offset(0, 1), None, "col overflow");
-    }
-
-    #[test]
-    fn path_translation_is_rigid_and_bounds_checked() {
-        let p = Path::xy(TileCoord::new(1, 1), TileCoord::new(2, 3));
-        let q = p.translated(1, 2).expect("in-bounds translation");
-        assert_eq!(q.src(), TileCoord::new(2, 3));
-        assert_eq!(q.dst(), TileCoord::new(3, 5));
-        assert_eq!(q.hops(), p.hops(), "rigid translation preserves shape");
-        // Round trip restores the original path byte for byte.
-        assert_eq!(q.translated(-1, -2), Some(p.clone()));
-        assert_eq!(p.translated(-2, 0), None, "any out-of-range tile refuses");
     }
 }

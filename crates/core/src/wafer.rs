@@ -28,7 +28,7 @@ use phy::wdm::LambdaSet;
 
 use crate::circuit::{Circuit, CircuitError, CircuitId, CircuitRequest};
 use crate::config::WaferConfig;
-use crate::geom::{EdgeId, EdgeIndex, Path, TileCoord};
+use crate::geom::{Dir, EdgeId, EdgeIndex, Path, TileCoord};
 use crate::tile::Tile;
 
 /// Result of establishing a circuit.
@@ -618,6 +618,37 @@ impl Wafer {
                 .is_some()
             {
                 return Err(format!("wafer restore: duplicate circuit {id}"));
+            }
+        }
+        // A circuit holds one waveguide on each bus it crosses, so the bus
+        // loads follow from the circuits: a load that disagrees would
+        // underflow at a teardown or admit a circuit onto a full bus.
+        let mut load = vec![0u32; self.edge_used.len()];
+        for c in self.circuits.values() {
+            for e in c.path.edges() {
+                let Some(n) = self.edge_index.try_index(e).and_then(|i| load.get_mut(i)) else {
+                    return Err(format!(
+                        "wafer restore: {} crosses {e}, which is off the wafer",
+                        c.id
+                    ));
+                };
+                *n += 1;
+            }
+        }
+        let (rows, cols) = (self.cfg.rows, self.cfg.cols);
+        for a in self.coords() {
+            for b in [Dir::East, Dir::South]
+                .into_iter()
+                .filter_map(|d| a.step(d, rows, cols))
+            {
+                let e = EdgeId::between(a, b);
+                let used = self.edge_used(e);
+                let want = load.get(self.edge_index.index(e)).copied().unwrap_or(0);
+                if used != want {
+                    return Err(format!(
+                        "wafer restore: bus {e} reads used={used}, but its circuits load it {want}"
+                    ));
+                }
             }
         }
         Ok(())

@@ -42,7 +42,7 @@ impl CircuitPlan {
 /// The routing scratch and plan caches a control plane holds across every
 /// plan it commits: one reusable A* [`Searcher`] (so retried and replayed
 /// programs never allocate a fresh scratch per call), the intra-wafer
-/// [`PlanLibrary`] of relocatable batch templates, and the class-keyed
+/// [`PlanLibrary`] of captured batches, and the class-keyed
 /// [`CrossPlans`] of relocatable cross-wafer plans. All caches are pure
 /// accelerators: a warm and a cold engine produce byte-identical fabric
 /// state, which is why none of this is journaled, snapshotted, or
@@ -161,8 +161,8 @@ pub fn program_with(
 }
 
 /// [`program_with`] through a [`PlanEngine`]: per-wafer batches are
-/// admitted via the plan library (translate + collision-check + stamp,
-/// falling back to fresh A* on contract mismatch or cache miss) and
+/// admitted via the plan library (collision-check + stamp, falling back
+/// to fresh A* on an occupied clearance or a cache miss) and
 /// cross-wafer hops via the cross-plan cache. A failure also reports how
 /// many circuits were placed and rolled back before the faulting step — the
 /// admission path journals that count in its `Rollback` record. Results,

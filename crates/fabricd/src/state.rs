@@ -116,8 +116,8 @@ pub struct FabricState {
     journal: Journal,
     /// Routing scratch and plan caches shared by every plan this daemon
     /// programs — one A* searcher per campaign (retries and replays never
-    /// allocate a fresh scratch) plus the relocatable plan library and
-    /// cross-plan cache. Pure accelerator: excluded from snapshots and
+    /// allocate a fresh scratch) plus the plan library and cross-plan
+    /// cache. Pure accelerator: excluded from snapshots and
     /// fingerprints because a cold engine reproduces identical bytes.
     plans: PlanEngine,
     /// Replay bookkeeping: a `Reject` record awaiting its paired
@@ -464,6 +464,15 @@ impl FabricState {
 
         r.section("jobs")?;
         let jobs = r.u64("count")? as usize;
+        // Every circuit a cross circuit or a tenant already holds: a second
+        // holder would tear it down twice, or leave it held by no one.
+        let mut held: BTreeSet<FabricCircuit> = st
+            .rack
+            .fabric
+            .cross_circuits()
+            .flat_map(|c| &c.segments)
+            .map(|&(w, id)| FabricCircuit::Wafer(w, id))
+            .collect();
         for _ in 0..jobs {
             let job = u32::try_from(r.u64("job")?)
                 .map_err(|_| "state restore: job id exceeds u32".to_string())?;
@@ -496,6 +505,11 @@ impl FabricState {
                 if !live {
                     return Err(format!(
                         "state restore: job {job} holds {handle:?}, which is not live"
+                    ));
+                }
+                if !held.insert(handle) {
+                    return Err(format!(
+                        "state restore: job {job} holds {handle:?}, which is already held"
                     ));
                 }
                 handles.push(handle);

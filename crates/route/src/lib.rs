@@ -14,9 +14,9 @@
 //!   with hundreds of accelerators").
 //! * [`moe`] — dynamic circuit scheduling for Mixture-of-Experts inference
 //!   with a warm-circuit LRU bounded by SerDes lanes.
-//! * [`planlib`] — precompiled, relocatable circuit-plan templates with
-//!   boundary-edge contracts: admission by translate + collision-check +
-//!   stamp instead of per-path A*.
+//! * [`planlib`] — pre-routed circuit batches, one per batch and origin,
+//!   with boundary-edge contracts: admission by collision-check + stamp
+//!   instead of per-path A*.
 //! * [`fault`] — fiber-frugal planning of cross-wafer repair circuits.
 //! * [`protected`] — 1+1 protection: working + edge-disjoint backup
 //!   circuits with a single-reconfiguration failover.

@@ -1,17 +1,24 @@
-//! Pre-routed relocatable circuit-plan library: admission by stamp, not by
-//! search.
+//! Pre-routed circuit-plan library: admission by stamp, not by search.
 //!
 //! Slices of the same (shape × collective mode × wavelength set) produce
-//! structurally identical circuit plans, yet every admission used to route
-//! each one from scratch. Borrowing the pre-routed-FPGA-core idea (modules
+//! identical circuit batches, yet every admission used to route each one
+//! from scratch. Borrowing the pre-routed-FPGA-core idea (modules
 //! precompiled against tightly constrained boundary-wire contracts), this
-//! module caches each batch's routed form as a **relocatable template**:
-//! the per-demand paths in translation-invariant local coordinates plus an
-//! explicit boundary-edge contract (which border waveguides the plan
-//! claims, at what fabricated stitch loss). Admission then becomes
-//! *translate + occupancy collision-check (one bitset AND over the dense
-//! [`EdgeSet`]) + stamp*, falling back to fresh A* only on contract
-//! mismatch or cache miss.
+//! module captures each batch's routed form once, at the origin it was
+//! routed at: the per-demand paths, their link reports, and an explicit
+//! boundary-edge contract (which border waveguides the plan claims, at
+//! what fabricated stitch loss). Admission then becomes *occupancy
+//! collision-check (one bitset AND over the dense [`EdgeSet`]) + stamp*,
+//! falling back to fresh A* when the check fails or the batch has not been
+//! captured yet.
+//!
+//! The key names no wafer, only its config signature, so a batch captured
+//! on one server's wafer stamps on every same-config wafer of the rack. A
+//! batch is never moved to another origin of the same wafer. A* clips
+//! off-grid neighbours, so a moved batch replays the search step for step
+//! only where every demand touches the same grid borders; on the 2×2
+//! server wafer every in-grid move changes some demand's border contact,
+//! so a batch at a new origin routes fresh and is captured there.
 //!
 //! ## Why a stamp is byte-identical to fresh routing
 //!
@@ -26,14 +33,10 @@
 //! * every cached path is *minimal* (hops == Manhattan distance), which
 //!   certifies the capturing search never popped a node outside those
 //!   rectangles — so the search is a pure function of the clearance, and a
-//!   fresh run now would reproduce it step-for-step; and
-//! * a template is only *relocated* to an origin whose per-demand
-//!   grid-boundary flush pattern matches the capture origin, so the
-//!   off-grid neighbour clipping inside A* is congruent under translation.
+//!   fresh run now would reproduce it step-for-step.
 //!
-//! Link reports are captured per origin (reticle stitch losses are
-//! absolute-position-dependent) under the same guard, so the crosstalk
-//! terms the budget reads are zero at capture and at stamp alike;
+//! Link reports are captured under the same guard, so the crosstalk terms
+//! the budget reads are zero at capture and at stamp alike;
 //! [`Wafer::establish_prebudgeted`] re-asserts the bit-equality in debug
 //! builds. Anything the guard cannot certify routes fresh — slower, never
 //! different.
@@ -50,28 +53,28 @@ use lightpath::{
     Wafer, WaferConfig,
 };
 
-/// Default cap on cached plan instances across the whole library (FIFO
-/// eviction). Each instance is a handful of short paths and link reports;
-/// 256 covers every (shape × mode × origin) combination the pod-scale
-/// campaigns cycle through.
-pub const DEFAULT_PLAN_CAPACITY: usize = 256;
+/// Cap on captured batches across the whole library (FIFO eviction). Each
+/// is a handful of short paths and link reports; 256 covers every
+/// (shape × mode × origin) combination the pod-scale campaigns cycle
+/// through.
+const PLAN_CAPACITY: usize = 256;
 
 /// Stamp records retained for the boundary-contract audit (RTE501).
-pub const AUDIT_CAPACITY: usize = 64;
+const AUDIT_CAPACITY: usize = 64;
 
-/// Identity of a plan template: the wafer-config signature (loss model,
+/// Identity of a captured batch: the wafer-config signature (loss model,
 /// grid shape, fabrication seed — everything routing and budgeting read)
-/// plus the demand list normalized to its minimum corner, order preserved.
+/// plus the demand list, order preserved.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct PlanKey {
     cfg_sig: u64,
-    /// Per demand: local (src row, src col, dst row, dst col, lanes).
+    /// Per demand: (src row, src col, dst row, dst col, lanes).
     demands: Vec<(u8, u8, u8, u8, u16)>,
 }
 
 /// FNV-1a digest of every config field the batch router or link budget
 /// reads. Two wafers with equal signatures fabricate identical stitch maps
-/// (same `fab_seed`), so one template serves all of them.
+/// (same `fab_seed`), so one capture serves all of them.
 fn config_signature(cfg: &WaferConfig) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(cfg.rows as u64)
@@ -95,21 +98,8 @@ fn config_signature(cfg: &WaferConfig) -> u64 {
     h.finish()
 }
 
-/// A relocatable plan: canonical local-coordinate paths plus the
-/// per-origin instances stamped so far.
-#[derive(Debug, Clone)]
-struct PlanTemplate {
-    /// Per-demand paths translated so the batch's minimum corner is (0,0).
-    local_paths: Vec<Path>,
-    /// Per-demand grid-boundary flush pattern `[north, south, west, east]`
-    /// at the capture origin. Relocation is only step-congruent (hence
-    /// byte-identical to fresh A*) at origins reproducing this pattern.
-    canonical_flush: Vec<[bool; 4]>,
-    instances: BTreeMap<(u8, u8), PlanInstance>,
-}
-
-/// A template instantiated at one origin: global paths, per-origin link
-/// reports, the clearance guard, and the boundary contract.
+/// A captured batch: paths, link reports, the clearance guard, and the
+/// boundary contract.
 #[derive(Debug, Clone)]
 struct PlanInstance {
     paths: Vec<Path>,
@@ -126,6 +116,54 @@ struct PlanInstance {
     contract: Vec<(EdgeId, f64)>,
 }
 
+impl PlanInstance {
+    /// Replay the captured paths through the prebudgeted establish fast
+    /// path, mirroring the fresh allocator's rollback and error shape
+    /// exactly. Also returns the boundary-contract readings, taken before
+    /// the establishes mutate occupancy.
+    fn stamp(
+        &self,
+        wafer: &mut Wafer,
+        demands: &[Demand],
+    ) -> Result<(Vec<CircuitId>, Vec<AuditEdge>), FabricError> {
+        let edges: Vec<AuditEdge> = self
+            .contract
+            .iter()
+            .map(|&(e, expected)| {
+                let (a, b) = e.endpoints();
+                AuditEdge {
+                    a: (a.row, a.col),
+                    b: (b.row, b.col),
+                    expected_stitch_db: expected,
+                    observed_stitch_db: wafer.stitch_loss_db(e),
+                    pre_load: wafer.edge_used(e),
+                }
+            })
+            .collect();
+        let mut established: Vec<CircuitId> = Vec::with_capacity(self.paths.len());
+        for (i, ((path, link), d)) in self.paths.iter().zip(&self.links).zip(demands).enumerate() {
+            match wafer.establish_prebudgeted(
+                CircuitRequest::new(d.src, d.dst, d.lanes).via(path.clone()),
+                *link,
+            ) {
+                Ok(rep) => established.push(rep.id),
+                Err(e) => {
+                    // Mirror `allocate_non_overlapping_with`: tear down in
+                    // establishment order, surface the same fault chain.
+                    for &id in &established {
+                        let _ = wafer.teardown(id);
+                    }
+                    return Err(FabricError::caused_by(
+                        RouteFault::Establish { demand: i },
+                        e.into(),
+                    ));
+                }
+            }
+        }
+        Ok((established, edges))
+    }
+}
+
 /// Plan-library hit/miss/evict counters. Telemetry only: never journaled,
 /// snapshotted, or folded into fingerprints, so a warm and a cold library
 /// replay bit-identically.
@@ -133,13 +171,12 @@ struct PlanInstance {
 pub struct PlanStats {
     /// Batches admitted by stamping a cached instance.
     pub hits: u64,
-    /// Batches routed fresh because no usable instance existed (captured
+    /// Batches routed fresh because no instance was captured (captured
     /// afterwards when eligible).
     pub misses: u64,
     /// Instances dropped by the FIFO capacity bound.
     pub evictions: u64,
-    /// Batches routed fresh because the occupancy guard or relocation
-    /// contract rejected a stamp.
+    /// Batches routed fresh because the occupancy guard rejected a stamp.
     pub fallbacks: u64,
     /// Circuits established through the stamp fast path.
     pub stamped_circuits: u64,
@@ -179,43 +216,25 @@ pub struct StampAudit {
     pub records: Vec<StampRecord>,
 }
 
-/// A library of precompiled, relocatable circuit-plan templates.
+/// A library of pre-routed circuit batches, one per batch and origin.
 ///
 /// [`stamp_or_route`](Self::stamp_or_route) is a drop-in replacement for
 /// [`allocate_non_overlapping_with`]: identical results and errors, with
-/// repeated batches admitted by translate + collision-check + stamp
-/// instead of per-path A* and link-budget evaluation.
-#[derive(Debug, Clone)]
+/// repeated batches admitted by collision-check + stamp instead of
+/// per-path A* and link-budget evaluation.
+#[derive(Debug, Clone, Default)]
 pub struct PlanLibrary {
-    capacity: usize,
-    templates: BTreeMap<PlanKey, PlanTemplate>,
-    /// FIFO insertion order of `(key, origin)` instances, for eviction.
-    order: VecDeque<(PlanKey, (u8, u8))>,
+    instances: BTreeMap<PlanKey, PlanInstance>,
+    /// FIFO insertion order of the instances, for eviction.
+    order: VecDeque<PlanKey>,
     audit: VecDeque<StampRecord>,
     stats: PlanStats,
 }
 
-impl Default for PlanLibrary {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PlanLibrary {
-    /// An empty library with the default instance capacity.
+    /// An empty library.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_PLAN_CAPACITY)
-    }
-
-    /// An empty library holding at most `capacity` instances (FIFO).
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanLibrary {
-            capacity,
-            templates: BTreeMap::new(),
-            order: VecDeque::new(),
-            audit: VecDeque::new(),
-            stats: PlanStats::default(),
-        }
+        Self::default()
     }
 
     /// Counters since construction.
@@ -225,7 +244,7 @@ impl PlanLibrary {
 
     /// Cached instances currently resident.
     pub fn instance_count(&self) -> usize {
-        self.order.len()
+        self.instances.len()
     }
 
     /// The recent-stamp audit trail (oldest first).
@@ -247,27 +266,11 @@ impl PlanLibrary {
         if demands.is_empty() {
             return allocate_non_overlapping_with(wafer, demands, searcher);
         }
-        let cfg = wafer.config();
-        let mut min_r = u8::MAX;
-        let mut min_c = u8::MAX;
-        for d in demands {
-            min_r = min_r.min(d.src.row).min(d.dst.row);
-            min_c = min_c.min(d.src.col).min(d.dst.col);
-        }
-        let origin = (min_r, min_c);
         let key = PlanKey {
-            cfg_sig: config_signature(cfg),
+            cfg_sig: config_signature(wafer.config()),
             demands: demands
                 .iter()
-                .map(|d| {
-                    (
-                        d.src.row - min_r,
-                        d.src.col - min_c,
-                        d.dst.row - min_r,
-                        d.dst.col - min_c,
-                        d.lanes as u16,
-                    )
-                })
+                .map(|d| (d.src.row, d.src.col, d.dst.row, d.dst.col, d.lanes as u16))
                 .collect(),
         };
 
@@ -286,204 +289,22 @@ impl PlanLibrary {
             return allocate_non_overlapping_with(wafer, demands, searcher);
         }
 
-        let has_instance = self
-            .templates
-            .get(&key)
-            .is_some_and(|t| t.instances.contains_key(&origin));
-        if !has_instance && !self.try_relocate(wafer, demands, &key, origin, &clearance) {
-            return self.route_and_capture(wafer, demands, searcher, key, origin, clearance);
-        }
-        self.stamp_instance(wafer, demands, &key, origin, &clearance)
-    }
-
-    /// Instantiate an existing template at a new origin by rigid
-    /// translation, when the boundary contract allows it. Returns `false`
-    /// when no template exists or the flush pattern differs (the caller
-    /// routes fresh and captures a per-origin instance instead).
-    fn try_relocate(
-        &mut self,
-        wafer: &Wafer,
-        demands: &[Demand],
-        key: &PlanKey,
-        origin: (u8, u8),
-        clearance: &EdgeSet,
-    ) -> bool {
-        let Some(tpl) = self.templates.get(key) else {
-            return false;
-        };
-        let (rows, cols) = (wafer.config().rows, wafer.config().cols);
-        let flush: Vec<[bool; 4]> = demands
-            .iter()
-            .map(|d| flush_pattern(d, rows, cols))
-            .collect();
-        if flush != tpl.canonical_flush {
-            return false;
-        }
-        let mut paths = Vec::with_capacity(tpl.local_paths.len());
-        for lp in &tpl.local_paths {
-            match lp.translated(origin.0 as i16, origin.1 as i16) {
-                Some(p) if p.tiles().iter().all(|t| t.row < rows && t.col < cols) => paths.push(p),
-                _ => return false,
-            }
-        }
-        // Per-origin link reports: stitch losses are absolute-position
-        // dependent. The clearance is clear (checked by the caller), so the
-        // crosstalk terms are zero — exactly what a fresh mid-batch
-        // establish would read, since batch paths are edge-disjoint.
-        let links: Vec<LinkReport> = paths.iter().map(|p| wafer.link_budget(p)).collect();
-        let contract = contract_for(wafer, &paths);
-        let inst = PlanInstance {
-            paths,
-            links,
-            clearance: clearance.clone(),
-            contract,
-        };
-        if let Some(tpl) = self.templates.get_mut(key) {
-            tpl.instances.insert(origin, inst);
-        }
-        self.note_insert(key.clone(), origin);
-        true
-    }
-
-    /// Fresh-route the batch, then capture it as a template instance when
-    /// every path is minimal (the eligibility proof for later stamps).
-    fn route_and_capture(
-        &mut self,
-        wafer: &mut Wafer,
-        demands: &[Demand],
-        searcher: &mut Searcher,
-        key: PlanKey,
-        origin: (u8, u8),
-        clearance: EdgeSet,
-    ) -> Result<Vec<CircuitId>, FabricError> {
-        self.stats.misses += 1;
-        let ids = allocate_non_overlapping_with(wafer, demands, searcher)?;
-        let mut paths = Vec::with_capacity(ids.len());
-        let mut links = Vec::with_capacity(ids.len());
-        let mut eligible = ids.len() == demands.len();
-        for (id, d) in ids.iter().zip(demands) {
-            match wafer.circuit(*id) {
-                Some(c) if c.path.hops() as u32 == d.src.manhattan(d.dst) => {
-                    paths.push(c.path.clone());
-                    links.push(c.link);
-                }
-                _ => {
-                    eligible = false;
-                    break;
-                }
-            }
-        }
-        if eligible {
-            let mut local = Vec::with_capacity(paths.len());
-            for p in &paths {
-                match p.translated(-(origin.0 as i16), -(origin.1 as i16)) {
-                    Some(lp) => local.push(lp),
-                    None => {
-                        eligible = false;
-                        break;
-                    }
-                }
-            }
-            if eligible {
-                let (rows, cols) = (wafer.config().rows, wafer.config().cols);
-                let flush: Vec<[bool; 4]> = demands
-                    .iter()
-                    .map(|d| flush_pattern(d, rows, cols))
-                    .collect();
-                let contract = contract_for(wafer, &paths);
-                let tpl = self
-                    .templates
-                    .entry(key.clone())
-                    .or_insert_with(|| PlanTemplate {
-                        local_paths: local,
-                        canonical_flush: flush,
-                        instances: BTreeMap::new(),
-                    });
-                tpl.instances.insert(
-                    origin,
-                    PlanInstance {
-                        paths,
-                        links,
-                        clearance,
-                        contract,
-                    },
-                );
-                self.note_insert(key, origin);
-            }
-        }
-        Ok(ids)
-    }
-
-    /// Stamp the instance at `origin`: replay its paths through the
-    /// prebudgeted establish fast path, mirroring the fresh allocator's
-    /// rollback and error shape exactly.
-    fn stamp_instance(
-        &mut self,
-        wafer: &mut Wafer,
-        demands: &[Demand],
-        key: &PlanKey,
-        origin: (u8, u8),
-        clearance: &EdgeSet,
-    ) -> Result<Vec<CircuitId>, FabricError> {
-        let Some(inst) = self
-            .templates
-            .get(key)
-            .and_then(|t| t.instances.get(&origin))
-        else {
-            // Unreachable in practice (the caller just checked); keep the
-            // path total anyway.
-            return Err(FabricError::new(RouteFault::NoDisjointPath { demand: 0 }));
+        let Some(inst) = self.instances.get(&key) else {
+            return self.route_and_capture(wafer, demands, searcher, key, clearance);
         };
         // The instance was captured under this exact footprint; a drift here
         // would mean the key or guard under-constrains the plan.
         debug_assert!(
-            inst.clearance == *clearance,
+            inst.clearance == clearance,
             "plan instance clearance diverged from the admission guard"
         );
-        // Boundary-contract audit, read before the establishes mutate
-        // occupancy.
-        let edges: Vec<AuditEdge> = inst
-            .contract
-            .iter()
-            .map(|&(e, expected)| {
-                let (a, b) = e.endpoints();
-                AuditEdge {
-                    a: (a.row, a.col),
-                    b: (b.row, b.col),
-                    expected_stitch_db: expected,
-                    observed_stitch_db: wafer.stitch_loss_db(e),
-                    pre_load: wafer.edge_used(e),
-                }
-            })
-            .collect();
-        let mut established: Vec<CircuitId> = Vec::with_capacity(inst.paths.len());
-        for (i, ((path, link), d)) in inst
-            .paths
-            .iter()
-            .zip(inst.links.iter())
-            .zip(demands)
-            .enumerate()
-        {
-            match wafer.establish_prebudgeted(
-                CircuitRequest::new(d.src, d.dst, d.lanes).via(path.clone()),
-                *link,
-            ) {
-                Ok(rep) => established.push(rep.id),
-                Err(e) => {
-                    // Mirror `allocate_non_overlapping_with`: tear down in
-                    // establishment order, surface the same fault chain.
-                    for &id in &established {
-                        let _ = wafer.teardown(id);
-                    }
-                    return Err(FabricError::caused_by(
-                        RouteFault::Establish { demand: i },
-                        e.into(),
-                    ));
-                }
-            }
-        }
+        let (established, edges) = inst.stamp(wafer, demands)?;
         self.stats.hits += 1;
         self.stats.stamped_circuits += established.len() as u64;
+        let origin = demands
+            .iter()
+            .flat_map(|d| [d.src, d.dst])
+            .fold((u8::MAX, u8::MAX), |(r, c), t| (r.min(t.row), c.min(t.col)));
         self.audit.push_back(StampRecord { origin, edges });
         if self.audit.len() > AUDIT_CAPACITY {
             self.audit.pop_front();
@@ -491,41 +312,52 @@ impl PlanLibrary {
         Ok(established)
     }
 
-    /// Record an instance insertion and enforce the FIFO capacity bound.
-    fn note_insert(&mut self, key: PlanKey, origin: (u8, u8)) {
-        self.order.push_back((key, origin));
-        while self.order.len() > self.capacity {
-            let Some((k, o)) = self.order.pop_front() else {
-                break;
-            };
-            if let Some(tpl) = self.templates.get_mut(&k) {
-                if tpl.instances.remove(&o).is_some() {
-                    self.stats.evictions += 1;
-                }
-                if tpl.instances.is_empty() {
-                    self.templates.remove(&k);
-                }
+    /// Fresh-route the batch, then capture it when every path is minimal
+    /// (the eligibility proof for later stamps), evicting the oldest
+    /// instance past the capacity bound.
+    fn route_and_capture(
+        &mut self,
+        wafer: &mut Wafer,
+        demands: &[Demand],
+        searcher: &mut Searcher,
+        key: PlanKey,
+        clearance: EdgeSet,
+    ) -> Result<Vec<CircuitId>, FabricError> {
+        self.stats.misses += 1;
+        let ids = allocate_non_overlapping_with(wafer, demands, searcher)?;
+        let minimal: Option<Vec<_>> = ids
+            .iter()
+            .zip(demands)
+            .map(|(&id, d)| {
+                wafer
+                    .circuit(id)
+                    .filter(|c| c.path.hops() as u32 == d.src.manhattan(d.dst))
+            })
+            .collect();
+        let Some(circuits) = minimal.filter(|c| c.len() == demands.len()) else {
+            return Ok(ids);
+        };
+        let paths: Vec<Path> = circuits.iter().map(|c| c.path.clone()).collect();
+        let links = circuits.iter().map(|c| c.link).collect();
+        let contract = contract_for(wafer, &paths);
+        self.instances.insert(
+            key.clone(),
+            PlanInstance {
+                paths,
+                links,
+                clearance,
+                contract,
+            },
+        );
+        self.order.push_back(key);
+        if self.order.len() > PLAN_CAPACITY {
+            if let Some(oldest) = self.order.pop_front() {
+                self.instances.remove(&oldest);
+                self.stats.evictions += 1;
             }
         }
+        Ok(ids)
     }
-}
-
-/// Per-demand grid-boundary flush pattern `[north, south, west, east]`: is
-/// the demand's bounding rectangle flush with each wafer edge? A* clips
-/// off-grid neighbours without consuming a tie-break sequence number, so
-/// translation preserves the search step-for-step only when this pattern
-/// is preserved.
-fn flush_pattern(d: &Demand, rows: u8, cols: u8) -> [bool; 4] {
-    let r0 = d.src.row.min(d.dst.row);
-    let r1 = d.src.row.max(d.dst.row);
-    let c0 = d.src.col.min(d.dst.col);
-    let c1 = d.src.col.max(d.dst.col);
-    [
-        r0 == 0,
-        r1 == rows.saturating_sub(1),
-        c0 == 0,
-        c1 == cols.saturating_sub(1),
-    ]
 }
 
 /// Every bus a minimal-path batch search over `demands` can read: edges
@@ -583,7 +415,6 @@ fn contract_for(wafer: &Wafer, paths: &[Path]) -> Vec<(EdgeId, f64)> {
     }
     out
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,30 +470,6 @@ mod tests {
         assert_eq!(lib.stats().hits, 1);
         assert_eq!(lib.stats().stamped_circuits, 4);
         assert_eq!(snap(&warm), snap(&fresh), "stamped wafer state ≡ fresh");
-    }
-
-    #[test]
-    fn relocation_stamps_at_new_origins() {
-        let mut lib = PlanLibrary::new();
-        let mut s = Searcher::new();
-        let mut w = Wafer::new(WaferConfig::default());
-        let ids = lib
-            .stamp_or_route(&mut w, &ring_demands(t(1, 2)), &mut s)
-            .unwrap();
-        for id in ids {
-            w.teardown(id).unwrap();
-        }
-        // Same shape, different interior origin: relocated, then stamped.
-        let mut fresh = w.clone();
-        let a = lib
-            .stamp_or_route(&mut w, &ring_demands(t(1, 4)), &mut s)
-            .unwrap();
-        let b =
-            allocate_non_overlapping_with(&mut fresh, &ring_demands(t(1, 4)), &mut Searcher::new())
-                .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(lib.stats().hits, 1);
-        assert_eq!(snap(&w), snap(&fresh));
     }
 
     #[test]
@@ -744,17 +551,40 @@ mod tests {
 
     #[test]
     fn eviction_is_fifo_and_bounded() {
-        let mut lib = PlanLibrary::with_capacity(2);
+        let mut lib = PlanLibrary::new();
         let mut s = Searcher::new();
         let mut w = Wafer::new(WaferConfig::default());
-        for col in [0u8, 2, 4] {
-            let demands = ring_demands(t(0, col));
-            let ids = lib.stamp_or_route(&mut w, &demands, &mut s).unwrap();
+        // Single-demand batches over distinct tile pairs of the 4×8 wafer:
+        // each is a new key, so each misses and is captured.
+        let tiles: Vec<TileCoord> = w.coords().collect();
+        let batches: Vec<Vec<Demand>> = tiles
+            .iter()
+            .flat_map(|&a| tiles.iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .take(PLAN_CAPACITY + 3)
+            .map(|(a, b)| vec![Demand::new(a, b, 1)])
+            .collect();
+        assert_eq!(batches.len(), PLAN_CAPACITY + 3);
+        for demands in &batches {
+            let ids = lib.stamp_or_route(&mut w, demands, &mut s).unwrap();
             for id in ids {
                 w.teardown(id).unwrap();
             }
         }
-        assert!(lib.instance_count() <= 2);
-        assert_eq!(lib.stats().evictions, 1);
+        assert_eq!(lib.stats().misses, PLAN_CAPACITY as u64 + 3);
+        assert_eq!(lib.instance_count(), PLAN_CAPACITY);
+        assert_eq!(lib.stats().evictions, 3);
+        // The oldest batch was evicted first: it routes fresh again, while
+        // the newest still stamps.
+        for (demands, misses, hits) in [
+            (&batches[0], PLAN_CAPACITY as u64 + 4, 0),
+            (&batches[PLAN_CAPACITY + 2], PLAN_CAPACITY as u64 + 4, 1),
+        ] {
+            let ids = lib.stamp_or_route(&mut w, demands, &mut s).unwrap();
+            for id in ids {
+                w.teardown(id).unwrap();
+            }
+            assert_eq!((lib.stats().misses, lib.stats().hits), (misses, hits));
+        }
     }
 }

@@ -156,11 +156,11 @@ proptest! {
         prop_assert!(s.misses > 0);
     }
 
-    /// Stamping a cached plan at *every* legal translation of a randomly
+    /// Stamping a cached plan at *every* legal origin of a randomly
     /// pre-loaded wafer is byte-equivalent to fresh A*: same ids or same
     /// error, and the full serialized wafer state identical either way.
     #[test]
-    fn stamping_at_every_translation_equals_fresh_astar(seed in any::<u64>(), lanes in 1usize..=4) {
+    fn stamping_at_every_origin_equals_fresh_astar(seed in any::<u64>(), lanes in 1usize..=4) {
         let mut rng = desim::SimRng::seed_from_u64(seed);
         let mut base = Wafer::new(WaferConfig::lightpath_32());
         // Random pre-load: short single-hop circuits, so some footprints
@@ -172,7 +172,7 @@ proptest! {
             let _ = base.establish(CircuitRequest::new(src, dst, 1));
         }
         // Prime the library: the first admission misses, routes fresh, and
-        // captures a relocatable template for the ring shape.
+        // captures the ring at the primer's origin.
         let mut lib = PlanLibrary::new();
         let mut searcher = Searcher::new();
         let prime = TileCoord::new(rng.gen_range_u64(3) as u8, rng.gen_range_u64(7) as u8);
@@ -181,10 +181,9 @@ proptest! {
                 prop_assert!(base.teardown(id).is_ok());
             }
         }
-        // Every legal 2×2 translation on the 4×8 grid, twice: the first
-        // pass captures (or relocates within a flush class), the second
-        // stamps per-origin instances, so translated stamps are exercised
-        // no matter which flush class the primer landed in.
+        // Every legal 2×2 origin on the 4×8 grid, twice: the first pass
+        // captures each origin's batch (or stamps the primer's), the second
+        // stamps the instance captured at every origin.
         for pass in 0..2 {
             for r in 0u8..3 {
                 for c in 0u8..7 {
@@ -211,7 +210,7 @@ proptest! {
             }
         }
         let s = lib.stats();
-        prop_assert!(s.hits > 0, "warm library must stamp at translated origins");
+        prop_assert!(s.hits > 0, "warm library must stamp at captured origins");
     }
 
     /// A rejected stamp is a zero-op: when admission fails, edge occupancy

@@ -97,8 +97,8 @@ pub enum Scenario {
         seed: u64,
     },
     /// Plan-library admission churn: a cold [`route::PlanLibrary`] warms
-    /// over translated ring-slice batches while a twin wafer admits the
-    /// same batches by fresh A*. Every batch's stamp-vs-scratch byte
+    /// over ring-slice batches at random origins while a twin wafer admits
+    /// the same batches by fresh A*. Every batch's stamp-vs-scratch byte
     /// equality is asserted in-sweep and the library's hit/miss/fallback
     /// counters fold into the scenario fingerprint, so a stamp that stops
     /// being byte-equivalent — or silently regresses to fresh routing —
@@ -327,7 +327,7 @@ impl GridSpec {
 
     /// The plan-library grid: cold-to-warm admission churn across batch
     /// counts and lane widths (lanes are part of the plan key, so each
-    /// width warms its own template family). The existing
+    /// width warms its own captured batches). The existing
     /// smoke/full/pod/churn grids are untouched — their committed
     /// fingerprints must not move.
     pub fn planlib(base_seed: u64) -> GridSpec {

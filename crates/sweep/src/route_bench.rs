@@ -13,8 +13,8 @@
 //!   [`fabricd::plan`];
 //! * **stamped plans/sec** — the same cycles through a warm
 //!   [`fabricd::PlanEngine`]: after one capture cycle, every circuit is
-//!   admitted by translating a precompiled template and stamping it
-//!   (occupancy AND + pre-budgeted establish), never by a fresh search.
+//!   admitted by stamping a captured batch (occupancy AND + pre-budgeted
+//!   establish), never by a fresh search.
 //!
 //! Like the sweep baseline, the *outcome* is deterministic and the *rate*
 //! is tolerant: `BENCH_route.json` commits an FNV-1a fingerprint of every

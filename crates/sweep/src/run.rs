@@ -377,9 +377,10 @@ fn run_collective(
 }
 
 /// Cold-vs-warm plan-library churn. A library wafer and a twin wafer see
-/// the same translated ring batches — the library admits by stamp once its
-/// templates warm, the twin always routes fresh — and every batch's
-/// outcome must agree byte for byte (ids, errors, and full wafer state).
+/// the same ring batches at random origins — the library admits by stamp
+/// once it has captured a batch at its origin, the twin always routes
+/// fresh — and every batch's outcome must agree byte for byte (ids,
+/// errors, and full wafer state).
 /// Occasional blocker circuits occupy the landing region so the guard's
 /// fallback path runs in-sweep too. The equality verdicts and the final
 /// hit/miss/fallback counters all fold into the fingerprint: a stamp that

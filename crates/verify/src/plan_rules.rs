@@ -1,8 +1,8 @@
 //! RTE501: stamped-plan boundary contracts match the landing wafer.
 //!
-//! The plan library admits a batch by *stamping* a precompiled instance —
-//! translate, collision-check, establish over cached link budgets — instead
-//! of re-running A* and the link-budget evaluator. That fast path is only
+//! The plan library admits a batch by *stamping* a captured instance —
+//! collision-check, establish over cached link budgets — instead of
+//! re-running A* and the link-budget evaluator. That fast path is only
 //! sound if the contract the plan was compiled against still describes the
 //! wafer it lands on: every claimed border waveguide must carry exactly the
 //! stitch loss the budget was computed with, and must have been unoccupied

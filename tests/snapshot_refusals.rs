@@ -278,6 +278,43 @@ fn segment_not_live(state: &str) -> String {
 
 type Forge = fn(&str) -> String;
 
+/// The second tenant's first intra-wafer circuit handle, renamed to the
+/// first tenant's. Resumed, both departures would tear down one circuit,
+/// and the circuit no handle names any more would outlive its tenant.
+fn handle_held_twice(state: &str) -> String {
+    let lines: Vec<&str> = state.lines().collect();
+    let kind0 = |from: usize| {
+        (from..lines.len())
+            .find(|&i| lines[i] == "kind=0")
+            .expect("a tenant holds an intra-wafer circuit")
+    };
+    let first = kind0(find(&lines, 0, "handles"));
+    let second = kind0(find(&lines, first, "job"));
+    let out = replace_line(state, second + 1, lines[first + 1]);
+    replace_line(&out, second + 2, lines[first + 2])
+}
+
+/// The first loaded bus, its `used=` load set to 0. Resumed, the teardown
+/// of a circuit over that bus would take its load below zero.
+fn bus_load_zeroed(state: &str) -> String {
+    let lines: Vec<&str> = state.lines().collect();
+    let bus = (0..find(&lines, 0, "fibers"))
+        .find(|&i| value(lines[i], "used").is_some_and(|n| n != "0"))
+        .expect("a circuit loads some bus");
+    replace_line(state, bus, "used=0")
+}
+
+/// The first used fiber link, its `used=` count set to 0. Resumed, the
+/// teardown of a cross circuit over that link would take its usage below
+/// zero.
+fn fiber_usage_zeroed(state: &str) -> String {
+    let lines: Vec<&str> = state.lines().collect();
+    let link = (find(&lines, 0, "fibers")..find(&lines, 0, "cross"))
+        .find(|&i| value(lines[i], "used").is_some_and(|n| n != "0"))
+        .expect("a cross circuit uses some fiber link");
+    replace_line(state, link, "used=0")
+}
+
 /// Forged references to circuits that do not exist, made on the first
 /// bench-campaign capture that holds a cross-wafer circuit.
 const FORGED_CASES: [(&str, Forge, &str); 2] = [
@@ -290,6 +327,26 @@ const FORGED_CASES: [(&str, Forge, &str); 2] = [
         "segment circuit 999999",
         segment_not_live,
         "segment names ckt#999999",
+    ),
+];
+
+/// Forged state that the circuits restored with it contradict, made on
+/// the same capture as [`FORGED_CASES`].
+const CONTRADICTED_CASES: [(&str, Forge, &str); 3] = [
+    (
+        "one wafer circuit held by two tenants",
+        handle_held_twice,
+        "), which is already held",
+    ),
+    (
+        "a loaded bus at used=0",
+        bus_load_zeroed,
+        "reads used=0, but its circuits load it",
+    ),
+    (
+        "a used fiber link at used=0",
+        fiber_usage_zeroed,
+        "reads used=0, but its cross circuits hold",
     ),
 ];
 
@@ -389,10 +446,10 @@ fn ctrl_resume_refuses_cross_endpoints_off_the_fabric() {
     assert_ctrl_refusals(text, &opts, &CROSS_CASES);
 }
 
-/// A capture whose state names a circuit no wafer holds, with its seal and
-/// state fingerprint recomputed, is refused by name, never resumed.
-#[test]
-fn ctrl_resume_refuses_references_to_circuits_that_are_not_live() {
+/// Each of `cases`, forged on the first bench-campaign capture that holds
+/// a cross-wafer circuit with a segment, must be refused with a message
+/// naming its `want` and `cause`, while the unedited capture resumes.
+fn assert_forged_refusals(cases: &[(&str, Forge, &str)], cause: &str) {
     let (texts, opts) = ctrl_snapshots();
     let text = texts
         .iter()
@@ -400,16 +457,30 @@ fn ctrl_resume_refuses_references_to_circuits_that_are_not_live() {
         .expect("a capture holds a cross-wafer circuit with a segment");
     let clean = CtrlSnapshot::parse(text).and_then(|s| resume_campaign(&s, &opts));
     assert!(clean.is_ok(), "the unedited artifact resumes");
-    for (name, edit, want) in FORGED_CASES {
+    for &(name, edit, want) in cases {
         let forged = forge(text, edit);
         match CtrlSnapshot::parse(&forged).and_then(|s| resume_campaign(&s, &opts)) {
             Ok(_) => panic!("{name}: a forged ctrl snapshot resumed"),
             Err(e) => {
                 assert!(e.contains(want), "{name}: unexpected refusal {e:?}");
-                assert!(e.contains("which is not live"), "{name}: {e:?}");
+                assert!(e.contains(cause), "{name}: {e:?}");
             }
         }
     }
+}
+
+/// A capture whose state names a circuit no wafer holds, with its seal and
+/// state fingerprint recomputed, is refused by name, never resumed.
+#[test]
+fn ctrl_resume_refuses_references_to_circuits_that_are_not_live() {
+    assert_forged_refusals(&FORGED_CASES, "which is not live");
+}
+
+/// A capture whose state contradicts its own circuits, with its seal and
+/// state fingerprint recomputed, is refused by restore, never resumed.
+#[test]
+fn ctrl_resume_refuses_state_its_circuits_contradict() {
+    assert_forged_refusals(&CONTRADICTED_CASES, "restore: ");
 }
 
 /// A mid-run capture of `spsim pod --chips 512 --jobs 96 --failures 2
