@@ -893,6 +893,9 @@ impl Fabric {
     /// Every cross-circuit segment must name a live circuit on its wafer,
     /// and no circuit may be a segment of two cross circuits: the teardown
     /// of such a circuit would fail, or release what another still holds.
+    /// Fiber usage and every tile's SerDes claims must be the ones the
+    /// restored circuits hold, or a teardown would release what the
+    /// restored pools do not hold.
     pub fn read_snap(&mut self, r: &mut desim::SnapReader<'_>) -> Result<(), String> {
         r.section("fabric")?;
         self.next_id = r.u64("next_id")?;
@@ -1032,6 +1035,72 @@ impl Fabric {
                     "fabric restore: fiber link {i} reads used={}, but its cross circuits hold {want}",
                     f.used
                 ));
+            }
+        }
+        self.check_serdes_claims()
+    }
+
+    /// A tile's SerDes claims follow from the circuits as well. Its tx
+    /// lanes are the wavelengths of every circuit that claimed its source
+    /// there, plus the manual source claim of a cross circuit that starts
+    /// there, and no two of them share a lane. Its rx lanes in use number
+    /// the lanes of every circuit that claimed its sink there, plus a
+    /// manual sink claim. Which rx lanes those are depends on the order of
+    /// earlier teardowns ([`Wafer::teardown`] releases the lowest in use),
+    /// so only their count is fixed.
+    fn check_serdes_claims(&self) -> Result<(), String> {
+        let mut tx: BTreeMap<(WaferId, TileCoord), LambdaSet> = BTreeMap::new();
+        let mut rx: BTreeMap<(WaferId, TileCoord), usize> = BTreeMap::new();
+        let mut claim_tx = |(w, t): (WaferId, TileCoord), set: LambdaSet| {
+            let held = tx.entry((w, t)).or_default();
+            if !held.is_disjoint(&set) {
+                return Err(format!(
+                    "fabric restore: wafer {} tile {t}: two circuits claim one tx lane",
+                    w.0
+                ));
+            }
+            *held = held.union(set);
+            Ok(())
+        };
+        for (w, wafer) in self.wafers.iter().enumerate() {
+            for c in wafer.circuits() {
+                if c.claimed_src {
+                    claim_tx((WaferId(w), c.path.src()), c.lambdas)?;
+                }
+                if c.claimed_dst {
+                    *rx.entry((WaferId(w), c.path.dst())).or_default() += c.lambdas.len();
+                }
+            }
+        }
+        for c in self.cross.values() {
+            if let Some(set) = c.manual_src_claim {
+                claim_tx(c.src, set)?;
+            }
+            if let Some(n) = c.manual_dst_claim {
+                *rx.entry(c.dst).or_default() += n;
+            }
+        }
+        for (w, wafer) in self.wafers.iter().enumerate() {
+            for t in wafer.coords() {
+                let serdes = &wafer.tile(t).serdes;
+                let held = LambdaSet::first_n(serdes.lanes()).difference(serdes.tx_available());
+                let want = tx.get(&(WaferId(w), t)).copied().unwrap_or_default();
+                if held != want {
+                    return Err(format!(
+                        "fabric restore: wafer {w} tile {t} reads tx={}, but its circuits claim \
+                         tx={}",
+                        held.bits(),
+                        want.bits()
+                    ));
+                }
+                let held = serdes.lanes() - serdes.rx_free();
+                let want = rx.get(&(WaferId(w), t)).copied().unwrap_or(0);
+                if held != want {
+                    return Err(format!(
+                        "fabric restore: wafer {w} tile {t} holds {held} rx lanes, but its \
+                         circuits claim {want}"
+                    ));
+                }
             }
         }
         Ok(())
@@ -1373,13 +1442,61 @@ mod tests {
         f.wafer_mut(WaferId(0)).teardown(id).expect("teardown");
         assert_eq!(cached_write(&mut f).1, [0]);
 
+        // The bare claim above is held by no circuit, so restore refuses
+        // it by wafer and tile.
+        let (mut g, _) = two_wafer_fabric();
+        let refused = g.read_snap(&mut desim::SnapReader::new(&claimed));
+        assert!(
+            refused
+                .as_ref()
+                .is_err_and(|e| e.contains("wafer 1 tile (2,3) reads tx=3")),
+            "{refused:?}"
+        );
+
         // Restoring over a warm cache rewrites every wafer it reads.
+        f.wafer_mut(WaferId(1))
+            .establish(CircuitRequest::new(t(0, 0), t(1, 1), 1))
+            .expect("establish");
+        f.wafer_mut(WaferId(1))
+            .tile_mut(t(2, 3))
+            .serdes
+            .release_tx(LambdaSet::first_n(2));
+        let (held, _) = cached_write(&mut f);
         let (mut g, _) = two_wafer_fabric();
         assert_eq!(cached_write(&mut g).1, [0, 1]);
-        let mut r = desim::SnapReader::new(&claimed);
+        let mut r = desim::SnapReader::new(&held);
         g.read_snap(&mut r).expect("restore");
         r.done().expect("consumed fully");
-        assert_eq!(cached_write(&mut g), (claimed, vec![0, 1]));
+        assert_eq!(cached_write(&mut g), (held, vec![0, 1]));
+    }
+
+    /// Two circuits whose source claims share a tx lane: the tile's `tx=`
+    /// reads their union, so only the overlap shows that a teardown would
+    /// release a lane the other still holds.
+    #[test]
+    fn restore_refuses_two_circuits_on_one_tx_lane() {
+        let (mut f, _) = two_wafer_fabric();
+        for dst in [t(1, 1), t(2, 2)] {
+            f.wafer_mut(WaferId(0))
+                .establish(CircuitRequest::new(t(0, 0), dst, 1))
+                .expect("establish");
+        }
+        let mut w = desim::SnapWriter::new();
+        f.write_snap(&mut w);
+        let text = w.finish();
+        let forged =
+            text.replacen("\ntx=3\n", "\ntx=1\n", 1)
+                .replacen("\nlambdas=2\n", "\nlambdas=1\n", 1);
+        let (mut g, _) = two_wafer_fabric();
+        let refused = g.read_snap(&mut desim::SnapReader::new(&forged));
+        assert!(
+            refused
+                .as_ref()
+                .is_err_and(|e| e.contains("wafer 0 tile (0,0): two circuits claim one tx lane")),
+            "{refused:?}"
+        );
+        let (mut g, _) = two_wafer_fabric();
+        assert!(g.read_snap(&mut desim::SnapReader::new(&text)).is_ok());
     }
 
     /// Relocating a cross plan reuses its budgets on other wafers, which

@@ -10,13 +10,12 @@
 //! can be captured mid-flight, written to disk, and resumed after a crash
 //! with bit-identical decisions, journal hashes, and metrics.
 //!
-//! Three entry points:
-//! - [`run_scenario`]: the classic snapshot-free run; same config ⇒ same
-//!   journal hash, byte for byte.
-//! - [`run_campaign`]: the same drain loop with periodic state snapshots
+//! Two entry points:
+//! - [`run_campaign`]: the drain loop, with periodic state snapshots
 //!   every [`CampaignOptions::snapshot_every`], optional journal
 //!   compaction at each snapshot watermark, and an optional simulated
-//!   crash.
+//!   crash; with [`CampaignOptions::default`] it is the plain run, and the
+//!   same config gives the same journal hash, byte for byte.
 //! - [`resume_campaign`]: restore a [`CtrlSnapshot`] and drive the rest of
 //!   the campaign; the finished run is indistinguishable from one that
 //!   never crashed.
@@ -45,8 +44,6 @@ pub struct CtrlConfig {
     pub queue_timeout: SimDuration,
     /// Chip failures to inject, 30 s apart, starting mid-trace.
     pub failures: usize,
-    /// Gauge samples to spread across the horizon.
-    pub samples: usize,
     /// Extra programming attempts after a rejected plan (0 preserves the
     /// legacy deny-on-first-failure behavior and journal byte-for-byte).
     pub program_retries: u32,
@@ -68,13 +65,15 @@ impl Default for CtrlConfig {
             arrivals: ArrivalParams::default(),
             queue_timeout: SimDuration::from_secs(1_800),
             failures: 1,
-            samples: 64,
             program_retries: 0,
             retry_backoff: SimDuration::from_ms(100),
             infeasible_every: 0,
         }
     }
 }
+
+/// Gauge samples spread evenly across a campaign's estimated horizon.
+const SAMPLES: u64 = 64;
 
 /// Snapshot / crash-restart knobs for [`run_campaign`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,17 +92,6 @@ pub struct CampaignOptions {
     /// has [`CampaignOutcome::crashed`] set; restart from the last
     /// captured snapshot via [`resume_campaign`].
     pub crash_after_events: Option<u64>,
-}
-
-/// What `run_scenario` hands back.
-#[derive(Debug)]
-pub struct CtrlOutcome {
-    /// Final control-plane state, including the journal.
-    pub state: FabricState,
-    /// The metrics registry after the run.
-    pub metrics: Metrics,
-    /// Simulated instant the last event executed at.
-    pub horizon: SimTime,
 }
 
 /// What [`run_campaign`] / [`resume_campaign`] hand back.
@@ -174,11 +162,9 @@ fn fresh(cfg: &CtrlConfig) -> Admitter {
         .max()
         .unwrap_or(SimTime::ZERO)
         + cfg.queue_timeout;
-    if cfg.samples > 0 {
-        let step = est.since_origin() / cfg.samples as u64;
-        for s in 1..=cfg.samples {
-            engine.schedule(SimTime::ZERO + step * s as u64, Event::Sample);
-        }
+    let step = est.since_origin() / SAMPLES;
+    for s in 1..=SAMPLES {
+        engine.schedule(SimTime::ZERO + step * s, Event::Sample);
     }
     engine
 }
@@ -232,19 +218,6 @@ fn drive_campaign(
         crashed,
         events_executed: executed,
     })
-}
-
-/// Run a full control-plane scenario to quiescence.
-pub fn run_scenario(cfg: &CtrlConfig) -> CtrlOutcome {
-    let mut engine = fresh(cfg);
-    engine.run_until(None, u64::MAX);
-    let horizon = engine.now();
-    let (state, metrics) = engine.into_parts();
-    CtrlOutcome {
-        state,
-        metrics,
-        horizon,
-    }
 }
 
 /// Run a campaign with periodic snapshots, optional journal compaction,
@@ -316,13 +289,18 @@ impl CtrlSnapshot {
 mod tests {
     use super::*;
 
+    /// A campaign run to quiescence, with no snapshots.
+    fn run(cfg: &CtrlConfig) -> CampaignOutcome {
+        run_campaign(cfg, &CampaignOptions::default()).expect("campaign runs")
+    }
+
     #[test]
     fn scenario_runs_to_quiescence_and_journals() {
         let cfg = CtrlConfig {
             jobs: 6,
             ..CtrlConfig::default()
         };
-        let out = run_scenario(&cfg);
+        let out = run(&cfg);
         assert_eq!(out.metrics.counter("jobs.arrived"), 6);
         let resolved = out.metrics.counter("jobs.admitted")
             + out.metrics.counter("jobs.denied.timeout")
@@ -344,14 +322,14 @@ mod tests {
     #[test]
     fn same_seed_same_journal_hash() {
         let cfg = CtrlConfig::default();
-        let a = run_scenario(&cfg);
-        let b = run_scenario(&cfg);
+        let a = run(&cfg);
+        let b = run(&cfg);
         assert_eq!(a.state.journal().hash(), b.state.journal().hash());
         let other = CtrlConfig {
             seed: cfg.seed + 1,
             ..cfg
         };
-        let c = run_scenario(&other);
+        let c = run(&other);
         assert_ne!(
             a.state.journal().hash(),
             c.state.journal().hash(),
@@ -366,7 +344,7 @@ mod tests {
             failures: 1,
             ..CtrlConfig::default()
         };
-        let out = run_scenario(&cfg);
+        let out = run(&cfg);
         assert_eq!(out.metrics.counter("failures.injected"), 1);
         let repaired: Vec<_> = out
             .state
@@ -381,18 +359,6 @@ mod tests {
         for rep in repaired {
             assert_eq!(rep.blast_servers, 1);
         }
-    }
-
-    #[test]
-    fn campaign_without_snapshots_matches_scenario() {
-        let cfg = CtrlConfig::default();
-        let plain = run_scenario(&cfg);
-        let camp = run_campaign(&cfg, &CampaignOptions::default()).expect("campaign");
-        assert!(!camp.crashed);
-        assert!(camp.snapshots.is_empty());
-        assert_eq!(camp.state.journal().hash(), plain.state.journal().hash());
-        assert_eq!(camp.state.fingerprint(), plain.state.fingerprint());
-        assert_eq!(camp.horizon, plain.horizon);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! - **Metrics** ([`metrics`]): counters, admission-wait histogram, and
 //!   sampled gauge time-series over [`desim::stats`].
 //!
-//! The `spsim ctrl` subcommand drives [`ctrl::run_scenario`] and prints the
+//! The `spsim ctrl` subcommand drives [`ctrl::run_campaign`] and prints the
 //! journal, hash, and metrics summary.
 
 #![forbid(unsafe_code)]
@@ -41,8 +41,7 @@ pub mod state;
 
 pub use admit::{Admitter, AdmitterSnapshot};
 pub use ctrl::{
-    resume_campaign, run_campaign, run_scenario, CampaignOptions, CampaignOutcome, CtrlConfig,
-    CtrlOutcome, CtrlSnapshot,
+    resume_campaign, run_campaign, CampaignOptions, CampaignOutcome, CtrlConfig, CtrlSnapshot,
 };
 pub use journal::{
     DenyReason, Journal, JournalEntry, JournalHeader, Record, StitchLegRecord, LEG_ID_BIT,

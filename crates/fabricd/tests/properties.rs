@@ -7,10 +7,17 @@
 //!    counts, reconfiguration counters and all.
 
 use desim::{SimDuration, SimTime};
-use fabricd::{replay, run_scenario, Admission, CtrlConfig, FabricState};
+use fabricd::{
+    replay, run_campaign, Admission, CampaignOptions, CampaignOutcome, CtrlConfig, FabricState,
+};
 use proptest::prelude::*;
 use topo::Shape3;
 use workloads::ArrivalParams;
+
+/// A campaign run to quiescence, with no snapshots.
+fn run(cfg: &CtrlConfig) -> CampaignOutcome {
+    run_campaign(cfg, &CampaignOptions::default()).expect("campaign runs")
+}
 
 fn config(seed: u64, jobs: usize, failures: usize, interarrival_s: u64) -> CtrlConfig {
     CtrlConfig {
@@ -36,8 +43,8 @@ proptest! {
         interarrival in 10u64..600,
     ) {
         let cfg = config(seed, jobs, failures, interarrival);
-        let a = run_scenario(&cfg);
-        let b = run_scenario(&cfg);
+        let a = run(&cfg);
+        let b = run(&cfg);
         prop_assert_eq!(a.state.journal().hash(), b.state.journal().hash());
         prop_assert_eq!(a.state.journal().len(), b.state.journal().len());
     }
@@ -49,7 +56,7 @@ proptest! {
         failures in 0usize..2,
     ) {
         let cfg = config(seed, jobs, failures, 120);
-        let live = run_scenario(&cfg);
+        let live = run(&cfg);
         let replayed = match replay(live.state.journal()) {
             Ok(st) => st,
             Err(e) => return Err(TestCaseError::Fail(format!("replay diverged: {e}"))),
@@ -76,8 +83,8 @@ proptest! {
             infeasible_every,
             ..config(seed, jobs, failures, 120)
         };
-        let a = run_scenario(&cfg);
-        let b = run_scenario(&cfg);
+        let a = run(&cfg);
+        let b = run(&cfg);
         prop_assert_eq!(a.state.journal().hash(), b.state.journal().hash());
         let replayed = match replay(a.state.journal()) {
             Ok(st) => st,
@@ -151,7 +158,7 @@ proptest! {
 /// a blast radius of exactly one server.
 #[test]
 fn acceptance_single_failure_blast_radius_one_server() {
-    let out = run_scenario(&CtrlConfig::default());
+    let out = run(&CtrlConfig::default());
     let repairs: Vec<_> = out
         .state
         .incidents()

@@ -153,21 +153,29 @@ pub fn run_scenario(scenario: &Scenario, merged: &mut MergedStats) -> (u64, u64)
                 seed: *seed,
                 ..CtrlConfig::default()
             };
-            let out = fabricd::run_scenario(&cfg);
-            let journal = out.state.journal();
-            let mut f = Fnv::new();
-            f.write_str("ctrl").write_u64(*seed);
-            f.write_u64(journal.hash());
-            f.write_u64(journal.len() as u64);
-            f.write_u64(out.horizon.since_origin().as_ps());
-            for name in COUNTERS {
-                f.write_u64(out.metrics.counter(name));
+            match fabricd::run_campaign(&cfg, &fabricd::CampaignOptions::default()) {
+                Ok(out) => {
+                    let journal = out.state.journal();
+                    let mut f = Fnv::new();
+                    f.write_str("ctrl").write_u64(*seed);
+                    f.write_u64(journal.hash());
+                    f.write_u64(journal.len() as u64);
+                    f.write_u64(out.horizon.since_origin().as_ps());
+                    for name in COUNTERS {
+                        f.write_u64(out.metrics.counter(name));
+                    }
+                    for t in out.state.telemetry() {
+                        f.write_u64(t.circuits as u64).write_f64(t.aggregate_gbps);
+                    }
+                    merged.admission_wait_s.merge(out.metrics.admission_wait());
+                    (f.finish(), journal.len() as u64)
+                }
+                Err(e) => {
+                    let mut f = Fnv::new();
+                    f.write_str("ctrl-error").write_str(&e);
+                    (f.finish(), 0)
+                }
             }
-            for t in out.state.telemetry() {
-                f.write_u64(t.circuits as u64).write_f64(t.aggregate_gbps);
-            }
-            merged.admission_wait_s.merge(out.metrics.admission_wait());
-            (f.finish(), journal.len() as u64)
         }
         Scenario::Collective {
             shape,

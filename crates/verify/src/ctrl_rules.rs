@@ -354,7 +354,7 @@ pub fn check_compaction_watermark(journal: &Journal, report: &mut Report) {
 ///
 /// Not part of [`check_journal`]: the shard geometry and face width are
 /// properties of the pod run, not of the journal itself, so the pod
-/// harness (and `cargo xtask lint`) passes them explicitly.
+/// harness passes them explicitly.
 pub fn check_multi_group_admission(
     journal: &Journal,
     group_z: usize,

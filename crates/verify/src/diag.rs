@@ -2,8 +2,7 @@
 //! message, and fix hint, collected into a [`Report`].
 //!
 //! Every rule in the catalog has a stable [`RuleId`] so violations can be
-//! matched programmatically (the mutation tests assert on ids, and the
-//! `cargo xtask lint` driver filters expected findings by id).
+//! matched programmatically (the mutation tests assert on ids).
 
 use lightpath::{EdgeId, TileCoord, WaferId};
 use std::fmt;
@@ -125,7 +124,7 @@ impl RuleId {
         }
     }
 
-    /// One-line summary shown by `cargo xtask lint --catalog`.
+    /// One-line summary shown by `cargo xtask catalog`.
     pub fn summary(self) -> &'static str {
         match self {
             RuleId::Sch001 => "round oversubscribes a directed electrical link",

@@ -30,8 +30,9 @@
 //! | RTE501 | stamps    | stamped-plan boundary contracts match the landing wafer |
 //!
 //! Diagnostics are structured ([`Diagnostic`]: rule id, severity,
-//! location, message, fix hint) so callers — tests, `cargo xtask lint` —
-//! can assert on exactly which rule fired where. Circuit rules run over
+//! location, message, fix hint) so callers — the tests in `tests/`, and
+//! the fabricd and pod suites — can assert on exactly which rule fired
+//! where. Circuit rules run over
 //! [`WaferView`] snapshots; the seeded-violation tests corrupt a view in
 //! ways live admission control would refuse, proving each rule fires.
 

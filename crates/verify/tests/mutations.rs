@@ -17,9 +17,9 @@ use resilience::{chip_to_tile, fig6a, optical_repair, PhotonicRack};
 use std::collections::BTreeMap;
 use topo::{Coord3, Dim, Shape3, Slice, Torus};
 use verify::{
-    check_blast_radius, check_repair_fabric, check_schedule, check_wafer, check_wafer_view,
-    endpoint_claims, CircuitView, CollectiveSpec, Location, RuleId, ScheduleContext, TileOwnership,
-    WaferView,
+    check_blast_radius, check_fabric, check_repair_fabric, check_schedule, check_wafer,
+    check_wafer_view, endpoint_claims, CircuitView, CollectiveSpec, Location, RuleId,
+    ScheduleContext, TileOwnership, WaferView,
 };
 
 const RACK: Shape3 = Shape3::rack_4x4x4();
@@ -87,9 +87,18 @@ fn sch001_flags_electrical_all_to_all_as_designed() {
     assert!(!sched.is_congestion_free());
     let report = verify::check_oversubscription(&sched);
     assert!(report.has(RuleId::Sch001));
-    // Optically the same collective is contention-free by construction.
+    // Its bytes still conserve although its links congest.
+    let ctx = ScheduleContext::new(RACK, members.clone()).expecting(CollectiveSpec::AllToAll {
+        n_bytes: N,
+        p: members.len(),
+    });
+    let report = verify::check_byte_conservation(&sched, &ctx);
+    assert!(report.is_clean(), "{}", report.render());
+    // Optically the same collective is contention-free by construction,
+    // and it passes every schedule rule.
     let optical = all_to_all(&members, N, Mode::OpticalFullSteer, RACK, &torus, &params);
-    assert!(verify::check_oversubscription(&optical).is_clean());
+    let report = check_schedule(&optical, &ctx);
+    assert!(report.is_clean(), "{}", report.render());
 }
 
 // ---------------------------------------------------------------- SCH002 --
@@ -433,30 +442,26 @@ fn phy201_warns_on_thin_margin() {
 
 #[test]
 fn admitted_wafer_passes_circuit_rules() {
-    let mut wafer = Wafer::new(WaferConfig::lightpath_32());
-    wafer
-        .establish(CircuitRequest::new(
-            TileCoord::new(0, 0),
-            TileCoord::new(3, 7),
-            8,
-        ))
-        .unwrap();
-    wafer
-        .establish(CircuitRequest::new(
-            TileCoord::new(0, 0),
-            TileCoord::new(2, 3),
-            8,
-        ))
-        .unwrap();
-    wafer
-        .establish(CircuitRequest::new(
-            TileCoord::new(1, 5),
-            TileCoord::new(0, 2),
-            16,
-        ))
-        .unwrap();
-    let report = check_wafer(&wafer);
-    assert_eq!(report.error_count(), 0, "{}", report.render());
+    // §3's corner-to-corner circuit at full WDM (16 λ) alone, then three
+    // circuits that share a source tile and buses.
+    for requests in [
+        &[((0, 0), (3, 7), 16)][..],
+        &[
+            ((0, 0), (3, 7), 8),
+            ((0, 0), (2, 3), 8),
+            ((1, 5), (0, 2), 16),
+        ],
+    ] {
+        let mut wafer = Wafer::new(WaferConfig::lightpath_32());
+        for &((r1, c1), (r2, c2), lanes) in requests {
+            let (src, dst) = (TileCoord::new(r1, c1), TileCoord::new(r2, c2));
+            wafer
+                .establish(CircuitRequest::new(src, dst, lanes))
+                .unwrap();
+        }
+        let report = check_wafer(&wafer);
+        assert_eq!(report.error_count(), 0, "{}", report.render());
+    }
 }
 
 // ---------------------------------------------------------------- RES301 --
@@ -472,6 +477,8 @@ fn res301_clean_on_paper_repair() {
         scenario.free[0],
     )
     .expect("repair succeeds");
+    let report = check_fabric(&rack.fabric);
+    assert!(report.is_clean(), "{}", report.render());
     let ownership = TileOwnership::from_occupancy(&rack.cluster, &scenario.occ);
     let report = check_repair_fabric(&rack.fabric, &ownership, scenario.victim.id);
     assert!(report.is_clean(), "{}", report.render());

@@ -3,6 +3,8 @@
 //! * Ring and bucket schedules compiled by `collectives` are
 //!   congestion-free and byte-conserving for every slice shape, buffer
 //!   size, and bandwidth mode — so the full SCH rule set stays silent.
+//! * The paper's Table 1/2 schedules verify clean at Fig 5b's 64 MiB
+//!   buffer, which the drawn sizes stop short of.
 //! * Any circuit set a `lightpath` wafer *admits* satisfies λ-disjointness,
 //!   lane and waveguide conservation, and closes its link budgets — so the
 //!   CKT/PHY rule set stays silent on live states (errors can only come
@@ -123,5 +125,69 @@ proptest! {
             report.error_count(), 0,
             "after {} admissions:\n{}", admitted, report.render()
         );
+    }
+}
+
+/// The Table 1/2 schedules at Fig 5b's 64 MiB buffer: ring ReduceScatter
+/// on Slice-1 (4×2×1) in both modes, its optical ring AllReduce, and
+/// bucket ReduceScatter on Slice-3 (4×4×1) in both modes.
+#[test]
+fn table1_and_table2_schedules_verify_clean_at_64_mib() {
+    const N_BYTES: f64 = (64u64 << 20) as f64;
+    let params = CostParams::default();
+    let torus = Torus::new(RACK);
+    let ring = snake_order(&Slice::new(1, Coord3::new(0, 0, 0), Shape3::new(4, 2, 1)));
+    let slice3 = Slice::new(3, Coord3::new(0, 0, 1), Shape3::new(4, 4, 1));
+    let bucket: Vec<Coord3> = slice3.coords().collect();
+    let ring_rs = |mode| ring_reduce_scatter(&ring, N_BYTES, mode, RACK, &torus, &params);
+    let bucket_rs = |mode| {
+        let dims = [Dim::X, Dim::Y];
+        bucket_reduce_scatter(&slice3, &dims, N_BYTES, mode, RACK, &torus, &params)
+    };
+    let all_reduce = |mode| ring_all_reduce(&ring, N_BYTES, mode, RACK, &torus, &params);
+    let rs = |p| CollectiveSpec::ReduceScatter {
+        n_bytes: N_BYTES,
+        p,
+    };
+    let ar = CollectiveSpec::AllReduce {
+        n_bytes: N_BYTES,
+        p: ring.len(),
+    };
+    let cases = [
+        (
+            "table1 ring (electrical)",
+            ring_rs(Mode::Electrical),
+            &ring,
+            rs(ring.len()),
+        ),
+        (
+            "table1 ring (optical)",
+            ring_rs(Mode::OpticalFullSteer),
+            &ring,
+            rs(ring.len()),
+        ),
+        (
+            "ring all-reduce (optical)",
+            all_reduce(Mode::OpticalFullSteer),
+            &ring,
+            ar,
+        ),
+        (
+            "table2 bucket (electrical)",
+            bucket_rs(Mode::Electrical),
+            &bucket,
+            rs(bucket.len()),
+        ),
+        (
+            "table2 bucket (optical)",
+            bucket_rs(Mode::OpticalStaticSplit),
+            &bucket,
+            rs(bucket.len()),
+        ),
+    ];
+    for (name, sched, members, spec) in cases {
+        let ctx = ScheduleContext::new(RACK, members.clone()).expecting(spec);
+        let report = check_schedule(&sched, &ctx);
+        assert!(report.is_clean(), "{name}:\n{}", report.render());
     }
 }

@@ -1,14 +1,12 @@
 //! Workspace automation: `cargo xtask lint`.
 //!
 //! A static-analysis driver that needs no network and no extra tooling
-//! beyond the toolchain already in the container:
+//! beyond the toolchain already in the container. It runs only what no
+//! test can: the verify rule catalog's audits of the paper's schedules,
+//! circuits, repairs and journals live in the verify, fabricd and pod
+//! test suites under `cargo test --workspace`.
 //!
-//! 1. **verify** — runs the [`verify`] rule catalog over golden artifacts
-//!    mirroring `bench::experiments`: the Table 1/2 ring and bucket
-//!    schedules, the rotation all-to-all (whose electrical build must trip
-//!    SCH001 — a negative control proving the verifier has teeth), the §3
-//!    capability wafer, and the Fig 7 optical repair (RES301).
-//! 2. **detlint** — the token-level determinism & panic-freedom analyzer
+//! 1. **detlint** — the token-level determinism & panic-freedom analyzer
 //!    in [`detlint`] walks every workspace crate: `HashMap` iteration on
 //!    fingerprint paths, wall clocks in simulation crates, unseeded
 //!    randomness, raw `f64` ordering, unwrap/expect/panic/indexing in
@@ -16,7 +14,7 @@
 //!    suppressions require a reason; `detlint.toml` baselines only
 //!    ratchet down. A planted-violation negative control proves the
 //!    analyzer has teeth on every run.
-//! 3. **perf baselines** — walks [`BENCH_GATES`]: each row re-runs one
+//! 2. **perf baselines** — walks [`BENCH_GATES`]: each row re-runs one
 //!    committed `BENCH_*.json` workload through a release `spsim`
 //!    (sweep, routebench, pod smoke, ctrl campaign, stitch placement) and
 //!    gates the fresh report with [`fabricd::report::compare`] over the
@@ -25,31 +23,22 @@
 //!    hold [`fabricd::report::MIN_PERF_RATIO`], `Info` rows only need to
 //!    be present. Two rows add a same-run check: route's stamped speedup
 //!    and placement's stitched job.
-//! 4. **fmt** — `cargo fmt --check` (skipped gracefully when rustfmt is
+//! 3. **fmt** — `cargo fmt --check` (skipped gracefully when rustfmt is
 //!    not installed).
-//! 5. **clippy** — `cargo clippy --workspace --all-targets` with
+//! 4. **clippy** — `cargo clippy --workspace --all-targets` with
 //!    `-D warnings` and a curated allow-list (skipped gracefully when
 //!    clippy is not installed).
 //!
 //! `cargo xtask catalog` prints both rule catalogs (verify + detlint).
-//! `cargo xtask detlint [--json] [paths…]` runs the analyzer standalone.
+//! `cargo xtask detlint [--json] [--check-file <path>] [paths…]` runs the
+//! analyzer standalone.
 
 #![forbid(unsafe_code)]
 
-use collectives::cost::CostParams;
-use collectives::{
-    all_to_all, bucket_reduce_scatter, ring_all_reduce, ring_reduce_scatter, snake_order, Mode,
-};
 use fabricd::report::{compare, json_f64, json_raw, BenchFields, Field, Gate, MIN_PERF_RATIO};
-use lightpath::{CircuitRequest, TileCoord, Wafer, WaferConfig};
-use resilience::{fig6a, optical_repair, PhotonicRack};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-use topo::{Coord3, Dim, Shape3, Slice, Torus};
-use verify::{
-    check_fabric, check_repair_fabric, check_schedule, check_wafer, CollectiveSpec, Report, RuleId,
-    ScheduleContext, Severity, TileOwnership,
-};
+use verify::RuleId;
 
 /// Clippy lints allowed on top of `-D warnings` (style calls this
 /// workspace makes deliberately; everything else stays denied).
@@ -99,9 +88,6 @@ fn lint(flags: &[String]) -> ExitCode {
     let root = workspace_root();
     let mut failures: Vec<String> = Vec::new();
 
-    section("verify: golden schedules & circuits");
-    failures.extend(verify_golden(&root));
-
     section("detlint: determinism & panic-freedom");
     failures.extend(detlint_run(&root, false, &[]));
 
@@ -143,638 +129,6 @@ fn lint(flags: &[String]) -> ExitCode {
 
 fn section(title: &str) {
     println!("== {title} ==");
-}
-
-// ------------------------------------------------------------ verifier ----
-
-/// Buffer size for the golden schedules (64 MiB, the paper's Fig 5b scale).
-const N_BYTES: f64 = (64u64 << 20) as f64;
-
-fn expect_clean(failures: &mut Vec<String>, what: &str, report: &Report) {
-    let warnings = report.diagnostics.len() - report.error_count();
-    if report.error_count() > 0 {
-        failures.push(format!("{what}: {} error(s)", report.error_count()));
-        println!("  FAIL {what}");
-        for d in report.errors() {
-            println!("       {d}");
-        }
-    } else if warnings > 0 {
-        println!("  ok   {what} ({warnings} warning(s))");
-        for d in &report.diagnostics {
-            if d.severity == Severity::Warning {
-                println!("       {d}");
-            }
-        }
-    } else {
-        println!("  ok   {what}");
-    }
-}
-
-fn verify_golden(root: &Path) -> Vec<String> {
-    let mut failures = Vec::new();
-    let params = CostParams::default();
-    let rack = Shape3::rack_4x4x4();
-    let torus = Torus::new(rack);
-
-    // Table 1: ring ReduceScatter on Slice-1 (4×2×1, p = 8).
-    let slice1 = Slice::new(1, Coord3::new(0, 0, 0), Shape3::new(4, 2, 1));
-    let members = snake_order(&slice1);
-    for (label, mode) in [
-        ("electrical", Mode::Electrical),
-        ("optical", Mode::OpticalFullSteer),
-    ] {
-        let sched = ring_reduce_scatter(&members, N_BYTES, mode, rack, &torus, &params);
-        let ctx =
-            ScheduleContext::new(rack, members.clone()).expecting(CollectiveSpec::ReduceScatter {
-                n_bytes: N_BYTES,
-                p: members.len(),
-            });
-        let report = check_schedule(&sched, &ctx);
-        expect_clean(
-            &mut failures,
-            &format!("table1 ring reduce-scatter ({label})"),
-            &report,
-        );
-    }
-
-    // Ring AllReduce on the same slice (Fig 5b's collective).
-    let sched = ring_all_reduce(
-        &members,
-        N_BYTES,
-        Mode::OpticalFullSteer,
-        rack,
-        &torus,
-        &params,
-    );
-    let ctx = ScheduleContext::new(rack, members.clone()).expecting(CollectiveSpec::AllReduce {
-        n_bytes: N_BYTES,
-        p: members.len(),
-    });
-    expect_clean(
-        &mut failures,
-        "ring all-reduce (optical)",
-        &check_schedule(&sched, &ctx),
-    );
-
-    // Table 2: bucket ReduceScatter on Slice-3 (4×4×1, D = 2).
-    let slice3 = Slice::new(3, Coord3::new(0, 0, 1), Shape3::new(4, 4, 1));
-    for (label, mode) in [
-        ("electrical", Mode::Electrical),
-        ("optical", Mode::OpticalStaticSplit),
-    ] {
-        let sched = bucket_reduce_scatter(
-            &slice3,
-            &[Dim::X, Dim::Y],
-            N_BYTES,
-            mode,
-            rack,
-            &torus,
-            &params,
-        );
-        let ctx = ScheduleContext::new(rack, slice3.coords().collect()).expecting(
-            CollectiveSpec::ReduceScatter {
-                n_bytes: N_BYTES,
-                p: slice3.chips(),
-            },
-        );
-        let report = check_schedule(&sched, &ctx);
-        expect_clean(
-            &mut failures,
-            &format!("table2 bucket reduce-scatter ({label})"),
-            &report,
-        );
-    }
-
-    // §5 all-to-all. Optically it must verify clean; electrically the
-    // rotation congests the torus by design — the negative control: the
-    // driver FAILS if SCH001 does *not* fire.
-    let chips: Vec<Coord3> = rack.coords().collect();
-    let optical = all_to_all(
-        &chips,
-        N_BYTES,
-        Mode::OpticalFullSteer,
-        rack,
-        &torus,
-        &params,
-    );
-    let ctx = ScheduleContext::new(rack, chips.clone()).expecting(CollectiveSpec::AllToAll {
-        n_bytes: N_BYTES,
-        p: chips.len(),
-    });
-    expect_clean(
-        &mut failures,
-        "all-to-all (optical)",
-        &check_schedule(&optical, &ctx),
-    );
-    let electrical = all_to_all(&chips, N_BYTES, Mode::Electrical, rack, &torus, &params);
-    let report = verify::check_oversubscription(&electrical);
-    if report.has(RuleId::Sch001) {
-        println!(
-            "  ok   all-to-all (electrical) trips SCH001 as designed ({} oversubscribed links)",
-            report.diagnostics.len()
-        );
-    } else {
-        failures.push("negative control: electrical all-to-all did not trip SCH001".into());
-        println!("  FAIL negative control: electrical all-to-all did not trip SCH001");
-    }
-    // Its bytes still conserve even though its links congest.
-    expect_clean(
-        &mut failures,
-        "all-to-all (electrical) byte conservation",
-        &verify::check_byte_conservation(&electrical, &ctx),
-    );
-
-    // §3 capability wafer: the corner-to-corner full-WDM circuit.
-    let cap = bench::experiments::run_capability();
-    let mut wafer = Wafer::new(WaferConfig::lightpath_32());
-    if let Err(e) = wafer.establish(CircuitRequest::new(
-        TileCoord::new(0, 0),
-        TileCoord::new(3, 7),
-        16,
-    )) {
-        failures.push(format!("capability circuit refused: {e:?}"));
-    }
-    println!(
-        "  ok   capability wafer: {} tiles, worst-case margin {:.2} dB",
-        cap.tiles, cap.worst_margin_db
-    );
-    expect_clean(
-        &mut failures,
-        "capability wafer circuits",
-        &check_wafer(&wafer),
-    );
-
-    // Fig 7: optical repair of the Fig 6a failure; blast radius must hold.
-    let scenario = fig6a();
-    let mut prack = PhotonicRack::new(1);
-    let Some(&free_wafer) = scenario.free.first() else {
-        failures.push("fig6a scenario has no free wafer".into());
-        return failures;
-    };
-    match optical_repair(&mut prack, &scenario.victim, scenario.failed, free_wafer) {
-        Ok(rep) => {
-            println!(
-                "  ok   fig7 repair established {} circuits in {:.1} µs",
-                rep.circuits,
-                rep.setup.as_micros_f64()
-            );
-            expect_clean(
-                &mut failures,
-                "fig7 repair fabric",
-                &check_fabric(&prack.fabric),
-            );
-            let ownership = TileOwnership::from_occupancy(&prack.cluster, &scenario.occ);
-            expect_clean(
-                &mut failures,
-                "fig7 repair blast radius (RES301)",
-                &check_repair_fabric(&prack.fabric, &ownership, scenario.victim.id),
-            );
-        }
-        Err(e) => failures.push(format!("fig7 optical repair failed: {e:?}")),
-    }
-
-    // fabricd golden journal: a seeded multi-tenant scenario with one
-    // injected failure must journal a repair and audit clean under
-    // CTL401/CTL402, and its replay must reproduce the live telemetry.
-    let cfg = fabricd::CtrlConfig {
-        jobs: 6,
-        seed: 7,
-        failures: 1,
-        ..fabricd::CtrlConfig::default()
-    };
-    let out = fabricd::run_scenario(&cfg);
-    let journal = out.state.journal();
-    let repairs = journal
-        .records()
-        .iter()
-        .filter(|r| matches!(r.entry, fabricd::JournalEntry::Repair { .. }))
-        .count();
-    if repairs == 0 {
-        failures.push("golden journal: scenario produced no Repair record".into());
-        println!("  FAIL golden journal: no Repair record");
-    } else {
-        println!(
-            "  ok   golden journal: {} records, {} repair(s), hash {:#018x}",
-            journal.len(),
-            repairs,
-            journal.hash()
-        );
-    }
-    expect_clean(
-        &mut failures,
-        "golden journal (CTL401/CTL402)",
-        &verify::check_journal(journal),
-    );
-    match fabricd::replay(journal) {
-        Ok(replayed) if replayed.telemetry() == out.state.telemetry() => {
-            println!("  ok   golden journal replay reproduces live telemetry");
-        }
-        Ok(_) => {
-            failures.push("golden journal replay diverged from live telemetry".into());
-            println!("  FAIL golden journal replay diverged from live telemetry");
-        }
-        Err(e) => {
-            failures.push(format!("golden journal replay error: {e}"));
-            println!("  FAIL golden journal replay: {e}");
-        }
-    }
-
-    // Negative controls: the CTL rules must have teeth. A repair with no
-    // prior Fail must trip CTL402; overlapping admits must trip CTL401.
-    let mut forged = fabricd::Journal::new(*journal.header());
-    forged.push(
-        desim::SimTime::ZERO,
-        fabricd::JournalEntry::Repair {
-            incident: 99,
-            replacement: Coord3::new(0, 0, 3),
-            circuits: 8,
-            servers_touched: 2,
-            blast_servers: 1,
-        },
-    );
-    for job in [0u32, 1] {
-        forged.push(
-            desim::SimTime::from_ps(1),
-            fabricd::JournalEntry::Admit {
-                job,
-                origin: Coord3::new(0, 0, 0),
-                extent: Shape3::new(2, 2, 1),
-            },
-        );
-    }
-    let report = verify::check_journal(&forged);
-    for (rule, what) in [
-        (RuleId::Ctl402, "orphan repair"),
-        (RuleId::Ctl401, "overlapping admits"),
-    ] {
-        if report.has(rule) {
-            println!("  ok   forged journal trips {rule} as designed ({what})");
-        } else {
-            failures.push(format!("negative control: {what} did not trip {rule}"));
-            println!("  FAIL negative control: {what} did not trip {rule}");
-        }
-    }
-
-    // RTE501: the golden scenario's stamped admissions must carry
-    // boundary contracts that audit clean against the wafers they landed
-    // on — and a forged contract must trip the rule.
-    let audit = out.state.plan_engine().audit();
-    let stamps = audit.records.len();
-    let contract_edges: usize = audit.records.iter().map(|r| r.edges.len()).sum();
-    if stamps == 0 {
-        failures.push("golden scenario admitted no batches by stamping".into());
-        println!("  FAIL golden scenario: plan library never stamped");
-    } else {
-        println!(
-            "  ok   golden scenario stamped {stamps} batch(es) ({contract_edges} contract edge(s) audited)"
-        );
-    }
-    expect_clean(
-        &mut failures,
-        "stamped-plan boundary contracts (RTE501)",
-        &verify::check_stamp_audit(&audit),
-    );
-    let mut forged_audit = audit.clone();
-    forged_audit.records.push(route::StampRecord {
-        origin: (0, 0),
-        edges: vec![
-            route::AuditEdge {
-                a: (0, 0),
-                b: (0, 1),
-                expected_stitch_db: 0.25,
-                observed_stitch_db: 0.75,
-                pre_load: 0,
-            },
-            route::AuditEdge {
-                a: (1, 0),
-                b: (1, 1),
-                expected_stitch_db: 0.25,
-                observed_stitch_db: 0.25,
-                pre_load: 2,
-            },
-        ],
-    });
-    let report = verify::check_stamp_audit(&forged_audit);
-    if report.by_rule(RuleId::Rte501).len() >= 2 {
-        println!("  ok   forged boundary contract trips RTE501 as designed (loss + occupancy)");
-    } else {
-        failures.push("negative control: forged boundary contract did not trip RTE501".into());
-        println!("  FAIL negative control: forged boundary contract did not trip RTE501");
-    }
-
-    // Fault-campaign golden: the same seeded scenario with one retry
-    // allowed must journal machine-readable Reject + Rollback pairs for
-    // the programming failures it hits, still audit clean under the full
-    // CTL rule set (403/404 included), and still replay bit-for-bit.
-    let fault_cfg = fabricd::CtrlConfig {
-        seed: 7,
-        failures: 1,
-        program_retries: 1,
-        ..fabricd::CtrlConfig::default()
-    };
-    let fault_out = fabricd::run_scenario(&fault_cfg);
-    let fault_journal = fault_out.state.journal();
-    let rejects = fault_journal
-        .records()
-        .iter()
-        .filter(|r| matches!(r.entry, fabricd::JournalEntry::Reject { .. }))
-        .count();
-    if rejects == 0 {
-        failures.push("fault-campaign golden: no Reject record journaled".into());
-        println!("  FAIL fault-campaign golden: no Reject record");
-    } else {
-        println!(
-            "  ok   fault-campaign golden: {} records, {} reject(s), hash {:#018x}",
-            fault_journal.len(),
-            rejects,
-            fault_journal.hash()
-        );
-    }
-    expect_clean(
-        &mut failures,
-        "fault-campaign journal (CTL401-CTL404)",
-        &verify::check_journal(fault_journal),
-    );
-    match fabricd::replay(fault_journal) {
-        Ok(replayed) if replayed.telemetry() == fault_out.state.telemetry() => {
-            println!("  ok   fault-campaign replay reproduces live telemetry");
-        }
-        Ok(_) => {
-            failures.push("fault-campaign replay diverged from live telemetry".into());
-            println!("  FAIL fault-campaign replay diverged from live telemetry");
-        }
-        Err(e) => {
-            failures.push(format!("fault-campaign replay error: {e}"));
-            println!("  FAIL fault-campaign replay: {e}");
-        }
-    }
-
-    // Negative controls for the rejection rules: an unregistered reason
-    // code must trip CTL403; a rollback with no originating reject must
-    // trip CTL404.
-    let mut forged_reject = fabricd::Journal::new(*journal.header());
-    forged_reject.push(
-        desim::SimTime::ZERO,
-        fabricd::JournalEntry::Reject {
-            job: 1,
-            shape: Shape3::new(2, 2, 1),
-            attempt: 0,
-            code: "made-up/not-in-registry",
-        },
-    );
-    forged_reject.push(
-        desim::SimTime::ZERO,
-        fabricd::JournalEntry::Rollback {
-            job: 1,
-            attempt: 0,
-            circuits: 0,
-        },
-    );
-    forged_reject.push(
-        desim::SimTime::from_ps(1),
-        fabricd::JournalEntry::Rollback {
-            job: 2,
-            attempt: 0,
-            circuits: 3,
-        },
-    );
-    let report = verify::check_journal(&forged_reject);
-    for (rule, what) in [
-        (RuleId::Ctl403, "unregistered reason code"),
-        (RuleId::Ctl404, "orphan rollback"),
-    ] {
-        if report.has(rule) {
-            println!("  ok   forged journal trips {rule} as designed ({what})");
-        } else {
-            failures.push(format!("negative control: {what} did not trip {rule}"));
-            println!("  FAIL negative control: {what} did not trip {rule}");
-        }
-    }
-
-    // Snapshotted-campaign golden: the BENCH_ctrl campaign re-run with its
-    // committed cadence must journal Snapshot records that audit clean
-    // under the full CTL rule set — CTL406 (committed snapshot fingerprint
-    // equals the replayed-prefix fingerprint) and CTL407 (compaction
-    // watermark integrity) included — and its last snapshot must match the
-    // committed `golden/ctrl_snapshot.txt` artifact byte for byte, with
-    // delta replay from it landing on the live fingerprint.
-    let (bench_cfg, every) = fabricd::bench_config();
-    let snap_opts = fabricd::CampaignOptions {
-        snapshot_every: Some(every),
-        ..fabricd::CampaignOptions::default()
-    };
-    match fabricd::run_campaign(&bench_cfg, &snap_opts) {
-        Err(e) => {
-            failures.push(format!("snapshot campaign failed: {e}"));
-            println!("  FAIL snapshot campaign: {e}");
-        }
-        Ok(out) => {
-            let journal = out.state.journal();
-            expect_clean(
-                &mut failures,
-                "snapshot-campaign journal (CTL401-CTL407)",
-                &verify::check_journal(journal),
-            );
-            let golden_path = root.join("golden").join("ctrl_snapshot.txt");
-            let regen = "regenerate with `spsim ctrl --campaign --jobs 48 --failures 2 \
-                         --snapshot-every 600 --snapshot-out golden/ctrl_snapshot.txt`";
-            match (out.snapshots.last(), std::fs::read_to_string(&golden_path)) {
-                (None, _) => {
-                    failures.push("snapshot campaign captured no snapshots".into());
-                    println!("  FAIL snapshot campaign captured no snapshots");
-                }
-                (Some(_), Err(e)) => {
-                    failures.push(format!(
-                        "missing golden snapshot {}: {e} — {regen}",
-                        golden_path.display()
-                    ));
-                    println!("  FAIL missing {}", golden_path.display());
-                }
-                (Some(snap), Ok(text)) => {
-                    if snap.to_text() != text {
-                        failures.push(format!(
-                            "golden snapshot artifact drifted from the live campaign — {regen}"
-                        ));
-                        println!("  FAIL golden snapshot artifact drifted");
-                    } else {
-                        match fabricd::CtrlSnapshot::parse(&text).and_then(|parsed| {
-                            fabricd::replay_from(&parsed.fabric, journal).map_err(|e| e.to_string())
-                        }) {
-                            Ok(st) if st.fingerprint() == out.state.fingerprint() => {
-                                println!(
-                                    "  ok   golden snapshot (seq {}) round-trips; delta replay \
-                                     reproduces fingerprint {:#018x}",
-                                    snap.fabric.seq,
-                                    out.state.fingerprint()
-                                );
-                            }
-                            Ok(_) => {
-                                failures.push("golden snapshot delta replay diverged".into());
-                                println!("  FAIL golden snapshot delta replay diverged");
-                            }
-                            Err(e) => {
-                                failures.push(format!("golden snapshot: {e}"));
-                                println!("  FAIL golden snapshot: {e}");
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Negative controls for the snapshot rules. CTL406: re-journal
-            // the campaign with one committed snapshot fingerprint flipped
-            // — the forgery must be caught. CTL407: a compacted journal
-            // whose first retained record is not the watermark Snapshot
-            // (compaction ate a live record) must be caught.
-            let mut forged_snap = fabricd::Journal::new(*journal.header());
-            let mut flipped = false;
-            for r in journal.records() {
-                match r.entry {
-                    fabricd::JournalEntry::Snapshot { fingerprint } if !flipped => {
-                        flipped = true;
-                        forged_snap.push(
-                            r.at,
-                            fabricd::JournalEntry::Snapshot {
-                                fingerprint: fingerprint ^ 1,
-                            },
-                        );
-                    }
-                    _ => {
-                        forged_snap.push(r.at, r.entry.clone());
-                    }
-                }
-            }
-            let mut hungry = fabricd::Journal::with_base(*journal.header(), 3, 0xdead_beef);
-            hungry.push(
-                desim::SimTime::ZERO,
-                fabricd::JournalEntry::Admit {
-                    job: 1,
-                    origin: Coord3::new(0, 0, 0),
-                    extent: Shape3::new(2, 2, 1),
-                },
-            );
-            for (journal, rule, what) in [
-                (&forged_snap, RuleId::Ctl406, "forged snapshot fingerprint"),
-                (&hungry, RuleId::Ctl407, "compaction ate a live record"),
-            ] {
-                if verify::check_journal(journal).has(rule) {
-                    println!("  ok   forged journal trips {rule} as designed ({what})");
-                } else {
-                    failures.push(format!("negative control: {what} did not trip {rule}"));
-                    println!("  FAIL negative control: {what} did not trip {rule}");
-                }
-            }
-        }
-    }
-
-    // Cross-group admission golden (CTL408): the stitch placement policy
-    // at a scale where whole jobs span rack faces must land at least one
-    // multi-group admission, and the pod journal must audit clean under
-    // the cross-group rule. Then the negative controls: a forged
-    // straddling Admit (no covering stitch record) and a forged
-    // out-of-face stitch port must both trip CTL408.
-    let stitch_cfg = pod::PodConfig {
-        chips: 512,
-        jobs: 96,
-        failures: 2,
-        policy: pod::PolicyKind::Stitch,
-        ..pod::PodConfig::default()
-    };
-    match (
-        pod::PodLayout::new(stitch_cfg.chips),
-        pod::run_pod(&stitch_cfg, 1),
-    ) {
-        (Err(e), _) => {
-            failures.push(format!("stitch campaign layout: {e}"));
-            println!("  FAIL stitch campaign layout: {e}");
-        }
-        (_, Err(e)) => {
-            failures.push(format!("stitch campaign failed: {e}"));
-            println!("  FAIL stitch campaign: {e}");
-        }
-        (Ok(layout), Ok(out)) => {
-            let stitched = out.metrics.counter("jobs.stitched");
-            if stitched == 0 {
-                failures.push("stitch campaign admitted no cross-group job".into());
-                println!("  FAIL stitch campaign admitted no cross-group job");
-            } else {
-                println!(
-                    "  ok   stitch campaign: {stitched} cross-group admission(s) \
-                     ({} legs, {} rollbacks)",
-                    out.metrics.counter("stitch.legs"),
-                    out.metrics.counter("stitch.rollbacks")
-                );
-            }
-            let group_z = layout.partition().group_z();
-            let face = topo::band::face_ports(layout.partition().group_shape());
-            let mut report = Report::new();
-            verify::check_multi_group_admission(&out.journal, group_z, face, &mut report);
-            expect_clean(&mut failures, "stitch-campaign journal (CTL408)", &report);
-
-            // Forged straddle: an Admit crossing the group-0/group-1 rack
-            // face with no covering MultiGroupAdmit record.
-            let mut forged_straddle = fabricd::Journal::new(*out.journal.header());
-            forged_straddle.push(
-                desim::SimTime::ZERO,
-                fabricd::JournalEntry::Admit {
-                    job: 7,
-                    origin: Coord3::new(0, 0, group_z.saturating_sub(1)),
-                    extent: Shape3::new(2, 2, 2),
-                },
-            );
-            // Forged stitch port: a well-formed two-leg stitch whose port
-            // assignment indexes one past the rack face.
-            let legs = [
-                fabricd::StitchLegRecord {
-                    leg: 0x8000_0070,
-                    group: 0,
-                    origin: Coord3::new(0, 0, group_z - 1),
-                    extent: Shape3::new(1, 1, 1),
-                },
-                fabricd::StitchLegRecord {
-                    leg: 0x8000_0071,
-                    group: 1,
-                    origin: Coord3::new(0, 0, group_z),
-                    extent: Shape3::new(1, 1, 1),
-                },
-            ];
-            let mut forged_port = fabricd::Journal::new(*out.journal.header());
-            for l in legs {
-                forged_port.push(
-                    desim::SimTime::ZERO,
-                    fabricd::JournalEntry::Admit {
-                        job: l.leg,
-                        origin: l.origin,
-                        extent: l.extent,
-                    },
-                );
-            }
-            forged_port.push(
-                desim::SimTime::ZERO,
-                fabricd::JournalEntry::MultiGroupAdmit {
-                    job: 7,
-                    extent: Shape3::new(1, 1, 2),
-                    legs: legs.to_vec(),
-                    ports: vec![face as u32],
-                },
-            );
-            for (journal, what) in [
-                (&forged_straddle, "straddling admit with no stitch record"),
-                (&forged_port, "stitch port outside the rack face"),
-            ] {
-                let mut r = Report::new();
-                verify::check_multi_group_admission(journal, group_z, face, &mut r);
-                if r.has(RuleId::Ctl408) {
-                    println!("  ok   forged journal trips CTL408 as designed ({what})");
-                } else {
-                    failures.push(format!("negative control: {what} did not trip CTL408"));
-                    println!("  FAIL negative control: {what} did not trip CTL408");
-                }
-            }
-        }
-    }
-
-    failures
 }
 
 // --------------------------------------------------------- perf baseline --

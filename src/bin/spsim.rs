@@ -9,6 +9,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::process::ExitCode;
 
 use server_photonics::collectives::{
@@ -29,6 +30,31 @@ use server_photonics::sweep::{
 };
 use server_photonics::topo::{Coord3, Shape3, Slice, Torus};
 use server_photonics::workloads::{generate, simulate as simulate_placement, ArrivalParams};
+
+/// How a command stops short of success.
+enum Halt {
+    /// A failure, reported on stderr with a nonzero exit.
+    Fail(String),
+    /// Stdout's reader has gone (`spsim ctrl | head -n 1`): the command
+    /// ends quietly, as it has no one left to tell.
+    StdoutClosed,
+}
+
+impl From<String> for Halt {
+    fn from(e: String) -> Self {
+        Halt::Fail(e)
+    }
+}
+
+impl From<std::io::Error> for Halt {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Halt::StdoutClosed
+        } else {
+            Halt::Fail(format!("cannot write to stdout: {e}"))
+        }
+    }
+}
 
 /// Minimal `--key value` parser: everything after the subcommand.
 struct Args(BTreeMap<String, String>);
@@ -89,7 +115,8 @@ fn parse_coord(s: &str) -> Result<Coord3, String> {
     }
 }
 
-fn cmd_wafer(args: &Args) -> Result<(), String> {
+fn cmd_wafer(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let rows: u8 = args.get("rows", 4)?;
     let cols: u8 = args.get("cols", 8)?;
     let mut wafer = Wafer::new(WaferConfig {
@@ -97,11 +124,12 @@ fn cmd_wafer(args: &Args) -> Result<(), String> {
         cols,
         ..WaferConfig::default()
     });
-    println!(
+    writeln!(
+        stdout,
         "fabricated {rows}x{cols} wafer: {} tiles, {} waveguides/bus, 16λ × 224 Gb/s per tile",
         wafer.config().tiles(),
         wafer.edge_capacity()
-    );
+    )?;
     // Light up a demo circuit between opposite corners.
     let src = TileCoord::new(0, 0);
     let dst = TileCoord::new(rows - 1, cols - 1);
@@ -111,30 +139,33 @@ fn cmd_wafer(args: &Args) -> Result<(), String> {
     let ckt = wafer
         .circuit(rep.id)
         .ok_or_else(|| "circuit vanished right after establish".to_string())?;
-    println!("corner circuit {src}->{dst}: {}", ckt.path);
-    println!(
+    writeln!(stdout, "corner circuit {src}->{dst}: {}", ckt.path)?;
+    writeln!(
+        stdout,
         "  bandwidth {}  setup {}  margin {}  BER {:.1e}",
         ckt.bandwidth, rep.setup, rep.link.margin, rep.link.ber
-    );
+    )?;
     let t = wafer.telemetry();
-    println!(
+    writeln!(
+        stdout,
         "telemetry: {} circuits, {:.1} Gb/s aggregate, tx lanes {:.1}%, mean bus occupancy {:.3}",
         t.circuits,
         t.aggregate_gbps,
         t.tx_lane_utilization * 100.0,
         t.mean_edge_occupancy
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_collective(args: &Args) -> Result<(), String> {
+fn cmd_collective(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let shape = parse_shape(&args.get_str("slice", "4x2x1"))?;
     let bytes: f64 = args.get("bytes", 8e9)?;
     let mode = match args.get_str("mode", "optical-steer").as_str() {
         "electrical" => Mode::Electrical,
         "optical-split" => Mode::OpticalStaticSplit,
         "optical-steer" => Mode::OpticalFullSteer,
-        other => return Err(format!("unknown mode '{other}'")),
+        other => return Err(format!("unknown mode '{other}'").into()),
     };
     let algo = args.get_str("algo", "ring");
     let rack = Shape3::rack_4x4x4();
@@ -142,86 +173,105 @@ fn cmd_collective(args: &Args) -> Result<(), String> {
     let torus = Torus::new(rack);
     let slice = Slice::new(1, Coord3::new(0, 0, 0), shape);
     if !slice.fits(rack) {
-        return Err(format!("slice {shape} does not fit the 4x4x4 rack"));
+        return Err(format!("slice {shape} does not fit the 4x4x4 rack").into());
     }
     let schedule = match algo.as_str() {
         "ring" => ring_reduce_scatter(&snake_order(&slice), bytes, mode, rack, &torus, &params),
         "bucket" => {
             let dims = slice.active_dims();
             if dims.is_empty() {
-                return Err("slice has no dimension with extent > 1".into());
+                return Err(Halt::Fail("slice has no dimension with extent > 1".into()));
             }
             bucket_reduce_scatter(&slice, &dims, bytes, mode, rack, &torus, &params)
         }
         "alltoall" => all_to_all(&snake_order(&slice), bytes, mode, rack, &torus, &params),
-        other => return Err(format!("unknown algo '{other}'")),
+        other => return Err(format!("unknown algo '{other}'").into()),
     };
     let sym = schedule.symbolic_cost(&params);
     let report = execute(&schedule, &params);
-    println!(
+    writeln!(
+        stdout,
         "{algo} on slice {shape} ({} chips), N = {bytes:.3e} B, {mode:?}",
         slice.chips()
-    );
-    println!("  symbolic : {sym}");
-    println!(
+    )?;
+    writeln!(stdout, "  symbolic : {sym}")?;
+    writeln!(
+        stdout,
         "  measured : {}  ({} rounds, {} congested, max link load {})",
         report.total, report.rounds, report.congested_rounds, report.max_link_load
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_repair(args: &Args) -> Result<(), String> {
+fn cmd_repair(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let spare = parse_coord(&args.get_str("spare", "3,3,3"))?;
     let bytes: f64 = args.get("bytes", 1e9)?;
     let scenario = fig6a();
-    println!(
+    writeln!(
+        stdout,
         "Fig 6a scenario: {} failed in {}, {} spares free",
         scenario.failed,
         scenario.victim,
         scenario.free.len()
-    );
+    )?;
     let a = analyze(&scenario.occ, &scenario.victim, scenario.failed);
-    println!(
+    writeln!(
+        stdout,
         "electrical in-place repair: {} / {} candidates congestion-free",
         a.clean_options,
         a.attempts.len()
-    );
+    )?;
     let i = measure_interference(&scenario, spare, bytes, bytes);
-    println!(
+    writeln!(
+        stdout,
         "surviving-ring slowdown if forced electrically: {:.2}x (optical: {:.2}x)",
         i.electrical_slowdown, i.optical_slowdown
-    );
+    )?;
     let mut rack = PhotonicRack::new(1);
     let r = optical_repair(&mut rack, &scenario.victim, scenario.failed, spare)
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "optical repair: {} circuits to {} neighbours, ready in {}",
         r.circuits,
         r.neighbours.len(),
         r.setup
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_placement(args: &Args) -> Result<(), String> {
+fn cmd_placement(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let jobs: usize = args.get("jobs", 500)?;
     let seed: u64 = args.get("seed", 7)?;
     let stream = generate(jobs, &ArrivalParams::default(), seed);
     let r = simulate_placement(Shape3::rack_4x4x4(), &stream);
-    println!("placement of {jobs} jobs (seed {seed}) over {}", r.horizon);
-    println!("  accepted {} / rejected {}", r.accepted, r.rejected);
-    println!(
+    writeln!(
+        stdout,
+        "placement of {jobs} jobs (seed {seed}) over {}",
+        r.horizon
+    )?;
+    writeln!(
+        stdout,
+        "  accepted {} / rejected {}",
+        r.accepted, r.rejected
+    )?;
+    writeln!(
+        stdout,
         "  mean occupancy          : {:.0}%",
         r.mean_occupancy * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  electrical utilization  : {:.0}%",
         r.mean_electrical_utilization * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  optical utilization     : {:.0}%",
         r.mean_optical_utilization * 100.0
-    );
+    )?;
     Ok(())
 }
 
@@ -274,20 +324,22 @@ fn ctrl_config(args: &Args) -> Result<CtrlConfig, String> {
 /// proves delta replay from the last snapshot reproduces the live
 /// fingerprint. `--crash-after N` kills the run after N events so the
 /// written `--snapshot-out` artifact exercises a real restart.
-fn cmd_ctrl_campaign(args: &Args) -> Result<(), String> {
+fn cmd_ctrl_campaign(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     if let Some(path) = args.0.get("write-baseline") {
         let (cfg, every) = fabricd::bench_config();
         let report = fabricd::run_ctrl_bench(&cfg, every)?;
         std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        writeln!(
+            stdout,
             "ctrl bench: {} admissions at {:.0}/s, delta replay {} of {} records in {:.3} ms",
             report.admissions,
             report.admissions_per_sec,
             report.replay_tail_records,
             report.replay_full_records,
             report.replay_tail_ms
-        );
-        println!("  baseline written to {path}");
+        )?;
+        writeln!(stdout, "  baseline written to {path}")?;
         return Ok(());
     }
 
@@ -302,31 +354,38 @@ fn cmd_ctrl_campaign(args: &Args) -> Result<(), String> {
     let out = if let Some(path) = args.0.get("restart-from") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let snap = CtrlSnapshot::parse(&text)?;
-        println!(
+        writeln!(
+            stdout,
             "restarting from snapshot at {} (journal seq {})",
             snap.fabric.at, snap.fabric.seq
-        );
+        )?;
         fabricd::resume_campaign(&snap, &opts)?
     } else {
         fabricd::run_campaign(&ctrl_config(args)?, &opts)?
     };
 
     let journal = out.state.journal();
-    println!(
+    writeln!(
+        stdout,
         "campaign: {} events to {}, {} snapshot(s) every {every_s}s{}",
         out.events_executed,
         out.horizon,
         out.snapshots.len(),
         if out.crashed { " — CRASHED" } else { "" }
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  journal: {} logical records ({} retained, base seq {}), hash {:#018x}",
         journal.len(),
         journal.records().len(),
         journal.base_seq(),
         journal.hash()
-    );
-    println!("  state fingerprint: {:#018x}", out.state.fingerprint());
+    )?;
+    writeln!(
+        stdout,
+        "  state fingerprint: {:#018x}",
+        out.state.fingerprint()
+    )?;
 
     if let Some(path) = args.0.get("snapshot-out") {
         let snap = out
@@ -334,7 +393,11 @@ fn cmd_ctrl_campaign(args: &Args) -> Result<(), String> {
             .last()
             .ok_or_else(|| "no snapshot captured; set --snapshot-every".to_string())?;
         std::fs::write(path, snap.to_text()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  snapshot (seq {}) written to {path}", snap.fabric.seq);
+        writeln!(
+            stdout,
+            "  snapshot (seq {}) written to {path}",
+            snap.fabric.seq
+        )?;
     }
 
     // Prove the restart path on every invocation: delta replay from the
@@ -342,7 +405,8 @@ fn cmd_ctrl_campaign(args: &Args) -> Result<(), String> {
     if let Some(snap) = out.snapshots.last() {
         let tail = fabricd::replay_from(&snap.fabric, journal).map_err(|e| render_fault(&e))?;
         let identical = tail.fingerprint() == out.state.fingerprint();
-        println!(
+        writeln!(
+            stdout,
             "  delta replay from seq {}: {}",
             snap.fabric.seq,
             if identical {
@@ -350,17 +414,22 @@ fn cmd_ctrl_campaign(args: &Args) -> Result<(), String> {
             } else {
                 "DIVERGED"
             }
-        );
+        )?;
         if !identical {
-            return Err("delta replay diverged from live state".into());
+            return Err(Halt::Fail("delta replay diverged from live state".into()));
         }
     }
-    print!("{}", out.metrics.summary());
-    print!("{}", fabricd::RouteTelemetry::of(&out.state).summary());
+    write!(stdout, "{}", out.metrics.summary())?;
+    write!(
+        stdout,
+        "{}",
+        fabricd::RouteTelemetry::of(&out.state).summary()
+    )?;
     Ok(())
 }
 
-fn cmd_ctrl(args: &Args) -> Result<(), String> {
+fn cmd_ctrl(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     if args.get_str("campaign", "false") == "true"
         || args.0.contains_key("restart-from")
         || args.0.contains_key("write-baseline")
@@ -368,21 +437,24 @@ fn cmd_ctrl(args: &Args) -> Result<(), String> {
         return cmd_ctrl_campaign(args);
     }
     let cfg = ctrl_config(args)?;
-    let out = fabricd::run_scenario(&cfg);
+    let out = fabricd::run_campaign(&cfg, &CampaignOptions::default())?;
     let journal = out.state.journal();
-    println!(
+    writeln!(
+        stdout,
         "fabricd: {} jobs (seed {}) on {} rack(s), {} lanes/circuit, {} failure(s) injected",
         cfg.jobs, cfg.seed, cfg.racks, cfg.lanes, cfg.failures
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "journal: {} records, hash {:#018x}, horizon {}",
         journal.len(),
         journal.hash(),
         out.horizon
-    );
+    )?;
     for inc in out.state.incidents() {
         match (&inc.repair, &inc.repair_error) {
-            (Some(rep), _) => println!(
+            (Some(rep), _) => writeln!(
+                stdout,
                 "incident {}: chip {} failed (tenant {:?}, {} circuits spliced) — repaired \
                  optically with {} circuits in {}, blast radius {} server(s)",
                 inc.incident,
@@ -392,20 +464,22 @@ fn cmd_ctrl(args: &Args) -> Result<(), String> {
                 rep.circuits,
                 rep.setup,
                 rep.blast_servers
-            ),
-            (None, Some(e)) => println!(
+            )?,
+            (None, Some(e)) => writeln!(
+                stdout,
                 "incident {}: chip {} failed — repair FAILED: {e}",
                 inc.incident, inc.chip
-            ),
-            (None, None) => println!(
+            )?,
+            (None, None) => writeln!(
+                stdout,
                 "incident {}: chip {} failed — no repair attempted (no victim or no spare)",
                 inc.incident, inc.chip
-            ),
+            )?,
         }
     }
-    print!("{}", out.metrics.summary());
+    write!(stdout, "{}", out.metrics.summary())?;
     let route = fabricd::RouteTelemetry::of(&out.state);
-    print!("{}", route.summary());
+    write!(stdout, "{}", route.summary())?;
     if let Some(path) = args.0.get("report") {
         // Splice the route-telemetry object into the rejection report so
         // `--report` stays one JSON artifact: drop the closing brace,
@@ -417,13 +491,14 @@ fn cmd_ctrl(args: &Args) -> Result<(), String> {
             report = format!("{},\n  \"route\": {}\n}}\n", body.trim_end(), route.json(2));
         }
         std::fs::write(path, report).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("rejection report written to {path}");
+        writeln!(stdout, "rejection report written to {path}")?;
     }
     // Replay the journal against a fresh rack and prove determinism. A
     // divergence exits nonzero with the structured fault chain rendered.
     let replayed = fabricd::replay(journal).map_err(|e| render_fault(&e))?;
     let identical = replayed.telemetry() == out.state.telemetry();
-    println!(
+    writeln!(
+        stdout,
         "replay: {} records -> telemetry {}",
         journal.len(),
         if identical {
@@ -431,18 +506,19 @@ fn cmd_ctrl(args: &Args) -> Result<(), String> {
         } else {
             "DIVERGED"
         }
-    );
+    )?;
     if !identical {
-        return Err("replay diverged from live telemetry".into());
+        return Err(Halt::Fail("replay diverged from live telemetry".into()));
     }
     if let Some(path) = args.0.get("dump-journal") {
         std::fs::write(path, journal.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("journal dumped to {path}");
+        writeln!(stdout, "journal dumped to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_hoststack(args: &Args) -> Result<(), String> {
+fn cmd_hoststack(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let messages: usize = args.get("messages", 2000)?;
     let bytes: u64 = args.get("bytes", 4096)?;
     let peers: u32 = args.get("peers", 8)?;
@@ -455,7 +531,7 @@ fn cmd_hoststack(args: &Args) -> Result<(), String> {
         })
         .collect();
     workload.sort_by_key(|m| m.enqueued);
-    println!("{messages} x {bytes} B to {peers} peers:");
+    writeln!(stdout, "{messages} x {bytes} B to {peers} peers:")?;
     for (label, policy) in [
         ("per-message", CircuitPolicy::PerMessage),
         ("hold-open", CircuitPolicy::HoldOpen),
@@ -468,53 +544,63 @@ fn cmd_hoststack(args: &Args) -> Result<(), String> {
         ),
     ] {
         let r = hostnet::simulate(policy, HostParams::default(), &workload);
-        println!(
+        writeln!(
+            stdout,
             "  {label:<16} mean {:>9.1}us  p99 {:>9.1}us  reconfigs {:>6}  goodput {:>8.1} Gbps",
             r.latency.mean() * 1e6,
             r.p99_latency_s * 1e6,
             r.reconfigs,
             r.goodput_gbps
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
+fn cmd_sweep(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let grid_name = args.get_str("grid", "smoke");
     let workers: usize = args.get("workers", 4)?;
     let seed: u64 = args.get("seed", 42)?;
     let grid = GridSpec::by_name(&grid_name, seed)
         .ok_or_else(|| format!("unknown grid '{grid_name}' (try smoke or full)"))?;
-    println!(
+    writeln!(
+        stdout,
         "sweep: grid '{grid_name}' ({} scenarios, base seed {seed}), {workers} worker(s)",
         grid.len()
-    );
+    )?;
 
     // Sequential reference first, then the parallel run under test.
     let sequential = run_sweep(&grid, 1);
     let parallel = run_sweep(&grid, workers);
-    println!(
+    writeln!(
+        stdout,
         "  sequential: {:#018x} in {:.3}s ({:.0} events/s)",
         sequential.fingerprint,
         sequential.wall.as_secs_f64(),
         sequential.events_per_sec()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  parallel  : {:#018x} in {:.3}s ({:.0} events/s, {} workers)",
         parallel.fingerprint,
         parallel.wall.as_secs_f64(),
         parallel.events_per_sec(),
         parallel.workers
-    );
+    )?;
     if parallel.fingerprint != sequential.fingerprint {
         return Err(format!(
             "DETERMINISM VIOLATION: {}-worker fingerprint {:#018x} != sequential {:#018x}",
             parallel.workers, parallel.fingerprint, sequential.fingerprint
-        ));
+        )
+        .into());
     }
-    println!("  fingerprints IDENTICAL (parallel == sequential, bit for bit)");
+    writeln!(
+        stdout,
+        "  fingerprints IDENTICAL (parallel == sequential, bit for bit)"
+    )?;
     let m = &parallel.merged;
-    println!(
+    writeln!(
+        stdout,
         "  merged: {} stitch samples (mean {:.3} dB), {} admission waits, \
          {} collectives (mean {:.1} us), {} churn probes (mean {:.2} hops)",
         m.stitch_loss_db.count(),
@@ -524,18 +610,18 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         m.collective_us.mean(),
         m.churn_hops.count(),
         m.churn_hops.mean()
-    );
+    )?;
     let seq_wall = sequential.wall.as_secs_f64();
     let bench = BenchReport::from_runs(&parallel, seq_wall);
-    println!("  speedup vs 1 worker: {:.2}x", bench.speedup_vs_1);
+    writeln!(stdout, "  speedup vs 1 worker: {:.2}x", bench.speedup_vs_1)?;
     if let Some(path) = args.0.get("json") {
         let artifact = outcome_to_json(&parallel, seq_wall);
         std::fs::write(path, artifact).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  report written to {path}");
+        writeln!(stdout, "  report written to {path}")?;
     }
     if let Some(path) = args.0.get("write-baseline") {
         std::fs::write(path, bench.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  baseline written to {path}");
+        writeln!(stdout, "  baseline written to {path}")?;
     }
     Ok(())
 }
@@ -545,7 +631,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 /// nonzero if their fingerprints or journals differ: the worker-count
 /// invariance the pod crate promises is asserted on every invocation,
 /// not just in tests.
-fn cmd_pod(args: &Args) -> Result<(), String> {
+fn cmd_pod(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let policy_name = args.get_str("policy", "greedy");
     let policy = pod::PolicyKind::parse(&policy_name).ok_or_else(|| {
         format!("unknown placement policy '{policy_name}' (try greedy, frag, or stitch)")
@@ -578,10 +665,11 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
     if let Some(path) = args.0.get("restart-from") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let snap = PodSnapshot::parse(&text)?;
-        println!(
+        writeln!(
+            stdout,
             "restarting pod from snapshot at epoch {} (journal seq {})",
             snap.epoch, snap.journal_next_seq
-        );
+        )?;
         let run = pod::resume_pod(
             &snap,
             shards,
@@ -590,7 +678,8 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
                 ..opts
             },
         )?;
-        println!(
+        writeln!(
+            stdout,
             "  resumed to epoch {} ({} events): fingerprint {:#018x}, journal {:#018x} \
              ({} logical records)",
             run.epochs,
@@ -598,20 +687,21 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
             run.fingerprint,
             run.journal.hash(),
             run.journal.len()
-        );
-        print!("{}", run.metrics.summary());
-        print!("{}", run.route.summary());
+        )?;
+        write!(stdout, "{}", run.metrics.summary())?;
+        write!(stdout, "{}", run.route.summary())?;
         if let Some(out) = args.0.get("json") {
             let bench = PodBenchReport::from_outcome(&run, snap.config.jobs);
             std::fs::write(out, bench.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("  report written to {out}");
+            writeln!(stdout, "  report written to {out}")?;
         }
         return Ok(());
     }
 
     let reference = pod::run_pod_with(&cfg, 1, &opts)?;
     let run = pod::run_pod_with(&cfg, shards, &opts)?;
-    println!(
+    writeln!(
+        stdout,
         "pod: {} chips in {} rack-group domain(s), {} jobs, {} failure(s), seed {}, policy {}",
         cfg.chips,
         run.groups,
@@ -619,15 +709,17 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
         cfg.failures,
         cfg.seed,
         run.policy.name()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  1 shard  : {:#018x} in {:.3}s ({:.0} events/s)",
         reference.fingerprint, reference.wall_s, reference.events_per_sec
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  {} shards : {:#018x} in {:.3}s ({:.0} events/s)",
         run.shards, run.fingerprint, run.wall_s, run.events_per_sec
-    );
+    )?;
     if run.fingerprint != reference.fingerprint || run.journal.hash() != reference.journal.hash() {
         return Err(format!(
             "DETERMINISM VIOLATION: {}-shard run (fingerprint {:#018x}, journal {:#018x}) \
@@ -637,17 +729,23 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
             run.journal.hash(),
             reference.fingerprint,
             reference.journal.hash()
-        ));
+        )
+        .into());
     }
-    println!("  fingerprints IDENTICAL (sharded == sequential, bit for bit)");
+    writeln!(
+        stdout,
+        "  fingerprints IDENTICAL (sharded == sequential, bit for bit)"
+    )?;
     if run.snapshots != reference.snapshots {
         return Err(format!(
             "DETERMINISM VIOLATION: {}-shard snapshot stream != 1-shard reference",
             run.shards
-        ));
+        )
+        .into());
     }
     if opts.snapshot_every > 0 {
-        println!(
+        writeln!(
+            stdout,
             "  snapshots: {} captured every {} epoch(s){}{}",
             run.snapshots.len(),
             opts.snapshot_every,
@@ -657,7 +755,7 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
                 ""
             },
             if run.crashed { " — CRASHED" } else { "" }
-        );
+        )?;
     }
     if let Some(path) = args.0.get("snapshot-out") {
         let snap = run
@@ -665,17 +763,23 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
             .last()
             .ok_or_else(|| "no snapshot captured; set --snapshot-every".to_string())?;
         std::fs::write(path, snap.to_text()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  snapshot (epoch {}) written to {path}", snap.epoch);
+        writeln!(
+            stdout,
+            "  snapshot (epoch {}) written to {path}",
+            snap.epoch
+        )?;
     }
-    println!(
+    writeln!(
+        stdout,
         "  journal: {} records, hash {:#018x}, {} epochs to {}, {} delegations",
         run.journal.len(),
         run.journal.hash(),
         run.epochs,
         run.horizon,
         run.delegations
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  placement: mean occupancy {:.1}%, mean fragmentation {:.3}, \
          {} stitched job(s) ({} legs, {} rollbacks)",
         run.occ_mean * 100.0,
@@ -683,22 +787,22 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
         run.metrics.counter("jobs.stitched"),
         run.metrics.counter("stitch.legs"),
         run.metrics.counter("stitch.rollbacks")
-    );
-    print!("{}", run.metrics.summary());
-    print!("{}", run.route.summary());
+    )?;
+    write!(stdout, "{}", run.metrics.summary())?;
+    write!(stdout, "{}", run.route.summary())?;
     let bench = PodBenchReport::from_outcome(&run, cfg.jobs);
     if let Some(path) = args.0.get("json") {
         std::fs::write(path, bench.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  report written to {path}");
+        writeln!(stdout, "  report written to {path}")?;
     }
     if let Some(path) = args.0.get("write-baseline") {
         std::fs::write(path, bench.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  baseline written to {path}");
+        writeln!(stdout, "  baseline written to {path}")?;
     }
     if let Some(path) = args.0.get("dump-journal") {
         std::fs::write(path, run.journal.to_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  journal dumped to {path}");
+        writeln!(stdout, "  journal dumped to {path}")?;
     }
     Ok(())
 }
@@ -708,20 +812,24 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
 /// rate floors, and the release-build requirement that warm plan-library
 /// stamping beats scratch programming by ≥1.3×), exiting nonzero on any
 /// violated gate — the CI `plan-smoke` entry point.
-fn cmd_routebench(args: &Args) -> Result<(), String> {
+fn cmd_routebench(args: &Args) -> Result<(), Halt> {
+    let stdout = &mut std::io::stdout();
     let searches: u64 = args.get("searches", route_bench::DEFAULT_SEARCHES)?;
     let batches: u64 = args.get("batches", route_bench::DEFAULT_BATCHES)?;
     let report = run_route_bench(searches, batches);
-    println!(
+    writeln!(
+        stdout,
         "routebench: {} searches + {} ring batches (scratch, then stamped) on a loaded 4x8 wafer",
         report.searches, report.batches
-    );
-    println!("  fingerprint : {}", report.fingerprint);
-    println!(
+    )?;
+    writeln!(stdout, "  fingerprint : {}", report.fingerprint)?;
+    writeln!(
+        stdout,
         "  paths/sec   : {:.0}   batches/sec: {:.0}   ({:.3}s wall)",
         report.paths_per_sec, report.batches_per_sec, report.wall_s
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  stamped     : {:.0} plans/sec ({:.1}x scratch), fingerprint {}",
         report.stamped_plans_per_sec,
         if report.batches_per_sec > 0.0 {
@@ -730,7 +838,7 @@ fn cmd_routebench(args: &Args) -> Result<(), String> {
             0.0
         },
         report.stamped_fingerprint
-    );
+    )?;
     if args.get_str("stamped", "false") == "true" {
         let path = args.get_str("baseline", "BENCH_route.json");
         let text =
@@ -748,79 +856,19 @@ fn cmd_routebench(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "routebench: {} baseline gate(s) violated against {path}",
                 failures.len()
-            ));
+            )
+            .into());
         }
-        println!("  baseline {path} holds (fingerprints exact, rates above floor)");
+        writeln!(
+            stdout,
+            "  baseline {path} holds (fingerprints exact, rates above floor)"
+        )?;
     }
     if let Some(path) = args.0.get("write-baseline") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  baseline written to {path}");
+        writeln!(stdout, "  baseline written to {path}")?;
     }
     Ok(())
-}
-
-/// `spsim detlint` — run the workspace determinism/panic-freedom analyzer
-/// from the main binary (same engine as `cargo xtask detlint`). `--paths`
-/// takes comma-separated substring filters; `--check-file` lints a single
-/// file as production code; `--json true` prints the machine-readable
-/// report instead of text.
-fn cmd_detlint(args: &Args) -> Result<(), String> {
-    let root = std::path::PathBuf::from(args.get_str("root", "."));
-    let json = args.get_str("json", "false") == "true";
-    let cfg = detlint::load_config(&root)?;
-    if let Some(file) = args.0.get("check-file") {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        let findings = detlint::lint_source("adhoc", file, &text, &cfg, false);
-        for f in &findings {
-            println!("{f}");
-        }
-        let active = findings
-            .iter()
-            .filter(|f| f.status == detlint::Status::Active)
-            .count();
-        if active > 0 {
-            return Err(format!("detlint: {active} active finding(s) in {file}"));
-        }
-        return Ok(());
-    }
-    let filters: Vec<String> = args
-        .0
-        .get("paths")
-        .map(|p| p.split(',').map(str::to_string).collect())
-        .unwrap_or_default();
-    let report = detlint::lint_workspace(&root, &cfg, &filters);
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        println!(
-            "detlint: {} crates, {} files, {} finding(s)",
-            report.crates,
-            report.files,
-            report.findings.len()
-        );
-        for f in &report.findings {
-            println!("  {f}");
-        }
-        for b in &report.baselines {
-            println!(
-                "  baseline {}: {} {} site(s), ceiling {}",
-                b.krate,
-                b.count,
-                b.rule.code(),
-                b.ceiling
-            );
-        }
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        if !json {
-            for f in &report.failures {
-                eprintln!("  FAIL {f}");
-            }
-        }
-        Err(format!("detlint: {} failure(s)", report.failures.len()))
-    }
 }
 
 const USAGE: &str = "spsim — server-scale photonics simulator
@@ -850,15 +898,11 @@ USAGE:
                    [--stamped [--baseline BENCH_route.json]]
                    (--stamped gates the run against the committed baseline, incl. the
                     >=1.3x stamped-vs-scratch speedup in release builds)
-  spsim detlint    [--paths crates/route,rwa.rs] [--check-file some.rs] [--json true] [--root .]
 ";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first() else {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    };
+    let cmd = argv.first().map_or("help", String::as_str);
     // `sweep --smoke` is CI sugar for the small-grid 2-worker run, and
     // `--campaign`/`--compact` are bare switches; expand both before the
     // generic --key value parser sees them.
@@ -890,26 +934,24 @@ fn main() -> ExitCode {
             rest.push(a.clone());
         }
     }
-    let result = Args::parse(&rest).and_then(|args| match cmd.as_str() {
-        "wafer" => cmd_wafer(&args),
-        "collective" => cmd_collective(&args),
-        "repair" => cmd_repair(&args),
-        "placement" => cmd_placement(&args),
-        "hoststack" => cmd_hoststack(&args),
-        "ctrl" => cmd_ctrl(&args),
-        "sweep" => cmd_sweep(&args),
-        "pod" => cmd_pod(&args),
-        "routebench" => cmd_routebench(&args),
-        "detlint" => cmd_detlint(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    });
+    let result = Args::parse(&rest)
+        .map_err(Halt::Fail)
+        .and_then(|args| match cmd {
+            "wafer" => cmd_wafer(&args),
+            "collective" => cmd_collective(&args),
+            "repair" => cmd_repair(&args),
+            "placement" => cmd_placement(&args),
+            "hoststack" => cmd_hoststack(&args),
+            "ctrl" => cmd_ctrl(&args),
+            "sweep" => cmd_sweep(&args),
+            "pod" => cmd_pod(&args),
+            "routebench" => cmd_routebench(&args),
+            "help" | "--help" | "-h" => write!(std::io::stdout(), "{USAGE}").map_err(Halt::from),
+            other => Err(format!("unknown command '{other}'\n{USAGE}").into()),
+        });
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(()) | Err(Halt::StdoutClosed) => ExitCode::SUCCESS,
+        Err(Halt::Fail(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

@@ -12,7 +12,6 @@
 
 pub use collectives;
 pub use desim;
-pub use detlint;
 pub use fabricd;
 pub use hostnet;
 pub use lightpath;

@@ -3,14 +3,17 @@
 //! (fingerprint, journal hash, record, snapshot and admission counts, and
 //! the tail-replay record count), and compaction must not move its
 //! fingerprint, journal hash or record count; its last snapshot must
-//! reproduce `golden/ctrl_snapshot.txt` byte for byte; and a pod run
+//! reproduce `golden/ctrl_snapshot.txt` byte for byte, and delta replay
+//! from that artifact must land on the live run; and a pod run
 //! resumed from a mid-run snapshot must land on the uninterrupted run. Any
 //! drift in journal hashing, snapshot capture, or the admission engine's
 //! queue and event codec fails here.
 
 use desim::SimDuration;
 use fabricd::report::{bench_config, compare, json_str, json_u64, BenchFields, Gate};
-use fabricd::{run_campaign, run_ctrl_bench, CampaignOptions, CtrlBenchReport};
+use fabricd::{
+    replay_from, run_campaign, run_ctrl_bench, CampaignOptions, CtrlBenchReport, CtrlSnapshot,
+};
 use pod::{resume_pod, run_pod_with, PodConfig, PodOptions, PodSnapshot};
 use workloads::ArrivalParams;
 
@@ -41,10 +44,15 @@ fn ctrl_bench_last_snapshot_is_the_golden_artifact() {
         .snapshots
         .last()
         .expect("the campaign captured snapshots");
+    let golden = include_str!("../golden/ctrl_snapshot.txt");
     assert!(
-        last.to_text() == include_str!("../golden/ctrl_snapshot.txt"),
+        last.to_text() == golden,
         "the last snapshot drifted from golden/ctrl_snapshot.txt"
     );
+    let parsed = CtrlSnapshot::parse(golden).expect("the golden artifact parses");
+    assert_eq!(&parsed, last);
+    let replayed = replay_from(&parsed.fabric, out.state.journal()).expect("delta replay");
+    assert_eq!(replayed.fingerprint(), out.state.fingerprint());
 }
 
 #[test]

@@ -315,6 +315,28 @@ fn fiber_usage_zeroed(state: &str) -> String {
     replace_line(state, link, "used=0")
 }
 
+/// The first tile whose `key` SerDes claim (`tx` or `rx`) is nonzero,
+/// that claim set to 0.
+fn serdes_claim_zeroed(state: &str, key: &str) -> String {
+    let lines: Vec<&str> = state.lines().collect();
+    let tile = (0..lines.len())
+        .find(|&i| value(lines[i], key).is_some_and(|n| n != "0"))
+        .unwrap_or_else(|| panic!("a circuit claims {key} lanes"));
+    replace_line(state, tile, &format!("{key}=0"))
+}
+
+/// Resumed, the teardown of the circuit sourced at that tile would release
+/// tx lanes the restored pool does not hold.
+fn tx_claim_zeroed(state: &str) -> String {
+    serdes_claim_zeroed(state, "tx")
+}
+
+/// Resumed, the tile's rx lanes would read free while its circuits still
+/// hold them.
+fn rx_claim_zeroed(state: &str) -> String {
+    serdes_claim_zeroed(state, "rx")
+}
+
 /// Forged references to circuits that do not exist, made on the first
 /// bench-campaign capture that holds a cross-wafer circuit.
 const FORGED_CASES: [(&str, Forge, &str); 2] = [
@@ -332,7 +354,7 @@ const FORGED_CASES: [(&str, Forge, &str); 2] = [
 
 /// Forged state that the circuits restored with it contradict, made on
 /// the same capture as [`FORGED_CASES`].
-const CONTRADICTED_CASES: [(&str, Forge, &str); 3] = [
+const CONTRADICTED_CASES: [(&str, Forge, &str); 5] = [
     (
         "one wafer circuit held by two tenants",
         handle_held_twice,
@@ -347,6 +369,16 @@ const CONTRADICTED_CASES: [(&str, Forge, &str); 3] = [
         "a used fiber link at used=0",
         fiber_usage_zeroed,
         "reads used=0, but its cross circuits hold",
+    ),
+    (
+        "a tile's tx claim at tx=0",
+        tx_claim_zeroed,
+        "reads tx=0, but its circuits claim tx=",
+    ),
+    (
+        "a tile's rx claim at rx=0",
+        rx_claim_zeroed,
+        "holds 0 rx lanes, but its circuits claim",
     ),
 ];
 
